@@ -11,8 +11,11 @@ assembled as a diagonal.
 Planar Grams integrate by the domain's cell quadrature (`GridDomain.
 quadrature`): cut-cell area fractions on a domain rasterized from a shape
 spec, the plain midpoint rule per true cell on a domain built from a mask.
-Entries are summed in a fixed row-major cell order with numpy's pairwise
-reduction, which makes every Gram entry bit reproducible run to run.
+The nodes are taken in their fixed row-major order, in blocks of
+GRAM_BLOCK, and each block adds into the Gram with one Hermitian rank-k
+BLAS update (zherk).  Only the term values of one block are held at a
+time, and every Gram entry is bit reproducible run to run and at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 import scipy.linalg as sla
+from scipy.linalg.blas import zherk
 
 from .geom import FOUR_CONN, GridDomain, PLANAR, REINHARDT
 
 DROP_FLOOR = 1e-290         # diagonal entries at underflow scale carry no signal
 REGULARIZATION = 1e-12      # diagonal shift factor for the factorization retry
+GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
 
 
 class BasisError(ValueError):
@@ -176,7 +181,7 @@ def term_matrix(basis: BasisSpec, points: np.ndarray) -> np.ndarray:
     """Evaluate planar terms at complex points: shape (len(points), N).
 
     Powers sharing a center are built by a multiplicative ladder, so a basis
-    window costs one multiply per term.
+    window costs one multiply per term; only the requested powers are kept.
     """
     points = np.asarray(points, dtype=complex).ravel()
     out = np.empty((points.size, len(basis)), dtype=complex)
@@ -185,30 +190,26 @@ def term_matrix(basis: BasisSpec, points: np.ndarray) -> np.ndarray:
         by_center.setdefault(t.center, []).append((t.n, col))
     for center, entries in by_center.items():
         w = points - center
-        ns = sorted(n for n, _ in entries)
-        cols = {n: c for n, c in entries}
-        powers: dict[int, np.ndarray] = {0: np.ones_like(w)}
-        cur = np.ones_like(w)
-        for n in range(1, max(ns[-1], 0) + 1):
-            cur = cur * w
-            powers[n] = cur
-        if ns[0] < 0:
-            inv = 1.0 / w
-            cur = np.ones_like(w)
-            for n in range(1, -ns[0] + 1):
-                cur = cur * inv
-                powers[-n] = cur
-        for n in ns:
-            out[:, cols[n]] = powers[n]
+        pos = {n: c for n, c in entries if n >= 0}
+        neg = {-n: c for n, c in entries if n < 0}
+        if pos:
+            _write_powers(out, w, pos)
+        if neg:
+            _write_powers(out, 1.0 / w, neg)
     return out
 
 
-def term_values_c2(basis: BasisSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Evaluate reinhardt terms z1^a z2^b at paired C^2 coordinates."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    cols = [z1 ** t.a * z2 ** t.b for t in basis.terms]
-    return np.stack(cols, axis=-1)
+def _write_powers(out: np.ndarray, step: np.ndarray, cols: dict) -> None:
+    """out[:, cols[n]] = step^n for each requested n >= 0, by the ladder
+    1, step, step^2, ... held in one running array.  The product is taken
+    out of place: numpy's in-place complex multiply rounds some lengths
+    differently, and the values must not depend on the batch size."""
+    cur = np.ones_like(step)
+    for n in range(max(cols) + 1):
+        if n:
+            cur = cur * step
+        if n in cols:
+            out[:, cols[n]] = cur
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +257,28 @@ def _normalized_cond(G: np.ndarray) -> float:
 def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
     """Assemble the Gram matrix of the basis over U by its cell quadrature.
 
-    Planar term values are scaled by the square roots of the cell area
-    fractions, which are exactly 1 on a mask-built domain, so there the
-    entries are the plain midpoint sums.  Entries are computed for i <= j
-    and mirrored conjugate, so the stored matrix is exactly Hermitian.
-    Reinhardt cross terms between distinct bidegrees vanish analytically and
-    are set to zero.
+    Planar terms are evaluated on GRAM_BLOCK quadrature nodes at a time,
+    in the fixed node order, and scaled by the square roots of the cell
+    area fractions (exactly 1 on a mask-built domain, where the entries are
+    midpoint sums).  Each block adds h^2 B^T conj(B) into the upper
+    triangle with one Hermitian rank-k update; the lower triangle is then
+    mirrored conjugate, so the stored matrix is exactly Hermitian with a
+    real diagonal.  Reinhardt cross terms between distinct bidegrees vanish
+    analytically and are set to zero.
     """
     check_admissible(basis, U)
     N = len(basis)
     if basis.kind == PLANAR:
         nodes, frac = U.quadrature
-        B = term_matrix(basis, nodes)
-        B *= np.sqrt(frac)[:, None]
-        w = U.h * U.h
-        G = np.empty((N, N), dtype=complex)
-        for i in range(N):
-            G[i, i] = np.sum(B[:, i].real ** 2 + B[:, i].imag ** 2) * w
-            for j in range(i + 1, N):
-                val = np.sum(B[:, i] * np.conj(B[:, j])) * w
-                G[i, j] = val
-                G[j, i] = np.conj(val)
+        G = np.zeros((N, N), dtype=complex, order="F")
+        for start in range(0, nodes.size, GRAM_BLOCK):
+            block = slice(start, start + GRAM_BLOCK)
+            B = term_matrix(basis, nodes[block])
+            B *= np.sqrt(frac[block])[:, None]
+            # B.T is the Fortran-ordered N x k operand of C += a A A^H
+            G = zherk(U.h * U.h, B.T, beta=1.0, c=G, overwrite_c=1)
+        lower = np.tril_indices(N, -1)
+        G[lower] = G.T[lower].conj()
     else:
         ii, jj = np.nonzero(U.mask)
         r1 = U.centers_x[ii]

@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the probe seed")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="override the output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="recorded thread budget (reductions are "
-                            "deterministic either way)")
     return parser
 
 
@@ -56,8 +53,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.out is not None:
         updates["out_dir"] = args.out
-    if args.threads is not None:
-        updates["threads"] = args.threads
     return dataclasses.replace(config, **updates) if updates else config
 
 

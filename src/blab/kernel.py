@@ -29,6 +29,7 @@ from .geom import (
 )
 
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
+PROBE_CHUNK = 64            # w probes per eval_many call in kernel_error
 
 
 class KernelError(ValueError):
@@ -81,19 +82,28 @@ class KernelModel:
                 f"point {pts[labels == 0][0]} is outside the domain")
         return labels
 
-    def eval_many(self, zs: np.ndarray, w: complex) -> np.ndarray:
-        """K(z, w) for a batch of z at fixed w, with one triangular solve.
+    def eval_many(self, zs: np.ndarray, w) -> np.ndarray:
+        """K(z, w) for a batch of z at one w, shape (len(zs),), or at each
+        w of a 1-D array, shape (len(w), len(zs)) with one row per w.
 
-        Pairs whose component labels differ evaluate to exactly zero.
+        The zs are whitened once per call and each w once; every row is the
+        product conj(v(w)) @ V.  Each w goes through its own single-column
+        triangular solve, because a multi-column solve rounds differently,
+        so a row is bit-identical to the scalar-w call.  Pairs whose
+        component labels differ evaluate to exactly zero.
         """
         zs = np.asarray(zs, dtype=complex).ravel()
+        ws = np.asarray(w, dtype=complex)
         z_labels = self._require_inside(zs)
-        w_label = self._require_inside(np.array([w]))[0]
+        w_labels = self._require_inside(ws)
         V = self.whitened(zs)
-        vw = self.whitened(np.array([w]))[:, 0]
-        out = np.conj(vw) @ V
-        out[z_labels != w_label] = 0.0
-        return out
+        Bw = bs.term_matrix(self.basis, ws)
+        out = np.empty((ws.size, zs.size), dtype=complex)
+        for k in range(ws.size):
+            vw = self.factor.whiten(Bw[k])
+            out[k] = np.conj(vw) @ V
+            out[k, z_labels != w_labels[k]] = 0.0
+        return out if ws.ndim else out[0]
 
     def eval(self, z: complex, w: complex) -> complex:
         return complex(self.eval_many(np.array([z]), w)[0])
@@ -211,8 +221,12 @@ def reproducing_residual(model: KernelModel, i: int,
 # ---------------------------------------------------------------------------
 
 def _shifted(z, w, center: complex):
-    return (np.asarray(z, dtype=complex) - center) * np.conj(
-        np.asarray(w, dtype=complex) - center)
+    """s = (z - c) conj(w - c); one row per w when w is a 1-D array."""
+    zc = np.asarray(z, dtype=complex) - center
+    wc = np.conj(np.asarray(w, dtype=complex) - center)
+    if wc.ndim:
+        return zc.ravel()[None, :] * wc[:, None]
+    return zc * wc
 
 
 @dataclass(frozen=True)
@@ -572,7 +586,10 @@ class ReinhardtSliceKernel:
     def eval_many(self, zs, w):
         zs = np.asarray(zs, dtype=complex).ravel()
         pairs = np.column_stack([zs, np.full(zs.size, self.z2)])
-        return self.model.eval_pairs(pairs, (complex(w), self.z2))
+        ws = np.asarray(w, dtype=complex)
+        rows = [self.model.eval_pairs(pairs, (complex(wk), self.z2))
+                for wk in ws.ravel()]
+        return np.array(rows) if ws.ndim else rows[0]
 
     def eval(self, z, w):
         return complex(self.eval_many(np.array([z]), w)[0])
@@ -639,7 +656,10 @@ def kernel_error(model, reference, margin: float,
     z runs over every 4th cell of the compact set along each axis, w over
     every 16th; both models are evaluated on exactly the same pairs.  When
     the compact set is too small for a stride lattice the stride halves
-    until probes exist.
+    until probes exist.  Each side is called once per PROBE_CHUNK w probes
+    (`eval_many` with an array of w, one row per w), so a fitted model
+    whitens the z lattice once per chunk; the chunk bounds the memory of
+    the rows.
     """
     if domain is None:
         domain = getattr(reference, "domain", None) or model.domain
@@ -647,9 +667,10 @@ def kernel_error(model, reference, margin: float,
     z_probes = _probe_centers_dense_enough(domain, cells, zstride)
     w_probes = _probe_centers_dense_enough(domain, cells, wstride)
     worst = 0.0
-    for w in w_probes:
-        a = model.eval_many(z_probes, w)
-        b = reference.eval_many(z_probes, w)
+    for start in range(0, w_probes.size, PROBE_CHUNK):
+        ws = w_probes[start:start + PROBE_CHUNK]
+        a = model.eval_many(z_probes, ws)
+        b = reference.eval_many(z_probes, ws)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
 

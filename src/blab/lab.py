@@ -64,7 +64,6 @@ CONFIG_KEYS = {
     "certify": bool,
     "seed": int,
     "out_dir": str,
-    "threads": int,
 }
 
 REQUIRED = {
@@ -93,7 +92,6 @@ class ExperimentConfig:
     certify: bool = False
     seed: int = zr.DEFAULT_SEED
     out_dir: str = ""
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -313,8 +311,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         experiment="exhaustion",
         metadata={"h": config.h, "seed": config.seed, "basis_window": list(window),
-                  "threads": config.threads, "target": spec,
-                  "compact_margin": margin},
+                  "target": spec, "compact_margin": margin},
         columns=["stage", "depth", "rho1_to_target", "rho2_to_target",
                  "kernel_error", "n_terms", "certified", "winding"])
 
@@ -403,8 +400,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         experiment="barbell",
         metadata={"h": h, "seed": config.seed, "basis_window": list(window),
-                  "threads": config.threads, "left": left_spec,
-                  "right": right_spec, "compact_margin": margin,
+                  "left": left_spec, "right": right_spec, "compact_margin": margin,
                   "segment": [[segment[0].real, segment[0].imag],
                               [segment[1].real, segment[1].imag]]},
         columns=["stage", "width", "rho2_to_union", "rho1_to_left",
@@ -534,7 +530,7 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         experiment="nowhere-density",
         metadata={"h": h, "seed": config.seed, "basis_window": list(window),
-                  "threads": config.threads, "target": spec, "delta": delta,
+                  "target": spec, "delta": delta,
                   "connected": config.connected},
         columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
 
@@ -633,7 +629,7 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         experiment="nowhere-density",
         metadata={"h": h, "seed": config.seed, "basis_window": list(window),
-                  "threads": config.threads, "target": spec, "delta": delta,
+                  "target": spec, "delta": delta,
                   "mode": "reinhardt"},
         columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
 
@@ -714,8 +710,7 @@ def run_metric_demo(config: ExperimentConfig) -> ExperimentReport:
 
     report = ExperimentReport(
         experiment="metric-demo",
-        metadata={"h": h, "seed": config.seed, "threads": config.threads,
-                  "tail_width": w},
+        metadata={"h": h, "seed": config.seed, "tail_width": w},
         columns=["pair", "rho1", "rho2", "hausdorff_closures",
                  "hausdorff_boundaries", "volume_term", "sup_term"])
 

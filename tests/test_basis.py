@@ -1,5 +1,10 @@
 """Gram assembly against one-dimensional radial quadrature oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -78,18 +83,70 @@ def test_gram_invariant_under_array_padding():
 
 
 def test_mask_built_gram_is_plain_midpoint_sum():
-    # a domain built from a mask alone carries unit cell weights: its Gram
-    # is the per-entry midpoint sum over the true cell centers, bit for bit
+    # a domain built from a mask alone carries unit cell weights: its
+    # quadrature is exactly the true cell centers with fraction 1, and its
+    # Gram is the per-entry midpoint sum up to summation order
     target = make_domain(disc(0.1 + 0.05j, 0.9), h=0.02)
     member = interior_exhaustion(target, [0.1]).members[0]
+    nodes, frac = member.quadrature
+    assert (nodes == member.true_centers).all()
+    assert (frac == 1.0).all()
     B = bs.monomials(0.1 + 0.05j, 6)
     G = bs.gram_matrix(B, member).matrix
     V = bs.term_matrix(B, member.true_centers)
     w = member.h * member.h
+    scale = np.sqrt(np.diag(G).real)
     for i in range(len(B)):
-        assert G[i, i] == np.sum(V[:, i].real ** 2 + V[:, i].imag ** 2) * w
-        for j in range(i + 1, len(B)):
-            assert G[i, j] == np.sum(V[:, i] * np.conj(V[:, j])) * w
+        for j in range(i, len(B)):
+            midpoint = np.sum(V[:, i] * np.conj(V[:, j])) * w
+            assert abs(G[i, j] - midpoint) <= 1e-14 * scale[i] * scale[j]
+
+
+def test_term_matrix_rows_independent_of_batch():
+    # each row is the value at its own point, whatever the batch around it
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=37) + 1j * rng.normal(size=37)
+    B = bs.merged(bs.monomials(0.2, 12), bs.principal_parts(2.5 + 0.5j, 6))
+    full = bs.term_matrix(B, pts)
+    for k, p in enumerate(pts):
+        assert full[k].tobytes() == bs.term_matrix(B, [p])[0].tobytes()
+
+
+BLAS_THREADS_CHILD = """
+import hashlib
+import numpy as np
+from blab import basis as bs, kernel as kn
+from blab.geom import annulus, disc, make_domain, union
+h = 0.005
+U = make_domain(union(disc(0, 0.5), annulus(0.9, 0.06, 0.12)), h=h)
+# a nowhere-density style basis: a window, a ladder of high degrees that
+# localizes on the far lobe, and principal parts at its hole
+ladder = bs.BasisSpec(tuple(bs.PlanarTerm(0j, n) for n in range(12, 60, 3)))
+basis = bs.merged(bs.monomials(0, 10), ladder, bs.principal_parts(0.9, 8))
+G = bs.gram_matrix(basis, U)
+model = kn.fit_kernel(U, basis)
+ref = kn.closed_form(disc(0, 0.5), truncation=10, h=h)
+err = kn.kernel_error(model, ref, margin=0.1, domain=make_domain(disc(0, 0.5), h))
+print(U.quadrature[0].size, G.n)
+print(hashlib.sha256(G.matrix.tobytes()).hexdigest())
+print(float(err).hex())
+"""
+
+
+def test_gram_and_kernel_error_bytes_independent_of_blas_threads():
+    src = str(Path(bs.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD],
+                             env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        outs.append(run.stdout)
+    n_nodes, n_terms = map(int, outs[0].split()[:2])
+    assert n_nodes >= 2 * bs.GRAM_BLOCK
+    assert n_terms >= 35
+    assert outs[0] == outs[1]
 
 
 def test_spec_gram_weights_cut_cells():

@@ -41,13 +41,26 @@ def test_overrides_take_effect(tmp_path):
     cfg = write_cfg(tmp_path, {"experiment": "metric-demo", "h": 0.05,
                                "seed": 1, "out_dir": str(tmp_path / "ignored")})
     out = tmp_path / "forced"
-    code = main(["metric", cfg, "--h", "0.02", "--seed", "9", "--out", str(out),
-                 "--threads", "2"])
+    code = main(["metric", cfg, "--h", "0.02", "--seed", "9", "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["metadata"]["h"] == 0.02
     assert summary["metadata"]["seed"] == 9
-    assert summary["metadata"]["threads"] == 2
+    assert "threads" not in summary["metadata"]
+
+
+def test_threads_flag_and_key_rejected(tmp_path, capsys):
+    # results do not depend on the BLAS thread count, so there is no thread
+    # budget to record: the flag and the config key are both unknown
+    cfg = write_cfg(tmp_path, {"experiment": "metric-demo", "h": 0.02})
+    with pytest.raises(SystemExit) as exc:
+        main(["metric", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {"experiment": "metric-demo", "h": 0.02,
+                               "threads": 2}, name="threads.json")
+    assert main(["metric", cfg]) == 3
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_3(tmp_path, capsys):

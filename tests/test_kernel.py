@@ -294,6 +294,69 @@ def test_kernel_error_empty_compact_rejected(disc_model):
         kn.kernel_error(disc_model, disc_model, margin=5.0)
 
 
+def test_kernel_error_equals_per_w_loop(disc_model):
+    # oracle: the one-w-per-call loop over the same probe lattices
+    ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.h)
+    cells = kn.compact_cells(disc_model.domain, 0.2)
+    zs = kn._probe_centers_dense_enough(disc_model.domain, cells, 4)
+    ws = kn._probe_centers_dense_enough(disc_model.domain, cells, 16)
+    assert ws.size > kn.PROBE_CHUNK
+    worst = 0.0
+    for w in ws:
+        a = disc_model.eval_many(zs, w)
+        b = ref.eval_many(zs, w)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    assert kn.kernel_error(disc_model, ref, margin=0.2) == worst
+
+
+# ---------------------------------------------------------------------------
+# eval_many at an array of w
+# ---------------------------------------------------------------------------
+
+def _rows_match_scalar_calls(K, zs, ws):
+    rows = K.eval_many(zs, ws)
+    assert rows.shape == (ws.size, zs.size)
+    for k, w in enumerate(ws):
+        assert rows[k].tobytes() == K.eval_many(zs, w).tobytes()
+
+
+def test_eval_many_rows_match_scalar_calls_fitted(disc_model, annulus_model):
+    for model in (disc_model, annulus_model):
+        zs = interior_points(model.domain, 300, seed=11)
+        ws = interior_points(model.domain, 70, seed=12)
+        _rows_match_scalar_calls(model, zs, ws)
+
+
+def test_eval_many_rows_keep_cross_component_zeros(two_disc_model):
+    zs = np.concatenate([interior_points(two_disc_model.domain, 80, seed=13),
+                         [-2.1, 2.2]])
+    ws = np.array([-2.1, 2.2, -1.8 + 0.1j, 2.3 - 0.2j])
+    _rows_match_scalar_calls(two_disc_model, zs, ws)
+    rows = two_disc_model.eval_many(zs, ws)
+    left = zs.real < 0
+    assert (rows[0, ~left] == 0).all() and (rows[0, left] != 0).all()
+    assert (rows[1, left] == 0).all() and (rows[1, ~left] != 0).all()
+
+
+def test_eval_many_rows_match_scalar_calls_closed_forms():
+    rng = np.random.default_rng(14)
+    radii = rng.uniform(0.55, 0.95, 200)
+    zs = radii * np.exp(2j * np.pi * rng.uniform(size=200))
+    ws = zs[:40] * 0.98
+    disc_k = kn.closed_form(disc(0, 1))
+    for K in (disc_k, kn.closed_form(disc(0, 1), truncation=8),
+              kn.closed_form(annulus(0, 0.5, 1), truncation=16),
+              kn.ScaledPlanarKernel(base=disc_k, scale=0.3 - 0.1j)):
+        _rows_match_scalar_calls(K, zs, ws)
+
+
+def test_eval_many_rows_match_scalar_calls_reinhardt_slice(
+        ring_times_disc_model):
+    sl = ring_times_disc_model.slice_fixed_last(0.3)
+    zs = np.array([0.6, -0.7 + 0.1j, 0.8j, 0.9])
+    _rows_match_scalar_calls(sl, zs, np.array([0.8, -0.65j]))
+
+
 # ---------------------------------------------------------------------------
 # dropped terms
 # ---------------------------------------------------------------------------
