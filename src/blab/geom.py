@@ -11,11 +11,16 @@ center, weighted by the area fraction it covers.  A domain built from a mask
 alone (cellwise operations, exhaustions, necks, loaded grids) integrates
 with unit weights over its true cells.
 
+Each domain computes its exact distance-to-complement field once, on first
+use (`GridDomain.distance`); every reader of a field shares that transform.
+
 Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
 symmetric difference plus sup-norm distance between interior distance
 functions).  rho1 is sensitive to slits and punctures; rho2 tolerates thin
-tails.
+tails.  rho2 embeds the two cached fields in a common array; rho1 measures
+each directed term with a nearest-cell query against the other set's
+boundary cells, so neither metric runs a transform of its own.
 """
 
 from __future__ import annotations
@@ -109,15 +114,32 @@ class GridDomain:
     def centers_y(self) -> np.ndarray:
         return _axis_centers(self.origin[1], self.ny, self.h)
 
-    @cached_property
+    @property
     def center_grid(self) -> np.ndarray:
-        """Complex cell centers, shape (nx, ny). x is the real axis."""
+        """Complex cell centers, shape (nx, ny). x is the real axis.
+
+        Built on each access, not cached; `centers_of` takes the centers of
+        selected cells without the full grid."""
         return self.centers_x[:, None] + 1j * self.centers_y[None, :]
+
+    def centers_of(self, cells: np.ndarray) -> np.ndarray:
+        """Complex centers of the cells true in a mask of the array's shape,
+        in row-major order; equal to center_grid[cells] bit for bit."""
+        out = np.empty(int(np.count_nonzero(cells)), dtype=complex)
+        out.real = np.broadcast_to(self.centers_x[:, None], cells.shape)[cells]
+        out.imag = np.broadcast_to(self.centers_y[None, :], cells.shape)[cells]
+        return out
 
     @cached_property
     def true_centers(self) -> np.ndarray:
         """Complex centers of true cells in row-major order."""
-        return self.center_grid[self.mask]
+        return self.centers_of(self.mask)
+
+    @cached_property
+    def distance(self) -> DistanceField:
+        """The domain's exact distance field, computed on first use."""
+        return DistanceField(origin=self.origin, h=self.h, kind=self.kind,
+                             values=_edt(self.mask, self.h, self.kind, self.origin))
 
     @cached_property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +158,7 @@ class GridDomain:
         frac = _area_fractions(self.spec, self.mask, self.centers_x,
                                self.centers_y, self.h)
         cells = frac > 0
-        return self.center_grid[cells], frac[cells]
+        return self.centers_of(cells), frac[cells]
 
     @cached_property
     def component_labels(self) -> np.ndarray:
@@ -385,9 +407,9 @@ def _same_lattice(U: GridDomain, V: GridDomain) -> bool:
     return True
 
 
-def _aligned_masks(U: GridDomain, V: GridDomain) -> tuple[np.ndarray, np.ndarray,
-                                                          tuple[float, float]]:
-    """Embed both masks in one array covering the union of the two arrays."""
+def _frame(U: GridDomain, V: GridDomain):
+    """Origin and shape of one array covering both domains' arrays, and the
+    index offset of each domain's array in it."""
     if U.kind != V.kind:
         raise LatticeMismatchError("cannot combine planar and reinhardt domains")
     if not _same_lattice(U, V):
@@ -397,13 +419,22 @@ def _aligned_masks(U: GridDomain, V: GridDomain) -> tuple[np.ndarray, np.ndarray
     oy = min(U.origin[1], V.origin[1])
     iU = (round((U.origin[0] - ox) / h), round((U.origin[1] - oy) / h))
     iV = (round((V.origin[0] - ox) / h), round((V.origin[1] - oy) / h))
-    nx = max(iU[0] + U.nx, iV[0] + V.nx)
-    ny = max(iU[1] + U.ny, iV[1] + V.ny)
-    mU = np.zeros((nx, ny), dtype=bool)
-    mV = np.zeros((nx, ny), dtype=bool)
-    mU[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny] = U.mask
-    mV[iV[0]:iV[0] + V.nx, iV[1]:iV[1] + V.ny] = V.mask
-    return mU, mV, (ox, oy)
+    shape = (max(iU[0] + U.nx, iV[0] + V.nx), max(iU[1] + U.ny, iV[1] + V.ny))
+    return (ox, oy), shape, iU, iV
+
+
+def _embed(a: np.ndarray, shape: tuple[int, int], at: tuple[int, int]) -> np.ndarray:
+    """a placed at offset `at` in a zero (false) array of the given shape."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[at[0]:at[0] + a.shape[0], at[1]:at[1] + a.shape[1]] = a
+    return out
+
+
+def _aligned_masks(U: GridDomain, V: GridDomain) -> tuple[np.ndarray, np.ndarray,
+                                                          tuple[float, float]]:
+    """Embed both masks in one array covering the union of the two arrays."""
+    origin, shape, iU, iV = _frame(U, V)
+    return _embed(U.mask, shape, iU), _embed(V.mask, shape, iV), origin
 
 
 def domain_union(U: GridDomain, V: GridDomain) -> GridDomain:
@@ -427,11 +458,12 @@ def _edt(mask: np.ndarray, h: float, kind: str,
     a false ring.  A reinhardt profile whose array starts at a radial axis is
     mirror-padded across that axis: the quarter-plane has no complement
     points at negative radii, and reflected cells never undercut the
-    distance to a real complement cell."""
+    distance to a real complement cell.  Returns a compact copy, so the
+    padded work array is freed."""
     if kind != REINHARDT:
         padded = np.pad(mask, 1, mode="constant", constant_values=False)
         dist = ndimage.distance_transform_edt(padded, sampling=h)
-        return dist[1:-1, 1:-1]
+        return dist[1:-1, 1:-1].copy()
     nx, ny = mask.shape
     mirror_x = origin[0] <= 0.5 * h
     mirror_y = origin[1] <= 0.5 * h
@@ -446,52 +478,61 @@ def _edt(mask: np.ndarray, h: float, kind: str,
     if mirror_x and mirror_y:
         big[:px, :py] = mask[::-1, ::-1]
     dist = ndimage.distance_transform_edt(big, sampling=h)
-    return dist[px:px + nx, py:py + ny]
+    return dist[px:px + nx, py:py + ny].copy()
 
 
 def distance_field(U: GridDomain) -> DistanceField:
-    """Exact Euclidean distance transform of the domain mask (0 off U)."""
-    values = _edt(U.mask, U.h, U.kind, U.origin)
-    return DistanceField(origin=U.origin, h=U.h, values=values, kind=U.kind)
+    """Exact Euclidean distance transform of the domain mask (0 off U).
+
+    Computed once per domain and shared: this returns `U.distance`, whose
+    values are read-only."""
+    return U.distance
 
 
-def boundary_mask(U: GridDomain) -> np.ndarray:
+def boundary_mask(mask: np.ndarray) -> np.ndarray:
     """True cells with at least one false 4-neighbor (array border is false)."""
-    m = np.pad(U.mask, 1, mode="constant", constant_values=False)
+    m = np.pad(mask, 1, mode="constant", constant_values=False)
     interior = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
-    return U.mask & ~interior
+    return mask & ~interior
 
 
 def extract_sets(U: GridDomain) -> PointSet:
     """Discretize the closure and the boundary of U as cell-center points."""
     return PointSet(closure=U.true_centers,
-                    boundary=U.center_grid[boundary_mask(U)])
+                    boundary=U.centers_of(boundary_mask(U.mask)))
 
 
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
-def hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    """Hausdorff distance between two finite point sets (complex arrays).
+def _nearest_cell_distance(cells: np.ndarray, mask_to: np.ndarray,
+                           h: float) -> np.ndarray:
+    """Distance from each true cell of `cells` (none of them in mask_to) to
+    the nearest true cell of mask_to, in row-major order.
 
-    Exact on the given points: max over both sets of the distance to the
-    nearest point of the other set.
+    The nearest cell is always a boundary cell of mask_to: from an interior
+    cell, the step toward the outside cell reaches a closer one.  A kd-tree
+    over the integer indices of those boundary cells finds it, and the
+    distance is formed from the index offset the way the EDT forms it,
+    sqrt((di h)^2 + (dj h)^2).
     """
-    A = np.asarray(A).ravel()
-    B = np.asarray(B).ravel()
-    if A.size == 0 or B.size == 0:
-        raise GeomError("hausdorff distance of an empty point set")
-    pa = np.column_stack([A.real, A.imag])
-    pb = np.column_stack([B.real, B.imag])
-    d_ab, _ = cKDTree(pb).query(pa, workers=1)
-    d_ba, _ = cKDTree(pa).query(pb, workers=1)
-    return float(max(d_ab.max(), d_ba.max()))
+    bi, bj = np.nonzero(boundary_mask(mask_to))
+    ci, cj = np.nonzero(cells)
+    _, k = cKDTree(np.column_stack([bi, bj])).query(np.column_stack([ci, cj]),
+                                                    workers=1)
+    di = (ci - bi[k]) * h
+    dj = (cj - bj[k]) * h
+    return np.sqrt(di * di + dj * dj)
 
 
 def _directed_sup(mask_from: np.ndarray, mask_to: np.ndarray, h: float) -> float:
-    dist_to = ndimage.distance_transform_edt(~mask_to, sampling=h)
-    return float(dist_to[mask_from].max())
+    """Max over cells of mask_from of the distance to the nearest cell of
+    mask_to; only cells outside mask_to count, and 0.0 if there are none."""
+    outside = mask_from & ~mask_to
+    if not outside.any():
+        return 0.0
+    return float(_nearest_cell_distance(outside, mask_to, h).max())
 
 
 def _hausdorff_masks(mA: np.ndarray, mB: np.ndarray, h: float) -> float:
@@ -499,13 +540,17 @@ def _hausdorff_masks(mA: np.ndarray, mB: np.ndarray, h: float) -> float:
 
 
 def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
-    """The two Hausdorff terms of rho1: (closures, boundaries)."""
+    """The two Hausdorff terms of rho1: (closures, boundaries).
+
+    Each directed term is a nearest-boundary query: the cells of one set
+    outside the other are matched to the other set's boundary cells by a
+    kd-tree (`_nearest_cell_distance`), with no array-sized transform."""
     mU, mV, _ = _aligned_masks(U, V)
     h = U.h
     if (mU == mV).all():
         return 0.0, 0.0
-    bU = _boundary_of(mU)
-    bV = _boundary_of(mV)
+    bU = boundary_mask(mU)
+    bV = boundary_mask(mV)
     return _hausdorff_masks(mU, mV, h), _hausdorff_masks(bU, bV, h)
 
 
@@ -513,12 +558,6 @@ def rho1(U: GridDomain, V: GridDomain) -> float:
     """Hausdorff distance between closures plus between boundaries."""
     closures, boundaries = rho1_parts(U, V)
     return closures + boundaries
-
-
-def _boundary_of(mask: np.ndarray) -> np.ndarray:
-    m = np.pad(mask, 1, mode="constant", constant_values=False)
-    interior = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
-    return mask & ~interior
 
 
 def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
@@ -532,15 +571,20 @@ def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
 
 
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
-    """The two terms of rho2: (symmetric-difference volume, sup |d_U - d_V|)."""
-    mU, mV, origin = _aligned_masks(U, V)
-    h = U.h
+    """The two terms of rho2: (symmetric-difference volume, sup |d_U - d_V|).
+
+    The sup embeds each domain's cached field in the common array.  That is
+    exact: a true cell's nearest complement cell lies within its own array
+    plus the false ring around it, and at a radial axis the mirror argument
+    of `_edt` holds in either array."""
+    origin, shape, iU, iV = _frame(U, V)
+    mU, mV = _embed(U.mask, shape, iU), _embed(V.mask, shape, iV)
     if (mU == mV).all():
         return 0.0, 0.0
     sym = mU ^ mV
-    vol = float(_cell_volumes(sym, origin, h, U.kind).sum())
-    dU = _edt(mU, h, U.kind, origin)
-    dV = _edt(mV, h, U.kind, origin)
+    vol = float(_cell_volumes(sym, origin, U.h, U.kind).sum())
+    dU = _embed(U.distance.values, shape, iU)
+    dV = _embed(V.distance.values, shape, iV)
     return vol, float(np.abs(dU - dV).max())
 
 
@@ -612,11 +656,12 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
     h = G.h
     if (mG & mD).any():
         raise GeomError("barbell lobes overlap")
-    dist_to_G = ndimage.distance_transform_edt(~mG, sampling=h)
-    if float(dist_to_G[mD].min()) <= 2 * h:
+    bG, bD = boundary_mask(mG), boundary_mask(mD)
+    # the smallest distance from D to G is reached on the boundary of D
+    if float(_nearest_cell_distance(bD, mG, h).min()) <= 2 * h:
         raise GeomError("barbell lobes must be disjoint with a positive gap")
     a, b = segment
-    for endpoint, lobe in ((a, _boundary_of(mG)), (b, _boundary_of(mD))):
+    for endpoint, lobe in ((a, bG), (b, bD)):
         cx = _axis_centers(origin[0], lobe.shape[0], h)
         cy = _axis_centers(origin[1], lobe.shape[1], h)
         ii, jj = np.nonzero(lobe)

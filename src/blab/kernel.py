@@ -635,7 +635,7 @@ def _probe_centers(domain: GridDomain, cells: np.ndarray, stride: int) -> np.nda
     """Deterministic probe sub-lattice: every stride-th cell along each axis."""
     sub = np.zeros_like(cells)
     sub[::stride, ::stride] = cells[::stride, ::stride]
-    return domain.center_grid[sub]
+    return domain.centers_of(sub)
 
 
 def compact_cells(domain: GridDomain, margin: float) -> np.ndarray:
@@ -682,7 +682,7 @@ def _probe_centers_dense_enough(domain: GridDomain, cells: np.ndarray,
         if probes.size:
             return probes
         stride //= 2
-    return domain.center_grid[cells]
+    return domain.centers_of(cells)
 
 
 def reinhardt_probe_pairs(profile: GridDomain, margin: float,

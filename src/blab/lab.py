@@ -29,6 +29,7 @@ from . import kernel as kn
 from . import zeros as zr
 from .geom import (
     GridDomain,
+    _spec_bbox,
     annulus,
     difference,
     disc,
@@ -261,13 +262,8 @@ def default_basis_for(spec: dict, window: tuple[int, int]) -> bs.BasisSpec:
     if kind == "rectangle":
         (x0, y0), (x1, y1) = spec["corners"]
         return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
-    x0, y0, x1, y1 = _spec_bounds(spec)
+    x0, y0, x1, y1 = _spec_bbox(spec)
     return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
-
-
-def _spec_bounds(spec):
-    from .geom import _spec_bbox
-    return _spec_bbox(spec)
 
 
 def lobe_probe_points(D: GridDomain, n_random: int, seed: int,
@@ -474,8 +470,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
 def _rightmost_boundary_point(U: GridDomain) -> complex:
     """Deterministic attachment point: boundary cell of largest x, ties
     broken toward the smallest |y|."""
-    bd = boundary_mask(U)
-    pts = U.center_grid[bd]
+    pts = U.centers_of(boundary_mask(U.mask))
     order = np.lexsort((np.abs(pts.imag), -pts.real))
     return complex(pts[order[0]])
 

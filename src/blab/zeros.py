@@ -109,9 +109,9 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     sub = dom.component_labels == target
     if bbox is not None:
         x0, y0, x1, y1 = bbox
-        grid = dom.center_grid
-        sub = sub & (grid.real >= x0) & (grid.real <= x1) \
-                  & (grid.imag >= y0) & (grid.imag <= y1)
+        cx, cy = dom.centers_x, dom.centers_y
+        sub = sub & ((cx >= x0) & (cx <= x1))[:, None] \
+                  & ((cy >= y0) & (cy <= y1))[None, :]
         if not sub.any():
             raise ZeroSearchError(f"scan bbox {bbox} misses the component")
     scan_mask = np.zeros_like(sub)
@@ -124,7 +124,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
                           n_scanned=int(scan_mask.sum()),
                           resolution=stride * dom.h, cross_component=True)
 
-    pts = dom.center_grid[scan_mask]
+    pts = dom.centers_of(scan_mask)
     f, _ = _evaluator(model, w0)
     mods = np.abs(f(pts))
     values = np.full(dom.mask.shape, np.inf)
@@ -139,7 +139,8 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     neigh[:, :-1, 3] = vi[:, 1:]
     is_min = np.isfinite(vi) & (vi <= neigh.min(axis=2)) & (vi < median)
     ii, jj = np.nonzero(is_min)
-    cand = [(dom.center_grid[i * stride, j * stride], float(vi[i, j]))
+    cx, cy = dom.centers_x, dom.centers_y
+    cand = [(cx[i * stride] + 1j * cy[j * stride], float(vi[i, j]))
             for i, j in zip(ii, jj)]
     cand.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     return ScanResult(candidates=tuple(cand), min_modulus=float(mods.min()),
@@ -363,18 +364,19 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
     """Deepest cell plus seeded deep-interior draws, per component."""
     depth = distance_field(dom)
     labels = dom.component_labels
+    grid = dom.center_grid.ravel()
     rng = np.random.default_rng(cfg.seed)
     probes: list[complex] = []
     for comp in range(1, dom.n_components + 1):
         in_comp = labels == comp
         d = np.where(in_comp, depth.values, -1.0)
         flat_best = int(np.argmax(d))
-        probes.append(complex(dom.center_grid.ravel()[flat_best]))
+        probes.append(complex(grid[flat_best]))
         dmax = d.max()
         deep = np.nonzero((d >= cfg.depth_fraction * dmax).ravel())[0]
         take = min(cfg.n_random, deep.size)
         picks = rng.choice(deep, size=take, replace=False)
-        probes.extend(complex(dom.center_grid.ravel()[k]) for k in np.sort(picks))
+        probes.extend(complex(grid[k]) for k in np.sort(picks))
     return probes
 
 

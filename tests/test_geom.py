@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from blab import geom
 from blab.geom import (
@@ -17,7 +19,6 @@ from blab.geom import (
     distance_field,
     domain_union,
     extract_sets,
-    hausdorff,
     interior_exhaustion,
     is_logconvex_profile,
     load_grid,
@@ -47,6 +48,19 @@ def brute_force_edt(mask, h):
                 d2 = (fi - (i + pad)) ** 2 + (fj - (j + pad)) ** 2
                 out[i, j] = np.sqrt(d2.min()) * h
     return out
+
+
+def hausdorff(A, B):
+    """Hausdorff distance between two finite point sets (complex arrays).
+
+    Exact on the given points: max over both sets of the distance to the
+    nearest point of the other set.  The point-set oracle of rho1.
+    """
+    pa = np.column_stack([A.real, A.imag])
+    pb = np.column_stack([B.real, B.imag])
+    d_ab, _ = cKDTree(pb).query(pa, workers=1)
+    d_ba, _ = cKDTree(pa).query(pb, workers=1)
+    return float(max(d_ab.max(), d_ba.max()))
 
 
 def brute_force_hausdorff(A, B):
@@ -245,7 +259,7 @@ def test_rho1_slit_disc():
         difference(disc(0, 1), rectangle((-1.0, -h), (1.0, h))), h=h)
     mU, mV, _ = geom._aligned_masks(full, slit)
     closures = geom._hausdorff_masks(mU, mV, h)
-    boundaries = geom._hausdorff_masks(geom._boundary_of(mU), geom._boundary_of(mV), h)
+    boundaries = geom._hausdorff_masks(geom.boundary_mask(mU), geom.boundary_mask(mV), h)
     assert closures <= 2 * h
     assert boundaries == pytest.approx(1.0, abs=0.06)
     assert rho1(full, slit) == pytest.approx(closures + boundaries, abs=1e-12)
@@ -548,3 +562,154 @@ def test_metrics_between_reinhardt_profiles():
     expected_vol = np.pi ** 2 * (1 - 0.8 ** 2)
     assert vol == pytest.approx(expected_vol, rel=0.05)
     assert sup == pytest.approx(0.2, abs=4 * h)
+
+
+# ---------------------------------------------------------------------------
+# the metrics against their full-array transform oracles
+# ---------------------------------------------------------------------------
+
+def edt_directed_sup(mask_from, mask_to, h):
+    """Oracle of a directed rho1 term: a full-array EDT of the complement."""
+    dist_to = ndimage.distance_transform_edt(~mask_to, sampling=h)
+    return float(dist_to[mask_from].max())
+
+
+def edt_rho1_parts(U, V):
+    mU, mV, _ = geom._aligned_masks(U, V)
+    bU, bV = geom.boundary_mask(mU), geom.boundary_mask(mV)
+    return (max(edt_directed_sup(mU, mV, U.h), edt_directed_sup(mV, mU, U.h)),
+            max(edt_directed_sup(bU, bV, U.h), edt_directed_sup(bV, bU, U.h)))
+
+
+def edt_rho2_sup(U, V):
+    """Oracle of rho2's sup term: both fields transformed afresh on the
+    aligned masks."""
+    mU, mV, origin = geom._aligned_masks(U, V)
+    dU = geom._edt(mU, U.h, U.kind, origin)
+    dV = geom._edt(mV, U.h, U.kind, origin)
+    return float(np.abs(dU - dV).max())
+
+
+def oracle_pairs():
+    rng = np.random.default_rng(2024)
+    h = 0.05
+    pairs = []
+    # planar specs
+    for _ in range(12):
+        c = complex(*rng.uniform(-0.5, 0.5, 2))
+        x0, y0 = rng.uniform(-1.0, -0.2, 2)
+        x1, y1 = rng.uniform(0.2, 1.0, 2)
+        specs = [disc(c, rng.uniform(0.4, 1.0)),
+                 annulus(c, rng.uniform(0.2, 0.4), rng.uniform(0.6, 1.0)),
+                 rectangle((x0, y0), (x1, y1)),
+                 difference(disc(0, 1), rectangle((0, -h), (1, h)))]
+        i, j = rng.choice(len(specs), size=2, replace=False)
+        pairs.append((make_domain(specs[i], h), make_domain(specs[j], h)))
+    # exhaustion members against their target
+    G = make_domain(union(disc(0, 0.8), rectangle((0, -0.3), (1.5, 0.3))), h)
+    for member in interior_exhaustion(G, [0.4, 0.2, 0.1, 0.06]).members:
+        pairs.append((member, G))
+    # barbell members against a lobe
+    L = make_domain(disc(-1.2, 0.7), h)
+    R = make_domain(annulus(1.2, 0.3, 0.7), h)
+    seq = barbell_sequence(L, R, (-0.5 + 0j, 0.5 + 0j), [0.4, 0.2])
+    for member in seq.members:
+        pairs.extend([(member, L), (member, R), (member, seq.target)])
+    # reinhardt profiles, one on the radial axis and one off it
+    for _ in range(6):
+        a, b = rng.uniform(0.5, 1.0, 2)
+        on_axis = make_domain(reinhardt_profile(rectangle((0, 0), (a, b))), h)
+        lo = rng.uniform(0.1, 0.4)
+        off_axis = make_domain(reinhardt_profile(
+            disc(complex(lo + 0.4, rng.uniform(0.5, 0.7)), 0.35)), h)
+        half = make_domain(reinhardt_profile(rectangle((lo, 0), (1.0, b))), h)
+        pairs.extend([(on_axis, off_axis), (on_axis, half), (half, off_axis)])
+    return pairs
+
+
+def test_metrics_match_full_array_transform_oracles():
+    # rho2's sup term must match exactly.  rho1 may differ by one ulp: where
+    # the same integer squared offset is reached by two index offsets (425 =
+    # 20^2 + 5^2 = 19^2 + 8^2), the kd-tree and the EDT may pick different
+    # nearest cells, and (di h)^2 + (dj h)^2 rounds differently for each.
+    # The EDT breaks such ties arbitrarily too.
+    for U, V in oracle_pairs():
+        for A, B in ((U, V), (V, U)):
+            assert geom.rho2_parts(A, B)[1] == edt_rho2_sup(A, B)
+            for new, old in zip(geom.rho1_parts(A, B), edt_rho1_parts(A, B)):
+                assert abs(new - old) <= np.spacing(old), (new, old)
+
+
+def test_directed_sup_is_zero_on_a_subset():
+    U = make_domain(disc(0, 1), h=0.05)
+    V = make_domain(disc(0, 0.5), h=0.05)
+    mU, mV, _ = geom._aligned_masks(U, V)
+    assert geom._directed_sup(mV, mU, U.h) == 0.0
+    assert geom._directed_sup(mU, mV, U.h) == edt_directed_sup(mU, mV, U.h)
+
+
+def corner_lobes(di, dj):
+    """Square lobes on one lattice: G's corner cell is (7, 7), and D's
+    nearest cell to it is (7 + di, 7 + dj)."""
+    mask_g = np.zeros((20, 20), dtype=bool)
+    mask_g[3:8, 3:8] = True
+    mask_d = np.zeros_like(mask_g)
+    mask_d[7 + di:14, 7 + dj:14] = True
+    return (geom.GridDomain(origin=(0.0, 0.0), h=0.1, mask=mask_g),
+            geom.GridDomain(origin=(0.0, 0.0), h=0.1, mask=mask_d))
+
+
+@pytest.mark.parametrize("di, dj", [(2, 0), (0, 2), (1, 1), (1, 0)])
+def test_barbell_rejects_lobes_within_two_cells(di, dj):
+    G, D = corner_lobes(di, dj)
+    with pytest.raises(GeomError, match="positive gap"):
+        barbell_sequence(G, D, (0.75 + 0.75j, 0.75 + 0.95j), [0.3])
+
+
+def test_barbell_accepts_lobes_three_cells_apart():
+    G, D = corner_lobes(3, 0)
+    seq = barbell_sequence(G, D, (0.75 + 0.75j, 1.05 + 0.75j), [0.4])
+    assert seq.members[0].n_components == 1
+
+
+# ---------------------------------------------------------------------------
+# distance transform traffic
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def edt_calls(monkeypatch):
+    calls = []
+    real = ndimage.distance_transform_edt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("target", [disc(0, 1), annulus(0, 0.3, 1.2)])
+def test_exhaustion_run_makes_one_transform_per_domain(edt_calls, target):
+    from blab import lab
+
+    depths = [0.2, 0.15, 0.1]
+    cfg = lab.config_from_dict({
+        "experiment": "exhaustion", "h": 0.04, "seed": 3,
+        "shapes": {"target": target}, "basis_window": [4, 8],
+        "depths": depths})
+    lab.run_exhaustion(cfg)
+    assert len(edt_calls) == len(depths) + 1
+
+
+def test_distance_field_is_shared_and_read_only(edt_calls):
+    U = make_domain(disc(0, 1), h=0.05)
+    df = distance_field(U)
+    assert distance_field(U) is df
+    assert not df.values.flags.writeable
+    with pytest.raises(ValueError):
+        df.values[0, 0] = 1.0
+    rho1(U, U)
+    rho2(U, make_domain(disc(0, 0.9), h=0.05))
+    interior_exhaustion(U, [0.2])
+    assert len(edt_calls) == 2   # U and the 0.9 disc
