@@ -16,6 +16,12 @@ GRAM_BLOCK, and each block adds into the Gram with one Hermitian rank-k
 BLAS update (zherk).  Only the term values of one block are held at a
 time, and every Gram entry is bit reproducible run to run and at any BLAS
 thread count.
+
+Term values are held term-major (`term_matrix`): each term's values are
+one contiguous row, so a block goes to zherk (trans='C') without a copy.
+Whitening (`GramFactor.whiten`) calls LAPACK's triangular solve ztrtrs
+directly, on a right side written in its Fortran order by the division
+by the scale.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 from scipy import ndimage
 import scipy.linalg as sla
 from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import ztrtrs
 
 from .geom import FOUR_CONN, GridDomain, PLANAR, REINHARDT
 
@@ -180,36 +187,40 @@ def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
 def term_matrix(basis: BasisSpec, points: np.ndarray) -> np.ndarray:
     """Evaluate planar terms at complex points: shape (len(points), N).
 
-    Powers sharing a center are built by a multiplicative ladder, so a basis
+    The values are held term-major: one contiguous row of a C-ordered
+    (N, len(points)) array per term, returned as its transposed view, so
+    each term's ladder writes one unit-stride row and the result is the
+    Fortran-ordered operand BLAS and LAPACK take without a copy.  Powers
+    sharing a center are built by a multiplicative ladder, so a basis
     window costs one multiply per term; only the requested powers are kept.
     """
     points = np.asarray(points, dtype=complex).ravel()
-    out = np.empty((points.size, len(basis)), dtype=complex)
+    rows = np.empty((len(basis), points.size), dtype=complex)
     by_center: dict[complex, list[tuple[int, int]]] = {}
-    for col, t in enumerate(basis.terms):
-        by_center.setdefault(t.center, []).append((t.n, col))
+    for row, t in enumerate(basis.terms):
+        by_center.setdefault(t.center, []).append((t.n, row))
     for center, entries in by_center.items():
         w = points - center
-        pos = {n: c for n, c in entries if n >= 0}
-        neg = {-n: c for n, c in entries if n < 0}
+        pos = {n: r for n, r in entries if n >= 0}
+        neg = {-n: r for n, r in entries if n < 0}
         if pos:
-            _write_powers(out, w, pos)
+            _write_powers(rows, w, pos)
         if neg:
-            _write_powers(out, 1.0 / w, neg)
-    return out
+            _write_powers(rows, 1.0 / w, neg)
+    return rows.T
 
 
-def _write_powers(out: np.ndarray, step: np.ndarray, cols: dict) -> None:
-    """out[:, cols[n]] = step^n for each requested n >= 0, by the ladder
+def _write_powers(rows: np.ndarray, step: np.ndarray, wanted: dict) -> None:
+    """rows[wanted[n]] = step^n for each requested n >= 0, by the ladder
     1, step, step^2, ... held in one running array.  The product is taken
     out of place: numpy's in-place complex multiply rounds some lengths
     differently, and the values must not depend on the batch size."""
     cur = np.ones_like(step)
-    for n in range(max(cols) + 1):
+    for n in range(max(wanted) + 1):
         if n:
             cur = cur * step
-        if n in cols:
-            out[:, cols[n]] = cur
+        if n in wanted:
+            rows[wanted[n]] = cur
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +269,34 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
     """Assemble the Gram matrix of the basis over U by its cell quadrature.
 
     Planar terms are evaluated on GRAM_BLOCK quadrature nodes at a time,
-    in the fixed node order, and scaled by the square roots of the cell
-    area fractions (exactly 1 on a mask-built domain, where the entries are
-    midpoint sums).  Each block adds h^2 B^T conj(B) into the upper
-    triangle with one Hermitian rank-k update; the lower triangle is then
-    mirrored conjugate, so the stored matrix is exactly Hermitian with a
-    real diagonal.  Reinhardt cross terms between distinct bidegrees vanish
-    analytically and are set to zero.
+    in the fixed node order, as the term-major (k, N) block B of
+    `term_matrix`, and scaled by the square roots of the cell area
+    fractions; on a mask-built domain every fraction is exactly 1, the
+    scaling is skipped and the entries are midpoint sums.  Each block adds
+    h^2 B^H B into the upper triangle with one Hermitian rank-k update
+    (zherk with trans='C', which reads B in place).  That sum is conj(G),
+    computed with the same rounding as G itself, so conjugating it gives
+    G's upper triangle; the lower triangle is then mirrored conjugate, and
+    the stored matrix is exactly Hermitian with a real diagonal.
+    Reinhardt cross terms between distinct bidegrees vanish analytically
+    and are set to zero.
     """
     check_admissible(basis, U)
     N = len(basis)
     if basis.kind == PLANAR:
         nodes, frac = U.quadrature
-        G = np.zeros((N, N), dtype=complex, order="F")
+        weighted = bool((frac != 1.0).any())
+        Gc = np.zeros((N, N), dtype=complex, order="F")
         for start in range(0, nodes.size, GRAM_BLOCK):
             block = slice(start, start + GRAM_BLOCK)
             B = term_matrix(basis, nodes[block])
-            B *= np.sqrt(frac[block])[:, None]
-            # B.T is the Fortran-ordered N x k operand of C += a A A^H
-            G = zherk(U.h * U.h, B.T, beta=1.0, c=G, overwrite_c=1)
+            if weighted:
+                B *= np.sqrt(frac[block])[:, None]
+            # B is the Fortran-ordered k x N operand of C += a A^H A
+            Gc = zherk(U.h * U.h, B, beta=1.0, c=Gc, trans=2, overwrite_c=1)
+        # Gc = conj(G); adding +0.0 turns the -0.0 that conj puts on every
+        # exactly real entry, the diagonal included, back into +0.0
+        G = np.conj(Gc) + 0.0
         lower = np.tril_indices(N, -1)
         G[lower] = G.T[lower].conj()
     else:
@@ -317,6 +337,8 @@ class GramFactor:
     shift: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.lower).all():
+            raise ValueError("Gram factor must be finite")
         self.lower.setflags(write=False)
         self.scale.setflags(write=False)
 
@@ -325,10 +347,23 @@ class GramFactor:
         return self.lower.shape[0]
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
-        """Map raw basis values (..., N) to whitened coordinates (N, ...)."""
+        """Map raw basis values (..., N) to whitened coordinates (N, ...).
+
+        Solves L v = b / s with one direct LAPACK ztrtrs call on the
+        Fortran-ordered transpose of the C-ordered factor (upper, trans='T'),
+        the arguments scipy's solve_triangular passes, so every column
+        equals solve_triangular(L, b / s, lower=True) bit for bit.
+        """
         v = np.asarray(values, dtype=complex)
-        flat = (v / self.scale).reshape(-1, self.n).T
-        out = sla.solve_triangular(self.lower, flat, lower=True)
+        # a C-ordered (k, N) quotient is the Fortran-ordered (N, k) right side
+        flat = np.divide(v, self.scale, order="C").reshape(-1, self.n).T
+        if not np.isfinite(flat).all():
+            raise ValueError("basis values must be finite")
+        out, info = ztrtrs(self.lower.T, flat, lower=0, trans=1,
+                           overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"triangular solve failed (LAPACK info {info})")
         return out.reshape((self.n,) + v.shape[:-1])
 
     def solve(self, y: np.ndarray) -> np.ndarray:

@@ -777,20 +777,15 @@ def save_grid(U: GridDomain, path) -> None:
     """
     lines = [f"grid v1 {float(U.h)!r} {float(U.origin[0])!r} "
              f"{float(U.origin[1])!r} {U.nx} {U.ny} {U.kind}"]
-    for i in range(U.nx):
-        row = U.mask[i]
-        runs = []
-        current = False
-        count = 0
-        for v in row:
-            if bool(v) == current:
-                count += 1
-            else:
-                runs.append(count)
-                current = bool(v)
-                count = 1
-        runs.append(count)
-        lines.append(" ".join(str(r) for r in runs))
+    # each row padded with a false cell in front: a run starts wherever a
+    # cell differs from its predecessor (a first run of 0 if the row starts
+    # true), and the last run ends at the row's end
+    padded = np.zeros((U.nx, U.ny + 1), dtype=bool)
+    padded[:, 1:] = U.mask
+    starts = np.diff(padded, axis=1)
+    for row in starts:
+        cuts = np.concatenate(([0], np.flatnonzero(row), [U.ny]))
+        lines.append(" ".join(map(str, np.diff(cuts).tolist())))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 

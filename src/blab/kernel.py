@@ -324,6 +324,11 @@ class AnnulusKernel:
             raise KernelError(
                 f"series argument s = {bad:.6g} lies outside the annulus of "
                 f"convergence ({self.rho ** 2:.6g}, {self.R ** 2:.6g})")
+        return self._series(s)
+
+    def _series(self, s):
+        """The truncated series at s (array or scalar) by two Horner loops,
+        one in u = s/R^2 and one in v = rho^2/s."""
         u = s / self.R ** 2
         v = self.rho ** 2 / s
         pos = self._pos_coefs()
@@ -377,7 +382,7 @@ class AnnulusKernel:
         lo = -self.R ** 2 * 0.995
         hi = -self.rho ** 2 * 1.005
         ss = np.linspace(lo, hi, samples)
-        vals = np.array([self._real_at(s) for s in ss])
+        vals = self._series(ss.astype(complex)).real
         roots = []
         for k in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
             a, b = ss[k], ss[k + 1]
@@ -395,20 +400,7 @@ class AnnulusKernel:
         return roots
 
     def _real_at(self, s: float) -> float:
-        return float(np.real(self._series_at(complex(s))))
-
-    def _series_at(self, s: complex) -> complex:
-        u = s / self.R ** 2
-        v = self.rho ** 2 / s
-        pos = self._pos_coefs()
-        out = complex(pos[-1])
-        for c in pos[-2::-1]:
-            out = out * u + c
-        neg = self._neg_coefs()
-        acc = complex(neg[-1])
-        for c in neg[-2::-1]:
-            acc = acc * v + c
-        return out + acc * v
+        return float(self._series(np.complex128(s)).real)
 
 
 def annulus_auto_truncation(rho: float, R: float, tol: float = 1e-10,

@@ -61,13 +61,6 @@ def _evaluator(model, w0: complex | None) -> tuple[Callable, float]:
     return (lambda zs: model.eval_many(zs, w0)), float(err)
 
 
-def _model_domain(model) -> GridDomain | None:
-    dom = getattr(model, "domain", None)
-    if dom is None and hasattr(model, "grid"):
-        dom = model.grid
-    return dom
-
-
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     and is reported distinctly instead of producing candidates.  An optional
     bbox (x0, y0, x1, y1) restricts the scanned region.
     """
-    dom = _model_domain(model)
+    dom = getattr(model, "domain", None)
     if dom is None:
         raise ZeroSearchError("model carries no grid domain to scan")
     w_comp = dom.component_of(w0)
@@ -151,7 +144,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
 def refine_minimum(model, w0: complex, z0: complex, h: float,
                    rounds: int = 3) -> complex:
     """Sharpen a scan minimizer on shrinking local 5x5 grids (deterministic)."""
-    dom = _model_domain(model)
+    dom = model.domain
     f, _ = _evaluator(model, w0)
     best = z0
     spacing = h
@@ -187,7 +180,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
     if pts.size < 8:
         raise ZeroSearchError("contour too coarse")
     plain_callable = callable(model) and not hasattr(model, "eval_many")
-    dom = None if plain_callable else _model_domain(model)
+    dom = None if plain_callable else getattr(model, "domain", None)
     if dom is not None and w0 is not None:
         w_comp = dom.component_of(w0)
         for p in pts:
@@ -391,7 +384,7 @@ def certify_zero(model, w0: complex, z_star: complex,
     outright (boundary-hugging truncation artifacts).  Returns None when no
     valid certificate arises.
     """
-    dom = _model_domain(model)
+    dom = model.domain
     if depth is None:
         depth = distance_field(dom)
     cell = dom.cell_of(z_star)
@@ -431,7 +424,7 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
     minimum modulus observed over all scans and the scan resolution.
     """
     cfg = probe_config or ProbeConfig()
-    dom = _model_domain(model)
+    dom = getattr(model, "domain", None)
     if dom is None:
         raise ZeroSearchError("model carries no grid domain")
     depth = distance_field(dom)
@@ -478,7 +471,7 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
             counts.append(None)
     errors: list[float | None] = []
     if reference is not None:
-        ref_dom = _model_domain(reference)
+        ref_dom = getattr(reference, "domain", None)
         if margin is None:
             ctr = np.asarray(contour, dtype=complex)
             depth = distance_field(ref_dom)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
+from scipy.linalg.blas import zherk
 
 from blab import basis as bs
-from blab.geom import (annulus, disc, interior_exhaustion, make_domain, rectangle,
-                       reinhardt_profile)
+from blab.geom import (annulus, difference, disc, interior_exhaustion, make_domain,
+                       rectangle, reinhardt_profile, union)
 
 
 def radial_norm_disc(n, r_outer):
@@ -112,6 +114,132 @@ def test_term_matrix_rows_independent_of_batch():
         assert full[k].tobytes() == bs.term_matrix(B, [p])[0].tobytes()
 
 
+def _point_major_term_matrix(basis, points):
+    """Oracle: the point-major layout, one strided column per term."""
+    points = np.asarray(points, dtype=complex).ravel()
+    out = np.empty((points.size, len(basis)), dtype=complex)
+    for col, t in enumerate(basis.terms):
+        step = points - t.center
+        if t.n < 0:
+            step = 1.0 / step
+        cur = np.ones_like(step)
+        for _ in range(abs(t.n)):
+            cur = cur * step
+        out[:, col] = cur
+    return out
+
+
+def _point_major_gram(basis, U):
+    """Oracle: point-major blocks, each scaled by sqrt(frac) and added by
+    zherk with trans='N', then the lower triangle mirrored."""
+    nodes, frac = U.quadrature
+    N = len(basis)
+    G = np.zeros((N, N), dtype=complex, order="F")
+    for start in range(0, nodes.size, bs.GRAM_BLOCK):
+        block = slice(start, start + bs.GRAM_BLOCK)
+        B = _point_major_term_matrix(basis, nodes[block])
+        B *= np.sqrt(frac[block])[:, None]
+        G = zherk(U.h * U.h, B.T, beta=1.0, c=G, overwrite_c=1)
+    lower = np.tril_indices(N, -1)
+    G[lower] = G.T[lower].conj()
+    return G
+
+
+def _gram_parity_case(name):
+    c = 0.1 + 0.05j
+    if name == "annulus":
+        return make_domain(annulus(c, 0.4, 1), h=0.01), bs.laurent(c, 4, 8)
+    if name == "disc-minus-disc":
+        hole = 0.3 + 0.1j
+        return (make_domain(difference(disc(0, 1), disc(hole, 0.2)), h=0.01),
+                bs.merged(bs.monomials(0, 8), bs.principal_parts(hole, 4)))
+    if name == "rectangle":
+        return (make_domain(rectangle((0.003, 0.002), (1.2037, 0.7011)), h=0.01),
+                bs.monomials(0.5 + 0.3j, 10))
+    if name == "exhaustion-member":
+        target = make_domain(disc(c, 0.9), h=0.01)
+        return interior_exhaustion(target, [0.1]).members[0], bs.monomials(c, 10)
+    # mirror symmetric about the real axis: some off-diagonal entries come
+    # out exactly real, with signed zero imaginary parts
+    ladder = bs.BasisSpec(tuple(bs.PlanarTerm(0j, n) for n in range(12, 60, 3)))
+    return (make_domain(union(disc(0, 0.5), annulus(0.9, 0.06, 0.12)), h=0.01),
+            bs.merged(bs.monomials(0, 10), ladder, bs.principal_parts(0.9, 8)))
+
+
+def test_term_matrix_is_term_major():
+    B = bs.merged(bs.monomials(0.2, 7), bs.principal_parts(2.5 + 0.5j, 3))
+    pts = np.linspace(-1, 1, 29) + 0.3j
+    V = bs.term_matrix(B, pts)
+    assert V.shape == (29, len(B))
+    assert V.flags.f_contiguous
+    assert V.tobytes() == _point_major_term_matrix(B, pts).tobytes()
+
+
+@pytest.mark.parametrize("name", ["annulus", "disc-minus-disc", "rectangle",
+                                  "exhaustion-member", "real-symmetric-union"])
+def test_gram_bytes_equal_point_major_assembly(name):
+    U, basis = _gram_parity_case(name)
+    frac = U.quadrature[1]
+    # the unit-weight skip on the mask-built member, cut cells elsewhere
+    assert (frac == 1.0).all() == (name == "exhaustion-member")
+    assert U.quadrature[0].size > 2 * bs.GRAM_BLOCK
+    G = bs.gram_matrix(basis, U).matrix
+    oracle = _point_major_gram(basis, U)
+    # tobytes compares signed zeros too: +0.0 on the diagonal's imaginary
+    # parts and on the upper triangle's exactly real entries, -0.0 on
+    # their lower mirrors
+    assert G.tobytes() == oracle.tobytes()
+    assert G.flags.f_contiguous
+    if name == "real-symmetric-union":
+        assert (G[np.triu_indices(G.shape[0], 1)].imag == 0).any()
+
+
+def _random_factor(n=9, seed=5):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = A @ A.conj().T + n * np.eye(n)
+    return H, bs.factorize(bs.GramMatrix(matrix=H, basis=bs.monomials(0, n - 1),
+                                         conditioning=1.0))
+
+
+def test_whiten_equals_solve_triangular_bytes():
+    _, F = _random_factor()
+    rng = np.random.default_rng(8)
+    L = np.asarray(F.lower)
+    one = rng.normal(size=F.n) + 1j * rng.normal(size=F.n)
+    want = sla.solve_triangular(L, one / F.scale, lower=True)
+    assert F.whiten(one).tobytes() == want.tobytes()
+    many = rng.normal(size=(40, F.n)) + 1j * rng.normal(size=(40, F.n))
+    want = sla.solve_triangular(L, (many / F.scale).T, lower=True)
+    assert F.whiten(many).tobytes() == want.tobytes()
+    # a term-major view of the same values whitens to the same bytes
+    assert F.whiten(np.asfortranarray(many)).tobytes() == want.tobytes()
+    # leading axes fold into columns, in C order
+    cube = many.reshape(4, 10, F.n)
+    assert F.whiten(cube).shape == (F.n, 4, 10)
+    assert F.whiten(cube).reshape(F.n, -1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_whiten_rejects_non_finite_values(bad):
+    _, F = _random_factor()
+    values = np.ones((3, F.n), dtype=complex)
+    values[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        F.whiten(values)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        F.whiten(values[1])
+
+
+def test_non_finite_factor_rejected_at_construction():
+    _, F = _random_factor()
+    L = np.array(F.lower)
+    L[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        bs.GramFactor(lower=L, scale=np.array(F.scale), basis=F.basis,
+                      conditioning=1.0)
+
+
 BLAS_THREADS_CHILD = """
 import hashlib
 import numpy as np
@@ -126,9 +254,13 @@ basis = bs.merged(bs.monomials(0, 10), ladder, bs.principal_parts(0.9, 8))
 G = bs.gram_matrix(basis, U)
 model = kn.fit_kernel(U, basis)
 ref = kn.closed_form(disc(0, 0.5), truncation=10, h=h)
-err = kn.kernel_error(model, ref, margin=0.1, domain=make_domain(disc(0, 0.5), h))
-print(U.quadrature[0].size, G.n)
+D = make_domain(disc(0, 0.5), h)
+err = kn.kernel_error(model, ref, margin=0.1, domain=D)
+# the z probe lattice of that kernel_error, whitened in one LAPACK call
+V = model.whitened(kn._probe_centers(D, kn.compact_cells(D, 0.1), 4))
+print(U.quadrature[0].size, G.n, V.shape[1])
 print(hashlib.sha256(G.matrix.tobytes()).hexdigest())
+print(hashlib.sha256(V.tobytes()).hexdigest())
 print(float(err).hex())
 """
 
@@ -143,9 +275,10 @@ def test_gram_and_kernel_error_bytes_independent_of_blas_threads():
                              env=env, capture_output=True, timeout=300)
         assert run.returncode == 0, run.stderr.decode()
         outs.append(run.stdout)
-    n_nodes, n_terms = map(int, outs[0].split()[:2])
+    n_nodes, n_terms, n_whitened = map(int, outs[0].split()[:3])
     assert n_nodes >= 2 * bs.GRAM_BLOCK
     assert n_terms >= 35
+    assert n_whitened >= 1000
     assert outs[0] == outs[1]
 
 

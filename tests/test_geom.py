@@ -544,6 +544,54 @@ def test_reinhardt_grid_round_trip(tmp_path):
     assert (V.mask == U.mask).all()
 
 
+def _save_grid_per_cell(U, path):
+    """Oracle: the per-cell run-length loop that save_grid replaced."""
+    lines = [f"grid v1 {float(U.h)!r} {float(U.origin[0])!r} "
+             f"{float(U.origin[1])!r} {U.nx} {U.ny} {U.kind}"]
+    for i in range(U.nx):
+        runs = []
+        current = False
+        count = 0
+        for v in U.mask[i]:
+            if bool(v) == current:
+                count += 1
+            else:
+                runs.append(count)
+                current = bool(v)
+                count = 1
+        runs.append(count)
+        lines.append(" ".join(str(r) for r in runs))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _full_and_empty_rows_mask():
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[1] = True                       # all-true row
+    mask[2, 0] = mask[2, -1] = True      # true at both ends
+    mask[4, 3:5] = True
+    mask[5, :-1] = True                  # starts true, ends false
+    return geom.GridDomain(origin=(-0.35, 0.1), h=0.1, mask=mask)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_domain(disc(0.1 + 0.05j, 0.7), h=0.03),
+    lambda: make_domain(annulus(0, 0.5, 1), h=0.04),
+    lambda: make_domain(union(annulus(0, 0.5, 1), disc(2.2, 0.4)), h=0.04),
+    lambda: make_domain(reinhardt_profile(rectangle((0.5, 0), (1, 1))), h=0.05),
+    _full_and_empty_rows_mask,
+], ids=["disc", "annulus", "union", "reinhardt", "full-and-empty-rows"])
+def test_save_grid_bytes_equal_per_cell_loop(tmp_path, make):
+    U = make()
+    save_grid(U, tmp_path / "fast.grid")
+    _save_grid_per_cell(U, tmp_path / "oracle.grid")
+    assert (tmp_path / "fast.grid").read_bytes() == \
+        (tmp_path / "oracle.grid").read_bytes()
+    V = load_grid(tmp_path / "fast.grid")
+    assert (V.h, V.origin, V.kind) == (U.h, U.origin, U.kind)
+    assert (V.mask == U.mask).all()
+
+
 def test_barbell_rejects_far_segment_endpoint(barbell_parts):
     G, D, _ = barbell_parts
     with pytest.raises(GeomError, match="boundary-adjacent"):
