@@ -166,7 +166,7 @@ class GridDomain:
         labels, _ = ndimage.label(self.mask, structure=FOUR_CONN)
         return labels
 
-    @property
+    @cached_property
     def n_components(self) -> int:
         return int(self.component_labels.max())
 

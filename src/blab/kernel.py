@@ -30,6 +30,7 @@ from .geom import (
 
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
 PROBE_CHUNK = 64            # w probes per eval_many call in kernel_error
+SERIES_BLOCK = 4096         # elements per Horner pass of a closed-form series
 
 
 class KernelError(ValueError):
@@ -90,7 +91,8 @@ class KernelModel:
         product conj(v(w)) @ V.  Each w goes through its own single-column
         triangular solve, because a multi-column solve rounds differently,
         so a row is bit-identical to the scalar-w call.  Pairs whose
-        component labels differ evaluate to exactly zero.
+        component labels differ evaluate to exactly zero, set by one mask
+        over all rows, and only on a domain of several components.
         """
         zs = np.asarray(zs, dtype=complex).ravel()
         ws = np.asarray(w, dtype=complex)
@@ -100,9 +102,9 @@ class KernelModel:
         Bw = bs.term_matrix(self.basis, ws)
         out = np.empty((ws.size, zs.size), dtype=complex)
         for k in range(ws.size):
-            vw = self.factor.whiten(Bw[k])
-            out[k] = np.conj(vw) @ V
-            out[k, z_labels != w_labels[k]] = 0.0
+            out[k] = np.conj(self.factor.whiten(Bw[k])) @ V
+        if self.domain.n_components > 1:
+            out[w_labels[:, None] != z_labels[None, :]] = 0.0
         return out if ws.ndim else out[0]
 
     def eval(self, z: complex, w: complex) -> complex:
@@ -220,6 +222,31 @@ def reproducing_residual(model: KernelModel, i: int,
 # closed-form reference kernels
 # ---------------------------------------------------------------------------
 
+def _horner(coefs, x):
+    """sum_k coefs[k] x^(n-k), highest power first.  The products stay out
+    of place: numpy rounds an in-place complex multiply of a 1-element
+    array differently, and values must not depend on the block size."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _blockwise(series, s):
+    """An elementwise series at s, evaluated SERIES_BLOCK elements at a time
+    so that the temporaries of its Horner loops stay in cache.  Bit-identical
+    to one pass for any block size.  A scalar or a single block goes through
+    in one call, as given: numpy scalar arithmetic rounds differently from
+    array arithmetic."""
+    if np.size(s) <= SERIES_BLOCK:
+        return series(s)
+    flat = np.ravel(s)
+    out = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, SERIES_BLOCK):
+        out[start:start + SERIES_BLOCK] = series(flat[start:start + SERIES_BLOCK])
+    return out.reshape(np.shape(s))
+
+
 def _shifted(z, w, center: complex):
     """s = (z - c) conj(w - c); one row per w when w is a 1-D array."""
     zc = np.asarray(z, dtype=complex) - center
@@ -234,7 +261,8 @@ class DiscKernel:
     """Disc kernel r^2 / (pi (r^2 - s)^2), s = (z-c) conj(w-c).
 
     With a truncation M the kernel of the degree-M monomial span is evaluated
-    instead: sum_{n<=M} (n+1) s^n / (pi r^(2n+2)).
+    instead: sum_{n<=M} (n+1) s^n / (pi r^(2n+2)), by a Horner loop over
+    SERIES_BLOCK elements at a time (bit-identical to one pass).
     """
 
     center: complex
@@ -247,12 +275,8 @@ class DiscKernel:
         r2 = self.r * self.r
         if self.truncation is None:
             return r2 / (np.pi * (r2 - s) ** 2)
-        u = s / r2
         coef = np.arange(self.truncation + 1, 0, -1, dtype=float)
-        out = np.full_like(u, coef[0])
-        for c in coef[1:]:
-            out = out * u + c
-        return out / (np.pi * r2)
+        return _blockwise(lambda b: _horner(coef, b / r2) / (np.pi * r2), s)
 
     def eval(self, z, w):
         return complex(self.eval_many(np.array([z]), w)[0])
@@ -283,7 +307,9 @@ class AnnulusKernel:
     ||z^n||^2 = pi (R^(2n+2) - rho^(2n+2)) / (n+1) for n != -1 and
     2 pi log(R/rho) for n = -1.  Evaluation is carried out on the scaled
     variables s/R^2 and rho^2/s so that scaled copies of the annulus stay in
-    floating range; the dropped tail is bounded by recorded geometric sums.
+    floating range, by Horner loops over SERIES_BLOCK elements at a time
+    (bit-identical to one pass); the dropped tail is bounded by recorded
+    geometric sums.
     """
 
     center: complex
@@ -328,18 +354,16 @@ class AnnulusKernel:
 
     def _series(self, s):
         """The truncated series at s (array or scalar) by two Horner loops,
-        one in u = s/R^2 and one in v = rho^2/s."""
-        u = s / self.R ** 2
-        v = self.rho ** 2 / s
-        pos = self._pos_coefs()
-        out = np.full_like(u, pos[-1])
-        for c in pos[-2::-1]:
-            out = out * u + c
-        neg = self._neg_coefs()
-        acc = np.full_like(v, neg[-1])
-        for c in neg[-2::-1]:
-            acc = acc * v + c
-        return out + acc * v
+        one in u = s/R^2 and one in v = rho^2/s, over SERIES_BLOCK elements
+        at a time."""
+        pos = self._pos_coefs()[::-1]
+        neg = self._neg_coefs()[::-1]
+        R2, rho2 = self.R ** 2, self.rho ** 2
+
+        def block(b):
+            v = rho2 / b
+            return _horner(pos, b / R2) + _horner(neg, v) * v
+        return _blockwise(block, s)
 
     def eval(self, z, w):
         return complex(self.eval_many(np.array([z]), w)[0])
@@ -639,32 +663,38 @@ def compact_cells(domain: GridDomain, margin: float) -> np.ndarray:
     return cells
 
 
-def kernel_error(model, reference, margin: float,
+def kernel_error(models, reference, margin: float,
                  domain: GridDomain | None = None,
-                 zstride: int = 4, wstride: int = 16) -> float:
-    """Max |K_model - K_reference| over a deterministic probe-pair lattice of
-    the compact set {depth > margin} of the reference domain.
+                 zstride: int = 4, wstride: int = 16) -> tuple[float, ...]:
+    """Max |K_model - K_reference| for each model of a sequence, over one
+    deterministic probe-pair lattice of the compact set {depth > margin} of
+    the reference domain (by default the reference's own, else the first
+    model's).
 
     z runs over every 4th cell of the compact set along each axis, w over
-    every 16th; both models are evaluated on exactly the same pairs.  When
-    the compact set is too small for a stride lattice the stride halves
-    until probes exist.  Each side is called once per PROBE_CHUNK w probes
-    (`eval_many` with an array of w, one row per w), so a fitted model
-    whitens the z lattice once per chunk; the chunk bounds the memory of
-    the rows.
+    every 16th; every model and the reference are evaluated on exactly the
+    same pairs.  When the compact set is too small for a stride lattice the
+    stride halves until probes exist.  Each PROBE_CHUNK w probes make one
+    `eval_many` call (an array of w, one row per w) on the reference, whose
+    rows every model is then compared with, so the reference is evaluated
+    once per run of a domain sequence, and memory holds one reference chunk
+    and one model chunk whatever the number of models.  Returns one float
+    per model, each equal to a one-model call.
     """
+    models = tuple(models)
     if domain is None:
-        domain = getattr(reference, "domain", None) or model.domain
+        domain = getattr(reference, "domain", None) or models[0].domain
     cells = compact_cells(domain, margin)
     z_probes = _probe_centers_dense_enough(domain, cells, zstride)
     w_probes = _probe_centers_dense_enough(domain, cells, wstride)
-    worst = 0.0
+    worst = [0.0] * len(models)
     for start in range(0, w_probes.size, PROBE_CHUNK):
         ws = w_probes[start:start + PROBE_CHUNK]
-        a = model.eval_many(z_probes, ws)
-        b = reference.eval_many(z_probes, ws)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+        ref = reference.eval_many(z_probes, ws)
+        for k, model in enumerate(models):
+            diff = np.abs(model.eval_many(z_probes, ws) - ref)
+            worst[k] = max(worst[k], float(np.max(diff)))
+    return tuple(worst)
 
 
 def _probe_centers_dense_enough(domain: GridDomain, cells: np.ndarray,

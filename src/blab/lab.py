@@ -98,12 +98,12 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"expected one of {EXPERIMENTS}")
-        if self.h <= 0:
-            raise ConfigError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ConfigError("h must be positive and finite")
         for name, sched in (("depths", self.depths), ("widths", self.widths)):
             if not sched:
                 continue
-            if any(v <= 0 for v in sched):
+            if not all(v > 0 for v in sched):
                 raise ConfigError(f"{name} must be positive")
             if len(sched) > 1 and not all(a > b for a, b in zip(sched, sched[1:])):
                 raise ConfigError(f"{name} must be strictly decreasing")
@@ -111,13 +111,21 @@ class ExperimentConfig:
         if n_neg < 0 or n_pos < 0:
             raise ConfigError("basis window sides must be nonnegative")
         if self.experiment == "nowhere-density":
-            if self.delta is None or self.delta <= 8 * self.h:
+            if self.delta is None or not 8 * self.h < self.delta < math.inf:
                 raise ConfigError(
-                    f"delta must exceed 8h = {8 * self.h} (resolution guard)")
+                    f"delta must be finite and exceed 8h = {8 * self.h} "
+                    f"(resolution guard)")
+
+
+def _real(key: str, v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"config key {key!r} needs numbers, got {v!r}")
+    return float(v)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a JSON config dict: unknown keys are rejected."""
+    """Validate a JSON config dict: unknown keys are rejected, and so is any
+    value of the wrong type (a JSON true is not a number here)."""
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -131,24 +139,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"experiment {exp!r} requires config key {key!r}")
     for key, val in raw.items():
         want = CONFIG_KEYS[key]
-        if not isinstance(val, want):
+        if not isinstance(val, want) or (isinstance(val, bool)
+                                         and want is not bool):
             raise ConfigError(f"config key {key!r} has type {type(val).__name__}, "
                               f"expected {want}")
     kwargs = dict(raw)
     if "basis_window" in kwargs:
         win = kwargs["basis_window"]
-        if len(win) != 2:
-            raise ConfigError("basis_window must be [n_neg, n_pos]")
-        kwargs["basis_window"] = (int(win[0]), int(win[1]))
+        if len(win) != 2 or not all(isinstance(v, int)
+                                    and not isinstance(v, bool) for v in win):
+            raise ConfigError("basis_window must be [n_neg, n_pos], "
+                              f"two integers, got {win!r}")
+        kwargs["basis_window"] = tuple(win)
     for key in ("depths", "widths"):
         if key in kwargs:
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
+            kwargs[key] = tuple(_real(key, v) for v in kwargs[key])
     if "segment" in kwargs:
         seg = kwargs["segment"]
-        if len(seg) != 2:
+        if len(seg) != 2 or not all(isinstance(p, (list, tuple)) and len(p) == 2
+                                    for p in seg):
             raise ConfigError("segment must be [[x, y], [x, y]]")
-        kwargs["segment"] = (complex(seg[0][0], seg[0][1]),
-                             complex(seg[1][0], seg[1][1]))
+        kwargs["segment"] = tuple(complex(_real("segment", p[0]),
+                                          _real("segment", p[1])) for p in seg)
     if "h" in kwargs:
         kwargs["h"] = float(kwargs["h"])
     if "delta" in kwargs:
@@ -286,7 +298,9 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     The compact comparison set is {depth > 1.5 * largest depth} of the
     target; disc and annulus targets are compared against their matched-
     truncation closed forms, anything else against the fitted target model.
-    Kernel errors must be non-increasing across the final three stages.
+    Every stage is fitted first and all are compared in one `kernel_error`
+    call, so the reference is evaluated once per run.  Kernel errors must be
+    non-increasing across the final three stages.
     """
     spec = config.shapes["target"]
     target = make_domain(spec, config.h)
@@ -312,11 +326,10 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
                  "kernel_error", "n_terms", "certified", "winding"])
 
     basis = default_basis_for(spec, window)
-    errors = []
-    for k, (depth, member) in enumerate(zip(seq.params, seq.members)):
-        model = kn.fit_kernel(member, basis)
-        err = kn.kernel_error(model, reference, margin, domain=target)
-        errors.append(err)
+    models = [kn.fit_kernel(member, basis) for member in seq.members]
+    errors = kn.kernel_error(models, reference, margin, domain=target)
+    for k, (depth, member, model, err) in enumerate(
+            zip(seq.params, seq.members, models, errors)):
         certified = None
         winding = None
         if certify:
@@ -365,8 +378,8 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     """Join the two lobes by shrinking necks; track rho2 to the disjoint
     union (must strictly decrease), rho1 to the left lobe, kernel error on a
     compact subset of the right (annulus) lobe against its matched closed
-    form, and the zero certificates that the Hurwitz picture predicts for
-    thin necks.
+    form (one `kernel_error` call for all members), and the zero
+    certificates that the Hurwitz picture predicts for thin necks.
     """
     left_spec = config.shapes["left"]
     right_spec = config.shapes["right"]
@@ -427,8 +440,9 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
         report.metadata["anchor_zero"] = [anchor.z_star.real, anchor.z_star.imag]
         report.metadata["anchor_w0"] = [anchor.w0.real, anchor.w0.imag]
 
-    for k, (width, member, model, verdict) in enumerate(
-            zip(seq.params, seq.members, models, verdicts)):
+    errors = kn.kernel_error(models, reference, margin, domain=D)
+    for k, (width, member, model, verdict, err) in enumerate(
+            zip(seq.params, seq.members, models, verdicts, errors)):
         track_winding = None
         if anchor is not None:
             try:
@@ -439,8 +453,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
         report.add_row(stage=k, width=width,
                        rho2_to_union=rho2(member, target),
                        rho1_to_left=rho1(member, G),
-                       kernel_error_on_right=kn.kernel_error(
-                           model, reference, margin, domain=D),
+                       kernel_error_on_right=err,
                        certified=verdict.certified,
                        winding=verdict.certificate.winding
                        if verdict.certified else None,

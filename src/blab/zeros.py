@@ -90,7 +90,9 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     Returns the local minima below the component median, sorted ascending.
     Scanning a component other than w0's hits the cross-component zero rule
     and is reported distinctly instead of producing candidates.  An optional
-    bbox (x0, y0, x1, y1) restricts the scanned region.
+    bbox (x0, y0, x1, y1) restricts the scanned region; the scan then works
+    on the array window of the bbox alone, started on the stride lattice,
+    so its cost follows the bbox and not the grid.
     """
     dom = getattr(model, "domain", None)
     if dom is None:
@@ -99,42 +101,53 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     if w_comp == 0:
         raise ZeroSearchError(f"w0 = {w0} is outside the domain")
     target = w_comp if component is None else component
-    sub = dom.component_labels == target
-    if bbox is not None:
+    cx, cy = dom.centers_x, dom.centers_y
+    if bbox is None:
+        i0, j0 = 0, 0
+        sub = dom.component_labels == target
+    else:
         x0, y0, x1, y1 = bbox
-        cx, cy = dom.centers_x, dom.centers_y
-        sub = sub & ((cx >= x0) & (cx <= x1))[:, None] \
-                  & ((cy >= y0) & (cy <= y1))[None, :]
+        ix = np.nonzero((cx >= x0) & (cx <= x1))[0]
+        iy = np.nonzero((cy >= y0) & (cy <= y1))[0]
+        if not (ix.size and iy.size):
+            raise ZeroSearchError(f"scan bbox {bbox} misses the component")
+        i0 = ix[0] - ix[0] % stride
+        j0 = iy[0] - iy[0] % stride
+        sub = dom.component_labels[i0:ix[-1] + 1, j0:iy[-1] + 1] == target
+        sub[:ix[0] - i0] = False
+        sub[:, :iy[0] - j0] = False
         if not sub.any():
             raise ZeroSearchError(f"scan bbox {bbox} misses the component")
-    scan_mask = np.zeros_like(sub)
-    scan_mask[::stride, ::stride] = sub[::stride, ::stride]
-    if not scan_mask.any():
+    lattice = sub[::stride, ::stride]
+    if not lattice.any():
         raise ZeroSearchError(f"component {target} has no cells at stride {stride}")
 
     if target != w_comp:
         return ScanResult(candidates=(), min_modulus=0.0, median_modulus=0.0,
-                          n_scanned=int(scan_mask.sum()),
+                          n_scanned=int(lattice.sum()),
                           resolution=stride * dom.h, cross_component=True)
 
-    pts = dom.centers_of(scan_mask)
+    xs = cx[i0::stride][:lattice.shape[0]]
+    ys = cy[j0::stride][:lattice.shape[1]]
+    ii, jj = np.nonzero(lattice)
+    pts = np.empty(ii.size, dtype=complex)
+    pts.real = xs[ii]
+    pts.imag = ys[jj]
     f, _ = _evaluator(model, w0)
     mods = np.abs(f(pts))
-    values = np.full(dom.mask.shape, np.inf)
-    values[scan_mask] = mods
+    vi = np.full(lattice.shape, np.inf)
+    vi[lattice] = mods
     median = float(np.median(mods))
 
-    vi = values[::stride, ::stride]
-    neigh = np.full(vi.shape + (4,), np.inf)
-    neigh[1:, :, 0] = vi[:-1, :]
-    neigh[:-1, :, 1] = vi[1:, :]
-    neigh[:, 1:, 2] = vi[:, :-1]
-    neigh[:, :-1, 3] = vi[:, 1:]
-    is_min = np.isfinite(vi) & (vi <= neigh.min(axis=2)) & (vi < median)
+    # smallest of the four lattice neighbours; off-window ones are unscanned
+    lo = np.full(vi.shape, np.inf)
+    np.minimum(lo[1:, :], vi[:-1, :], out=lo[1:, :])
+    np.minimum(lo[:-1, :], vi[1:, :], out=lo[:-1, :])
+    np.minimum(lo[:, 1:], vi[:, :-1], out=lo[:, 1:])
+    np.minimum(lo[:, :-1], vi[:, 1:], out=lo[:, :-1])
+    is_min = np.isfinite(vi) & (vi <= lo) & (vi < median)
     ii, jj = np.nonzero(is_min)
-    cx, cy = dom.centers_x, dom.centers_y
-    cand = [(cx[i * stride] + 1j * cy[j * stride], float(vi[i, j]))
-            for i, j in zip(ii, jj)]
+    cand = [(xs[i] + 1j * ys[j], float(vi[i, j])) for i, j in zip(ii, jj)]
     cand.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     return ScanResult(candidates=tuple(cand), min_modulus=float(mods.min()),
                       median_modulus=median, n_scanned=int(mods.size),
@@ -478,7 +491,8 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
             margin = 0.5 * min(depth.at(p) for p in ctr)
         for m in models:
             try:
-                errors.append(kernel_error(m, reference, margin, domain=ref_dom))
+                errors.append(kernel_error([m], reference, margin,
+                                            domain=ref_dom)[0])
             except KernelError:
                 errors.append(None)
     else:

@@ -69,7 +69,7 @@ def test_criterion_1_disc_accuracy():
     U = make_domain(disc(0, 1), h=H_FINE)
     model = kn.fit_kernel(U, bs.monomials(0, 10))
     ref = kn.closed_form(disc(0, 1), truncation=10, h=H_FINE)
-    err = kn.kernel_error(model, ref, margin=0.2)
+    err = kn.kernel_error([model], ref, margin=0.2)[0]
     k00 = model.eval(0, 0).real
     k00_err = abs(k00 - 1 / np.pi)
     elapsed = time.perf_counter() - t0
@@ -206,13 +206,13 @@ def test_criterion_4_final_error_bound(exhaustion_report):
     U = make_domain(disc(0, 1), h=H_FINE)
     model = kn.fit_kernel(U, bs.monomials(0, 10))
     ref = kn.closed_form(disc(0, 1), truncation=10, h=H_FINE)
-    e1 = kn.kernel_error(model, ref, margin=0.2)
+    e1 = kn.kernel_error([model], ref, margin=0.2)[0]
     last = exhaustion_report.rows[-1]
     final = last["kernel_error"]
     inner = kn.DiscKernel(0, 1 - last["depth"], 10)
-    gap = kn.kernel_error(inner, ref,
+    gap = kn.kernel_error([inner], ref,
                           margin=exhaustion_report.metadata["compact_margin"],
-                          domain=ref.domain)
+                          domain=ref.domain)[0]
     ok = abs(final - gap) <= 2 * e1
     detail = (f"final {final:.4g}, gap {gap:.4g}, |final - gap| "
               f"{abs(final - gap):.4g} vs 2 x e1 {2 * e1:.4g}")

@@ -255,13 +255,15 @@ G = bs.gram_matrix(basis, U)
 model = kn.fit_kernel(U, basis)
 ref = kn.closed_form(disc(0, 0.5), truncation=10, h=h)
 D = make_domain(disc(0, 0.5), h)
-err = kn.kernel_error(model, ref, margin=0.1, domain=D)
+# a two-model call: both models are compared with one set of reference rows
+errs = kn.kernel_error([model, kn.fit_kernel(D, bs.monomials(0, 10))], ref,
+                       margin=0.1, domain=D)
 # the z probe lattice of that kernel_error, whitened in one LAPACK call
 V = model.whitened(kn._probe_centers(D, kn.compact_cells(D, 0.1), 4))
 print(U.quadrature[0].size, G.n, V.shape[1])
 print(hashlib.sha256(G.matrix.tobytes()).hexdigest())
 print(hashlib.sha256(V.tobytes()).hexdigest())
-print(float(err).hex())
+print(*(float(e).hex() for e in errs))
 """
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from blab import basis as bs
 from blab import kernel as kn
-from blab.geom import annulus, disc, make_domain, rectangle, reinhardt_profile, union
+from blab.geom import (annulus, barbell_sequence, disc, interior_exhaustion,
+                       make_domain, rectangle, reinhardt_profile, union)
 
 
 @pytest.fixture(scope="module")
@@ -262,19 +263,19 @@ def test_reproducing_residual_bad_index(disc_model):
 # ---------------------------------------------------------------------------
 
 def test_kernel_error_model_vs_itself(disc_model):
-    assert kn.kernel_error(disc_model, disc_model, margin=0.3) == 0.0
+    assert kn.kernel_error([disc_model], disc_model, margin=0.3)[0] == 0.0
 
 
 def test_disc_fit_matches_matched_truncation(disc_model):
     ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.h)
-    err = kn.kernel_error(disc_model, ref, margin=0.2)
+    err = kn.kernel_error([disc_model], ref, margin=0.2)[0]
     assert err <= 1e-2
 
 
 def test_annulus_fit_close_to_matched_truncation(annulus_model):
     # ceiling at h = 0.005; with cut-cell quadrature the fit measures 3.4e-3
     ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12, h=annulus_model.h)
-    err = kn.kernel_error(annulus_model, ref, margin=0.1)
+    err = kn.kernel_error([annulus_model], ref, margin=0.1)[0]
     assert err <= 2e-2
 
 
@@ -285,28 +286,122 @@ def test_annulus_fit_stated_tolerance(annulus_model):
     measures 3.4e-3.
     """
     ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12, h=annulus_model.h)
-    err = kn.kernel_error(annulus_model, ref, margin=0.1)
+    err = kn.kernel_error([annulus_model], ref, margin=0.1)[0]
     assert err <= 1e-2, f"measured {err:.4e} at the pinned h=0.005"
 
 
 def test_kernel_error_empty_compact_rejected(disc_model):
     with pytest.raises(kn.KernelError):
-        kn.kernel_error(disc_model, disc_model, margin=5.0)
+        kn.kernel_error([disc_model], disc_model, margin=5.0)[0]
+
+
+def _kernel_error_per_w(model, reference, margin, domain):
+    """One model against the reference, one w per call, as the oracle."""
+    cells = kn.compact_cells(domain, margin)
+    zs = kn._probe_centers_dense_enough(domain, cells, 4)
+    ws = kn._probe_centers_dense_enough(domain, cells, 16)
+    worst = 0.0
+    for w in ws:
+        a = model.eval_many(zs, w)
+        b = reference.eval_many(zs, w)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    return worst
 
 
 def test_kernel_error_equals_per_w_loop(disc_model):
-    # oracle: the one-w-per-call loop over the same probe lattices
     ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.h)
     cells = kn.compact_cells(disc_model.domain, 0.2)
-    zs = kn._probe_centers_dense_enough(disc_model.domain, cells, 4)
     ws = kn._probe_centers_dense_enough(disc_model.domain, cells, 16)
     assert ws.size > kn.PROBE_CHUNK
-    worst = 0.0
-    for w in ws:
-        a = disc_model.eval_many(zs, w)
-        b = ref.eval_many(zs, w)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    assert kn.kernel_error(disc_model, ref, margin=0.2) == worst
+    worst = _kernel_error_per_w(disc_model, ref, 0.2, disc_model.domain)
+    assert kn.kernel_error([disc_model], ref, margin=0.2)[0] == worst
+
+
+def test_kernel_error_sequence_equals_per_model_disc_exhaustion():
+    h = 0.008
+    target = make_domain(disc(0, 1), h=h)
+    seq = interior_exhaustion(target, [0.2, 0.1, 0.05])
+    models = [kn.fit_kernel(m, bs.monomials(0, 8)) for m in seq.members]
+    ref = kn.closed_form(disc(0, 1), truncation=8, h=h)
+    cells = kn.compact_cells(target, 0.3)
+    assert kn._probe_centers_dense_enough(target, cells, 16).size \
+        > kn.PROBE_CHUNK
+    errors = kn.kernel_error(models, ref, 0.3, domain=target)
+    assert errors == tuple(_kernel_error_per_w(m, ref, 0.3, target)
+                           for m in models)
+    assert len(set(errors)) == len(models)
+
+
+def test_kernel_error_sequence_equals_per_model_barbell(monkeypatch):
+    # several w chunks on a small lobe: the reference rows of each chunk
+    # serve every member
+    monkeypatch.setattr(kn, "PROBE_CHUNK", 5)
+    h = 0.02
+    G = make_domain(disc(-2, 1), h=h)
+    D = make_domain(annulus(2, 0.5, 1), h=h)
+    seq = barbell_sequence(G, D, (-1 + 0j, 1 + 0j), [0.4, 0.2, 0.1])
+    basis = bs.merged(bs.monomials(-2, 10), bs.principal_parts(2, 10))
+    models = [kn.fit_kernel(m, basis) for m in seq.members]
+    ref = kn.closed_form(annulus(2, 0.5, 1), truncation=10, h=h)
+    errors = kn.kernel_error(models, ref, 0.1, domain=D)
+    assert errors == tuple(_kernel_error_per_w(m, ref, 0.1, D) for m in models)
+    assert len(errors) == 3 and min(errors) > 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form series in blocks
+# ---------------------------------------------------------------------------
+
+def _disc_series_one_pass(K, s):
+    """The unblocked truncated disc series, as the oracle."""
+    r2 = K.r * K.r
+    u = s / r2
+    coef = np.arange(K.truncation + 1, 0, -1, dtype=float)
+    out = np.full_like(u, coef[0])
+    for c in coef[1:]:
+        out = out * u + c
+    return out / (np.pi * r2)
+
+
+def _annulus_series_one_pass(K, s):
+    """The unblocked annulus Laurent series, as the oracle."""
+    u = s / K.R ** 2
+    v = K.rho ** 2 / s
+    pos = K._pos_coefs()
+    out = np.full_like(u, pos[-1])
+    for c in pos[-2::-1]:
+        out = out * u + c
+    neg = K._neg_coefs()
+    acc = np.full_like(v, neg[-1])
+    for c in neg[-2::-1]:
+        acc = acc * v + c
+    return out + acc * v
+
+
+@pytest.mark.parametrize("block", [1, 8, 4096])
+def test_blocked_series_equal_one_pass(monkeypatch, block):
+    # 57 = 7 * 8 + 1 and 70 * 64 = 4480 = 4096 + 384: blocks of 8 leave a
+    # 1-element tail, and so do blocks of 1 everywhere
+    monkeypatch.setattr(kn, "SERIES_BLOCK", block)
+    rng = np.random.default_rng(21)
+    c = 0.1 + 0.05j
+    zs = c + rng.uniform(0.6, 0.9, 70) * np.exp(2j * np.pi * rng.uniform(size=70))
+    ws = c + rng.uniform(0.6, 0.9, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+    cases = [(kn.DiscKernel(c, 1.0, 10), _disc_series_one_pass),
+             (kn.AnnulusKernel(c, 0.5, 1.0, 12), _annulus_series_one_pass)]
+    for K, one_pass in cases:
+        for z, w in ((zs[:57], ws[0]), (zs[:19], ws[:3]), (zs, ws)):
+            want = one_pass(K, kn._shifted(z, w, c))
+            got = K.eval_many(z, w)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # a scalar keeps numpy scalar arithmetic, which rounds differently
+        # from a 1-element array
+        s = kn._shifted(np.complex128(zs[0]), ws[0], c)
+        got = K.eval_many(np.complex128(zs[0]), ws[0])
+        assert np.ndim(got) == 0
+        assert np.complex128(got).tobytes() == \
+            np.complex128(one_pass(K, s)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -464,5 +559,5 @@ def test_kernel_error_small_compact_set_still_probes():
     U = make_domain(disc(0.55 + 0.55j, 0.12), h=0.01)
     model = kn.fit_kernel(U, bs.monomials(0.55 + 0.55j, 4))
     ref = kn.closed_form(disc(0.55 + 0.55j, 0.12), truncation=4, h=0.01)
-    err = kn.kernel_error(model, ref, margin=0.06)
+    err = kn.kernel_error([model], ref, margin=0.06)[0]
     assert err > 0

@@ -1,12 +1,14 @@
 """Experiment drivers, configs, and report files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from blab import lab
-from blab.geom import annulus, disc, rectangle, reinhardt_profile
+from blab import cli, lab
+from blab import kernel as kn
+from blab.geom import annulus, disc, make_domain, rectangle, reinhardt_profile
 from blab.zeros import ZeroCertificate
 
 
@@ -54,6 +56,38 @@ def test_delta_resolution_guard():
             "experiment": "nowhere-density", "h": 0.05,
             "shapes": {"target": disc(0, 1)},
             "basis_window": [6, 6], "delta": 0.3})
+
+
+_EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
+               "shapes": {"target": disc(0, 1)},
+               "basis_window": [0, 4], "depths": [0.3, 0.2]}
+
+
+@pytest.mark.parametrize("over, match", [
+    ({"h": True}, "type bool"),
+    ({"seed": True}, "type bool"),
+    ({"experiment": "nowhere-density", "delta": True}, "type bool"),
+    ({"basis_window": [0.7, 10.9]}, "two integers"),
+    ({"basis_window": ["a", 10]}, "two integers"),
+    ({"basis_window": [0, True]}, "two integers"),
+    ({"h": float("nan")}, "positive and finite"),
+    ({"h": float("inf")}, "positive and finite"),
+    ({"depths": ["x"]}, "needs numbers"),
+    ({"depths": [float("nan")]}, "positive"),
+    ({"experiment": "nowhere-density", "delta": float("nan")}, "8h"),
+    ({"experiment": "barbell", "widths": [0.4], "segment": [["a", 0], [1, 0]]},
+     "needs numbers"),
+    ({"experiment": "barbell", "widths": [0.4], "segment": [1, 2]},
+     r"\[\[x, y\], \[x, y\]\]"),
+])
+def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
+    raw = dict(_EXHAUSTION, **over)
+    with pytest.raises(lab.ConfigError, match=match):
+        lab.config_from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["experiment", str(path)]) == 3
+    assert "invalid config" in capsys.readouterr().err
 
 
 def test_config_round_trip_from_file(tmp_path):
@@ -135,6 +169,55 @@ def test_exhaustion_annulus_certifies_each_stage():
     assert set(report.certificates) == {"0", "1"}
     for cert in report.certificates.values():
         cert.validate()
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """The closed forms whose eval_many ran, one entry per call; probe
+    chunks of 3 w make every run take several."""
+    monkeypatch.setattr(kn, "PROBE_CHUNK", 3)
+    calls = []
+    for cls in (kn.DiscKernel, kn.AnnulusKernel):
+        def counted(self, zs, w, real=cls.eval_many):
+            calls.append(self)
+            return real(self, zs, w)
+        monkeypatch.setattr(cls, "eval_many", counted)
+    return calls
+
+
+def _reference_chunks(domain, margin):
+    cells = kn.compact_cells(domain, margin)
+    n_w = kn._probe_centers_dense_enough(domain, cells, 16).size
+    return math.ceil(n_w / kn.PROBE_CHUNK)
+
+
+@pytest.mark.parametrize("depths", [[0.2], [0.2, 0.15, 0.1]])
+@pytest.mark.parametrize("target", [disc(0, 1), annulus(0, 0.3, 1.2)])
+def test_exhaustion_run_evaluates_reference_once(reference_calls, target,
+                                                 depths):
+    cfg = lab.config_from_dict({
+        "experiment": "exhaustion", "h": 0.04, "seed": 3,
+        "shapes": {"target": target}, "basis_window": [8, 8],
+        "depths": depths})
+    lab.run_exhaustion(cfg)
+    chunks = _reference_chunks(make_domain(target, 0.04), 1.5 * max(depths))
+    assert chunks > 1
+    assert len(reference_calls) == chunks
+    assert len({id(k) for k in reference_calls}) == 1
+
+
+@pytest.mark.parametrize("widths", [[0.4], [0.4, 0.2, 0.1]])
+def test_barbell_run_evaluates_reference_once(reference_calls, widths):
+    right = annulus(2, 0.5, 1)
+    cfg = lab.config_from_dict({
+        "experiment": "barbell", "h": 0.02,
+        "shapes": {"left": disc(-2, 1), "right": right},
+        "basis_window": [8, 8], "widths": widths})
+    lab.run_barbell(cfg)
+    chunks = _reference_chunks(make_domain(right, 0.02), 0.2 * 0.5)
+    assert chunks > 1
+    assert len(reference_calls) == chunks
+    assert len({id(k) for k in reference_calls}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,88 @@ def test_scan_outside_w0_rejected(disc_cf):
         zr.scan_min_modulus(disc_cf, 2.0, stride=4)
 
 
+def _scan_full_grid(model, w0, stride=4, component=None, bbox=None):
+    """The full-grid scan that the window-local one replaced, as the oracle."""
+    dom = model.domain
+    w_comp = dom.component_of(w0)
+    target = w_comp if component is None else component
+    sub = dom.component_labels == target
+    if bbox is not None:
+        x0, y0, x1, y1 = bbox
+        cx, cy = dom.centers_x, dom.centers_y
+        sub = sub & ((cx >= x0) & (cx <= x1))[:, None] \
+                  & ((cy >= y0) & (cy <= y1))[None, :]
+        if not sub.any():
+            raise zr.ZeroSearchError(f"scan bbox {bbox} misses the component")
+    scan_mask = np.zeros_like(sub)
+    scan_mask[::stride, ::stride] = sub[::stride, ::stride]
+    if not scan_mask.any():
+        raise zr.ZeroSearchError(f"component {target} has no cells at stride {stride}")
+    if target != w_comp:
+        return zr.ScanResult(candidates=(), min_modulus=0.0, median_modulus=0.0,
+                             n_scanned=int(scan_mask.sum()),
+                             resolution=stride * dom.h, cross_component=True)
+    pts = dom.centers_of(scan_mask)
+    mods = np.abs(model.eval_many(pts, w0))
+    values = np.full(dom.mask.shape, np.inf)
+    values[scan_mask] = mods
+    median = float(np.median(mods))
+    vi = values[::stride, ::stride]
+    neigh = np.full(vi.shape + (4,), np.inf)
+    neigh[1:, :, 0] = vi[:-1, :]
+    neigh[:-1, :, 1] = vi[1:, :]
+    neigh[:, 1:, 2] = vi[:, :-1]
+    neigh[:, :-1, 3] = vi[:, 1:]
+    is_min = np.isfinite(vi) & (vi <= neigh.min(axis=2)) & (vi < median)
+    ii, jj = np.nonzero(is_min)
+    cx, cy = dom.centers_x, dom.centers_y
+    cand = [(cx[i * stride] + 1j * cy[j * stride], float(vi[i, j]))
+            for i, j in zip(ii, jj)]
+    cand.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
+    return zr.ScanResult(candidates=tuple(cand), min_modulus=float(mods.min()),
+                         median_modulus=median, n_scanned=int(mods.size),
+                         resolution=stride * dom.h)
+
+
+@pytest.fixture(scope="module")
+def ring_and_disc_fit():
+    U = make_domain(union(annulus(0.03 + 0.02j, 0.5, 1), disc(2.2, 0.4)), h=0.02)
+    return kn.fit_kernel(U, bs.merged(bs.laurent(0.03 + 0.02j, 8, 8),
+                                      bs.monomials(2.2, 4)))
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4])
+@pytest.mark.parametrize("bbox", [
+    None,
+    (-0.93, -0.41, 0.37, 0.55),     # interior, off the stride lattice
+    (-9.0, -9.0, -0.3, 0.2),        # past the left and bottom array edges
+    (0.2, -0.3, 9.0, 9.0),          # past the right and top array edges
+    (-0.1, -0.1, 0.1, 0.1),         # the hole: misses the component
+    (10.0, 10.0, 11.0, 11.0),       # off the array
+    (0.645, 0.045, 0.655, 0.055),   # one ring cell, off the stride lattice
+])
+@pytest.mark.parametrize("other_component", [False, True])
+def test_window_scan_equals_full_grid_scan(ring_and_disc_fit, stride, bbox,
+                                           other_component):
+    model = ring_and_disc_fit
+    w0 = 0.8 + 0.02j
+    component = None
+    if other_component:
+        component = model.domain.component_of(2.2 + 0j)
+        assert component != model.domain.component_of(w0)
+    try:
+        want = _scan_full_grid(model, w0, stride, component, bbox)
+    except zr.ZeroSearchError as e:
+        with pytest.raises(zr.ZeroSearchError) as got:
+            zr.scan_min_modulus(model, w0, stride, component, bbox)
+        assert str(got.value) == str(e)
+        return
+    got = zr.scan_min_modulus(model, w0, stride, component, bbox)
+    assert got == want
+    if not other_component and bbox is None:
+        assert got.candidates
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
