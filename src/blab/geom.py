@@ -18,9 +18,11 @@ Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
 symmetric difference plus sup-norm distance between interior distance
 functions).  rho1 is sensitive to slits and punctures; rho2 tolerates thin
-tails.  rho2 embeds the two cached fields in a common array; rho1 measures
-each directed term with a nearest-cell query against the other set's
-boundary cells, so neither metric runs a transform of its own.
+tails.  rho2 embeds the two cached fields in a common array.  rho1 measures
+each directed term with nearest-cell queries against the other domain's
+boundary cells, in a kd-tree each domain builds once (`GridDomain.boundary`);
+large query sets are first cut to the tiles that can hold the maximum.
+Neither metric runs a transform of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ REINHARDT = "reinhardt-profile"
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 SUBSAMPLES = 32     # per axis, for the area fraction of a cut cell
+TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
+PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
 
 
 class GeomError(ValueError):
@@ -79,8 +83,8 @@ class GridDomain:
     spec: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise GeomError(f"spacing must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise GeomError(f"spacing must be positive and finite, got {self.h}")
         if self.mask.dtype != np.bool_ or self.mask.ndim != 2:
             raise GeomError("mask must be a 2-D boolean array")
         if not self.mask.any():
@@ -114,17 +118,10 @@ class GridDomain:
     def centers_y(self) -> np.ndarray:
         return _axis_centers(self.origin[1], self.ny, self.h)
 
-    @property
-    def center_grid(self) -> np.ndarray:
-        """Complex cell centers, shape (nx, ny). x is the real axis.
-
-        Built on each access, not cached; `centers_of` takes the centers of
-        selected cells without the full grid."""
-        return self.centers_x[:, None] + 1j * self.centers_y[None, :]
-
     def centers_of(self, cells: np.ndarray) -> np.ndarray:
         """Complex centers of the cells true in a mask of the array's shape,
-        in row-major order; equal to center_grid[cells] bit for bit."""
+        in row-major order; x is the real axis.  Each center is
+        centers_x[i] + 1j * centers_y[j], bit for bit."""
         out = np.empty(int(np.count_nonzero(cells)), dtype=complex)
         out.real = np.broadcast_to(self.centers_x[:, None], cells.shape)[cells]
         out.imag = np.broadcast_to(self.centers_y[None, :], cells.shape)[cells]
@@ -140,6 +137,13 @@ class GridDomain:
         """The domain's exact distance field, computed on first use."""
         return DistanceField(origin=self.origin, h=self.h, kind=self.kind,
                              values=_edt(self.mask, self.h, self.kind, self.origin))
+
+    @cached_property
+    def boundary(self) -> BoundaryCells:
+        """The domain's boundary cells and their kd-tree, built on first
+        use."""
+        cells = np.argwhere(boundary_mask(self.mask))
+        return BoundaryCells(cells=cells, tree=cKDTree(cells))
 
     @cached_property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +213,18 @@ class DistanceField:
         if 0 <= i < self.values.shape[0] and 0 <= j < self.values.shape[1]:
             return float(self.values[i, j])
         return 0.0
+
+
+@dataclass(frozen=True)
+class BoundaryCells:
+    """Boundary cells of a domain as (n, 2) indices in its own array, in
+    row-major order, with a kd-tree over them (queried with workers=1)."""
+
+    cells: np.ndarray
+    tree: cKDTree
+
+    def __post_init__(self):
+        self.cells.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -506,52 +522,105 @@ def extract_sets(U: GridDomain) -> PointSet:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _nearest_cell_distance(cells: np.ndarray, mask_to: np.ndarray,
-                           h: float) -> np.ndarray:
-    """Distance from each true cell of `cells` (none of them in mask_to) to
-    the nearest true cell of mask_to, in row-major order.
+def _lookup(mask: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """mask[i, j] for index arrays that may leave the array (false there)."""
+    ok = (i >= 0) & (i < mask.shape[0]) & (j >= 0) & (j < mask.shape[1])
+    out = np.zeros(i.shape, dtype=bool)
+    out[ok] = mask[i[ok], j[ok]]
+    return out
 
-    The nearest cell is always a boundary cell of mask_to: from an interior
-    cell, the step toward the outside cell reaches a closer one.  A kd-tree
-    over the integer indices of those boundary cells finds it, and the
-    distance is formed from the index offset the way the EDT forms it,
-    sqrt((di h)^2 + (dj h)^2).
-    """
-    bi, bj = np.nonzero(boundary_mask(mask_to))
-    ci, cj = np.nonzero(cells)
-    _, k = cKDTree(np.column_stack([bi, bj])).query(np.column_stack([ci, cj]),
-                                                    workers=1)
-    di = (ci - bi[k]) * h
-    dj = (cj - bj[k]) * h
+
+def _outside_cells(A: GridDomain, B: GridDomain,
+                   at: tuple[int, int]) -> np.ndarray:
+    """Cells of A not in B, as (n, 2) indices in B's array (A's index plus
+    `at`), in row-major order."""
+    out = A.mask.copy()
+    lo = [max(0, -at[k]) for k in (0, 1)]
+    hi = [min(A.mask.shape[k], B.mask.shape[k] - at[k]) for k in (0, 1)]
+    if lo[0] < hi[0] and lo[1] < hi[1]:
+        out[lo[0]:hi[0], lo[1]:hi[1]] &= ~B.mask[lo[0] + at[0]:hi[0] + at[0],
+                                                 lo[1] + at[1]:hi[1] + at[1]]
+    return np.argwhere(out) + at
+
+
+def _boundary_outside(A: GridDomain, B: GridDomain,
+                      at: tuple[int, int]) -> np.ndarray:
+    """Boundary cells of A not on B's boundary, as indices in B's array.
+
+    A cell is on B's boundary when it is in B and some 4-neighbor is not
+    (cells beyond B's array are not in B), as in `boundary_mask`."""
+    cells = A.boundary.cells + at
+    i, j = cells[:, 0], cells[:, 1]
+    m = B.mask
+    on_boundary = _lookup(m, i, j) & ~(_lookup(m, i - 1, j) & _lookup(m, i + 1, j)
+                                       & _lookup(m, i, j - 1) & _lookup(m, i, j + 1))
+    return cells[~on_boundary]
+
+
+def _tile_pruned(cells: np.ndarray, tree: cKDTree) -> np.ndarray:
+    """The cells of the TILE x TILE tiles that can hold the largest distance
+    to the tree's points.
+
+    Every cell of a tile lies within r = (TILE - 1)/sqrt(2) of the tile's
+    center, and the distance to a point set is 1-Lipschitz, so max(dc) - r
+    over the occupied tiles' center distances dc bounds the sup from below
+    and every cell of a tile with dc < max(dc) - 2r is strictly closer than
+    the sup.  Dropping such tiles keeps every cell the sup's integer squared
+    distance is reached at.  The 1e-9 of slack (in cells) covers the
+    rounding of dc."""
+    tile = cells // TILE
+    t0 = tile.min(axis=0)
+    tile -= t0
+    occupied = np.zeros(tuple(tile.max(axis=0) + 1), dtype=bool)
+    occupied[tile[:, 0], tile[:, 1]] = True
+    tiles = np.argwhere(occupied)
+    dc, _ = tree.query((tiles + t0) * TILE + (TILE - 1) / 2, workers=1)
+    r = (TILE - 1) / math.sqrt(2)
+    occupied[tiles[:, 0], tiles[:, 1]] = dc >= dc.max() - 2 * r - 1e-9
+    return cells[occupied[tile[:, 0], tile[:, 1]]]
+
+
+def _nearest_distance(cells: np.ndarray, B: GridDomain, h: float) -> np.ndarray:
+    """Distance from each cell (indices in B's array) to the nearest boundary
+    cell of B, formed from the index offset the way the EDT forms it,
+    sqrt((di h)^2 + (dj h)^2)."""
+    _, k = B.boundary.tree.query(cells, workers=1)
+    d = (cells - B.boundary.cells[k]) * h
+    di, dj = d[:, 0], d[:, 1]
     return np.sqrt(di * di + dj * dj)
 
 
-def _directed_sup(mask_from: np.ndarray, mask_to: np.ndarray, h: float) -> float:
-    """Max over cells of mask_from of the distance to the nearest cell of
-    mask_to; only cells outside mask_to count, and 0.0 if there are none."""
-    outside = mask_from & ~mask_to
-    if not outside.any():
+def _sup_to_boundary(cells: np.ndarray, B: GridDomain, h: float) -> float:
+    """Max over cells (indices in B's array) of the distance to the nearest
+    boundary cell of B; 0.0 for no cells."""
+    if len(cells) == 0:
         return 0.0
-    return float(_nearest_cell_distance(outside, mask_to, h).max())
-
-
-def _hausdorff_masks(mA: np.ndarray, mB: np.ndarray, h: float) -> float:
-    return max(_directed_sup(mA, mB, h), _directed_sup(mB, mA, h))
+    if len(cells) > PRUNE_MIN:
+        cells = _tile_pruned(cells, B.boundary.tree)
+    return float(_nearest_distance(cells, B, h).max())
 
 
 def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     """The two Hausdorff terms of rho1: (closures, boundaries).
 
-    Each directed term is a nearest-boundary query: the cells of one set
-    outside the other are matched to the other set's boundary cells by a
-    kd-tree (`_nearest_cell_distance`), with no array-sized transform."""
-    mU, mV, _ = _aligned_masks(U, V)
+    A directed term is the largest distance from the cells of one set
+    outside the other to the other's nearest cell.  For the closures that
+    nearest cell of V is a boundary cell of V, and the boundary of V's
+    boundary is V's boundary, so all four terms query the two domains'
+    cached boundary trees (`GridDomain.boundary`).  A query cell is moved
+    into the tree owner's array by the integer frame offset, which leaves
+    distances and nearest-cell picks as in one common array.  Query sets of
+    more than PRUNE_MIN cells are first cut to the tiles that can hold the
+    maximum (`_tile_pruned`); the result is the same to the bit."""
+    _, _, iU, iV = _frame(U, V)
+    uv = (iU[0] - iV[0], iU[1] - iV[1])
+    vu = (-uv[0], -uv[1])
     h = U.h
-    if (mU == mV).all():
-        return 0.0, 0.0
-    bU = boundary_mask(mU)
-    bV = boundary_mask(mV)
-    return _hausdorff_masks(mU, mV, h), _hausdorff_masks(bU, bV, h)
+    closures = max(_sup_to_boundary(_outside_cells(U, V, uv), V, h),
+                   _sup_to_boundary(_outside_cells(V, U, vu), U, h))
+    boundaries = max(_sup_to_boundary(_boundary_outside(U, V, uv), V, h),
+                     _sup_to_boundary(_boundary_outside(V, U, vu), U, h))
+    return closures, boundaries
 
 
 def rho1(U: GridDomain, V: GridDomain) -> float:
@@ -649,30 +718,38 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
     widths[k]/2 of the segment.  Every member is lattice-connected, coincides
     with G u D outside the neck tube, and rho2(member, G u D) -> 0 as the
     widths shrink.
+
+    The lobe gap is the smallest distance from D's boundary cells to G's
+    boundary tree.  Segment distances are taken only in the window of cells
+    within max(widths)/2 + h of the segment's bounding box, which holds
+    every tube.
     """
     if G.kind != PLANAR or D.kind != PLANAR:
         raise GeomError("barbell construction requires planar domains")
-    mG, mD, origin = _aligned_masks(G, D)
+    origin, shape, iG, iD = _frame(G, D)
+    mG, mD = _embed(G.mask, shape, iG), _embed(D.mask, shape, iD)
     h = G.h
     if (mG & mD).any():
         raise GeomError("barbell lobes overlap")
-    bG, bD = boundary_mask(mG), boundary_mask(mD)
     # the smallest distance from D to G is reached on the boundary of D
-    if float(_nearest_cell_distance(bD, mG, h).min()) <= 2 * h:
+    into_G = (iD[0] - iG[0], iD[1] - iG[1])
+    if float(_nearest_distance(D.boundary.cells + into_G, G, h).min()) <= 2 * h:
         raise GeomError("barbell lobes must be disjoint with a positive gap")
+    cx = _axis_centers(origin[0], shape[0], h)
+    cy = _axis_centers(origin[1], shape[1], h)
     a, b = segment
-    for endpoint, lobe in ((a, bG), (b, bD)):
-        cx = _axis_centers(origin[0], lobe.shape[0], h)
-        cy = _axis_centers(origin[1], lobe.shape[1], h)
-        ii, jj = np.nonzero(lobe)
+    for endpoint, lobe, at in ((a, G, iG), (b, D, iD)):
+        ii, jj = (lobe.boundary.cells + at).T
         d = np.hypot(cx[ii] - endpoint.real, cy[jj] - endpoint.imag).min()
         if d > 2 * h:
             raise GeomError(f"segment endpoint {endpoint} is not boundary-adjacent "
                             f"(nearest boundary cell at {d:.3g})")
-    nx, ny = mG.shape
-    cx = _axis_centers(origin[0], nx, h)
-    cy = _axis_centers(origin[1], ny, h)
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
+    # every tube lies in the cells within reach of the segment's bounding
+    # box; h of slack covers the rounding of the window's bounds
+    reach = max(widths, default=0.0) / 2 + h
+    window = tuple(slice(*np.searchsorted(c, [min(p, q) - reach, max(p, q) + reach]))
+                   for c, p, q in ((cx, a.real, b.real), (cy, a.imag, b.imag)))
+    X, Y = np.meshgrid(cx[window[0]], cy[window[1]], indexing="ij")
     seg_dist = _segment_distance(X, Y, a, b)
     base = mG | mD
     target = GridDomain(origin=origin, h=h, mask=base, kind=PLANAR)
@@ -681,7 +758,8 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
         if w < 3 * h:
             raise GeomError(f"neck width {w} below the lattice minimum {3 * h}"
                             " (neck may disconnect)")
-        member_mask = base | (seg_dist <= w / 2)
+        member_mask = base.copy()
+        member_mask[window] |= seg_dist <= w / 2
         member = GridDomain(origin=origin, h=h, mask=member_mask, kind=PLANAR)
         if member.n_components != 1:
             raise GeomError(f"barbell member at width {w} is not lattice-connected")
@@ -795,13 +873,27 @@ def load_grid(path) -> GridDomain:
         header = f.readline().split()
         if len(header) != 8 or header[0] != "grid" or header[1] != "v1":
             raise GeomError(f"not a grid v1 file: {path}")
-        h = float(header[2])
-        origin = (float(header[3]), float(header[4]))
-        nx, ny = int(header[5]), int(header[6])
+        try:
+            h = float(header[2])
+            origin = (float(header[3]), float(header[4]))
+            nx, ny = int(header[5]), int(header[6])
+        except ValueError:
+            raise GeomError(f"malformed grid header in {path}: "
+                            f"{' '.join(header)!r}") from None
+        if nx < 0 or ny < 0:
+            raise GeomError(f"negative grid shape {nx} x {ny} in {path}")
         kind = header[7]
         mask = np.zeros((nx, ny), dtype=bool)
         for i in range(nx):
-            runs = [int(t) for t in f.readline().split()]
+            tokens = f.readline().split()
+            try:
+                runs = [int(t) for t in tokens]
+            except ValueError:
+                raise GeomError(f"row {i} of {path} has a non-integer run: "
+                                f"{' '.join(tokens)!r}") from None
+            if any(run < 0 for run in runs):
+                raise GeomError(f"row {i} of {path} has a negative run: "
+                                f"{' '.join(tokens)!r}")
             j = 0
             value = False
             for run in runs:
@@ -811,4 +903,6 @@ def load_grid(path) -> GridDomain:
                 value = not value
             if j != ny:
                 raise GeomError(f"row {i} of {path} has {j} cells, expected {ny}")
+        if f.read().strip():
+            raise GeomError(f"{path} has more than the {nx} rows its header gives")
     return GridDomain(origin=origin, h=h, mask=mask, kind=kind)

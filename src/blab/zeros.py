@@ -370,19 +370,23 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
     """Deepest cell plus seeded deep-interior draws, per component."""
     depth = distance_field(dom)
     labels = dom.component_labels
-    grid = dom.center_grid.ravel()
     rng = np.random.default_rng(cfg.seed)
     probes: list[complex] = []
     for comp in range(1, dom.n_components + 1):
         in_comp = labels == comp
         d = np.where(in_comp, depth.values, -1.0)
+        sel = np.zeros(d.shape, dtype=bool)
         flat_best = int(np.argmax(d))
-        probes.append(complex(grid[flat_best]))
+        sel.flat[flat_best] = True
+        probes.append(complex(dom.centers_of(sel)[0]))
         dmax = d.max()
         deep = np.nonzero((d >= cfg.depth_fraction * dmax).ravel())[0]
         take = min(cfg.n_random, deep.size)
         picks = rng.choice(deep, size=take, replace=False)
-        probes.extend(complex(grid[k]) for k in np.sort(picks))
+        sel.flat[flat_best] = False
+        sel.flat[picks] = True
+        # centers_of reads in row-major order, that is by sorted flat index
+        probes.extend(complex(c) for c in dom.centers_of(sel))
     return probes
 
 

@@ -142,9 +142,9 @@ def test_criterion_3_square_floor(square_fit_12):
     dom = square_fit_12.domain
     depth = distance_field(dom).values
     admitted = depth >= zr.ProbeConfig().lobe_gamma * depth.max()
-    pts = dom.center_grid[admitted]
+    pts = dom.centers_of(admitted)
     bbox = (pts.real.min(), pts.imag.min(), pts.real.max(), pts.imag.max())
-    grid = dom.center_grid
+    grid = dom.centers_x[:, None] + 1j * dom.centers_y[None, :]
     in_box = ((grid.real >= bbox[0]) & (grid.real <= bbox[2])
               & (grid.imag >= bbox[1]) & (grid.imag <= bbox[3]))
     assert (in_box == admitted).all(), "admitted region is not a box"

@@ -1,9 +1,12 @@
 """Domain representation, distance fields, and the two set metrics."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -257,9 +260,7 @@ def test_rho1_slit_disc():
     full = make_domain(disc(0, 1), h=h)
     slit = make_domain(
         difference(disc(0, 1), rectangle((-1.0, -h), (1.0, h))), h=h)
-    mU, mV, _ = geom._aligned_masks(full, slit)
-    closures = geom._hausdorff_masks(mU, mV, h)
-    boundaries = geom._hausdorff_masks(geom.boundary_mask(mU), geom.boundary_mask(mV), h)
+    closures, boundaries = edt_rho1_parts(full, slit)
     assert closures <= 2 * h
     assert boundaries == pytest.approx(1.0, abs=0.06)
     assert rho1(full, slit) == pytest.approx(closures + boundaries, abs=1e-12)
@@ -592,6 +593,36 @@ def test_save_grid_bytes_equal_per_cell_loop(tmp_path, make):
     assert (V.mask == U.mask).all()
 
 
+@pytest.mark.parametrize("header, row, match", [
+    ("1 10", "0 12 -2", "negative run"),
+    ("1 10", "2 3 -1 6", "negative run"),
+    ("1 10", "2 3.5 4.5", "non-integer run"),
+    ("1 ten", "0 10", "malformed grid header"),
+    ("1.5 10", "0 10", "malformed grid header"),
+    ("-1 10", "", "negative grid shape"),
+    ("1 10", "0 10\n0 10", "more than the 1 rows"),
+], ids=["overrun-then-negative", "negative-sum-matches", "non-integer-run",
+        "non-integer-columns", "non-integer-rows", "negative-rows", "extra-row"])
+def test_load_grid_rejects_malformed_rows(tmp_path, header, row, match):
+    path = tmp_path / "bad.grid"
+    path.write_text(f"grid v1 0.1 0.0 0.0 {header} planar\n{row}\n")
+    with pytest.raises(GeomError, match=match):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("h, match", [
+    ("h", "malformed grid header"),
+    ("nan", "positive and finite"),
+    ("inf", "positive and finite"),
+    ("-0.1", "positive and finite"),
+])
+def test_load_grid_rejects_bad_spacing(tmp_path, h, match):
+    path = tmp_path / "bad.grid"
+    path.write_text(f"grid v1 {h} 0.0 0.0 1 2 planar\n0 2\n")
+    with pytest.raises(GeomError, match=match):
+        load_grid(path)
+
+
 def test_barbell_rejects_far_segment_endpoint(barbell_parts):
     G, D, _ = barbell_parts
     with pytest.raises(GeomError, match="boundary-adjacent"):
@@ -691,9 +722,255 @@ def test_metrics_match_full_array_transform_oracles():
 def test_directed_sup_is_zero_on_a_subset():
     U = make_domain(disc(0, 1), h=0.05)
     V = make_domain(disc(0, 0.5), h=0.05)
+    _, _, iU, iV = geom._frame(U, V)
+    outside = geom._outside_cells(V, U, (iV[0] - iU[0], iV[1] - iU[1]))
+    assert len(outside) == 0
+    assert geom._sup_to_boundary(outside, U, U.h) == 0.0
     mU, mV, _ = geom._aligned_masks(U, V)
-    assert geom._directed_sup(mV, mU, U.h) == 0.0
-    assert geom._directed_sup(mU, mV, U.h) == edt_directed_sup(mU, mV, U.h)
+    assert geom.rho1_parts(U, V)[0] == edt_directed_sup(mU, mV, U.h)
+
+
+# ---------------------------------------------------------------------------
+# rho1 on cached boundary trees against the common-array kd-tree oracle
+# ---------------------------------------------------------------------------
+
+def kd_rho1_parts(U, V):
+    """Oracle: rho1_parts as one common array, before the boundary trees
+    were cached per domain.  Both masks are embedded in one frame, and each
+    directed term queries every cell of one set outside the other in a
+    kd-tree over the other's boundary cells, built on every call."""
+    def nearest(cells, mask_to, h):
+        bi, bj = np.nonzero(geom.boundary_mask(mask_to))
+        ci, cj = np.nonzero(cells)
+        _, k = cKDTree(np.column_stack([bi, bj])).query(
+            np.column_stack([ci, cj]), workers=1)
+        di = (ci - bi[k]) * h
+        dj = (cj - bj[k]) * h
+        return np.sqrt(di * di + dj * dj)
+
+    def directed(mask_from, mask_to, h):
+        outside = mask_from & ~mask_to
+        if not outside.any():
+            return 0.0
+        return float(nearest(outside, mask_to, h).max())
+
+    def hausdorff_masks(mA, mB, h):
+        return max(directed(mA, mB, h), directed(mB, mA, h))
+
+    mU, mV, _ = geom._aligned_masks(U, V)
+    h = U.h
+    if (mU == mV).all():
+        return 0.0, 0.0
+    bU = geom.boundary_mask(mU)
+    bV = geom.boundary_mask(mV)
+    return hausdorff_masks(mU, mV, h), hausdorff_masks(bU, bV, h)
+
+
+def assert_rho1_bits_equal(U, V):
+    for A, B in ((U, V), (V, U)):
+        new = geom.rho1_parts(A, B)
+        old = kd_rho1_parts(A, B)
+        assert np.array(new).tobytes() == np.array(old).tobytes(), (new, old)
+
+
+@st.composite
+def lattice_domains(draw, kind):
+    """A random mask (noise, a filled ellipse or one with holes) at a random
+    integer offset; reinhardt profiles sit on or near both radial axes."""
+    h = 0.05
+    nx, ny = draw(st.integers(1, 56)), draw(st.integers(1, 56))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    style = draw(st.sampled_from(["noise", "ellipse", "holes"]))
+    if style == "noise":
+        mask = rng.random((nx, ny)) < rng.uniform(0.05, 1.0)
+    else:
+        i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        ci, cj = rng.uniform(0, nx), rng.uniform(0, ny)
+        ri, rj = rng.uniform(0.5, nx), rng.uniform(0.5, ny)
+        mask = ((i - ci) / ri) ** 2 + ((j - cj) / rj) ** 2 < 1
+        if style == "holes":
+            mask &= rng.random((nx, ny)) > 0.05
+    if not mask.any():
+        mask[rng.integers(nx), rng.integers(ny)] = True
+    lo = 0 if kind == geom.REINHARDT else -70
+    oi, oj = draw(st.integers(lo, 70)), draw(st.integers(lo, 70))
+    if kind == geom.REINHARDT:
+        oi, oj = draw(st.sampled_from([0, oi])), draw(st.sampled_from([0, oj]))
+    return geom.GridDomain(origin=(oi * h, oj * h), h=h, mask=mask, kind=kind)
+
+
+@st.composite
+def lattice_pairs(draw):
+    kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
+    return draw(lattice_domains(kind)), draw(lattice_domains(kind))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=lattice_pairs(), prune_min=st.sampled_from([geom.PRUNE_MIN, 0]))
+def test_rho1_parts_bits_equal_common_array_oracle(pair, prune_min):
+    # prune_min 0 tile-prunes every query set, however small
+    with mock.patch.object(geom, "PRUNE_MIN", prune_min):
+        assert_rho1_bits_equal(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=lattice_pairs())
+def test_query_sets_equal_common_array_masks(pair):
+    U, V = pair
+    mU, mV, _ = geom._aligned_masks(U, V)
+    _, _, iU, iV = geom._frame(U, V)
+    uv = (iU[0] - iV[0], iU[1] - iV[1])
+    for cells, expected in (
+            (geom._outside_cells(U, V, uv), mU & ~mV),
+            (geom._boundary_outside(U, V, uv),
+             geom.boundary_mask(mU) & ~geom.boundary_mask(mV))):
+        # back from V's array to the frame
+        frame = {(i + iV[0], j + iV[1]) for i, j in cells.tolist()}
+        assert frame == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+
+
+@pytest.mark.parametrize("cells", [[(-1, 8), (-8, -4)], [(-9, 8), (3, -12)],
+                                   [(-9, -9), (11, -7)]])
+def test_tile_pruning_keeps_the_maximum_near_its_bound(cells):
+    # one boundary cell at the origin; the farthest cell's tile center is
+    # 2.86-3.55 nearer to it than the other tile's center: more than the
+    # 2 sqrt(2) of a 3 x 3 tile, less than the 2r = 4.24 of a 4 x 4 one
+    B = geom.GridDomain(origin=(0.0, 0.0), h=1.0, mask=np.ones((1, 1), dtype=bool))
+    cells = np.array(cells)
+    lo = cells.min(axis=0)
+    mask = np.zeros(tuple(cells.max(axis=0) - lo + 1), dtype=bool)
+    mask[tuple((cells - lo).T)] = True
+    A = geom.GridDomain(origin=(float(lo[0]), float(lo[1])), h=1.0, mask=mask)
+    with mock.patch.object(geom, "PRUNE_MIN", 0):
+        assert_rho1_bits_equal(A, B)
+        assert geom.rho1_parts(A, B)[0] == np.sqrt((cells ** 2).sum(axis=1)).max()
+
+
+def _single_cell(i, j):
+    mask = np.zeros((1, 1), dtype=bool)
+    mask[0, 0] = True
+    return geom.GridDomain(origin=(i * 0.1, j * 0.1), h=0.1, mask=mask)
+
+
+def _nested_pairs():
+    G = make_domain(union(disc(0, 0.8), rectangle((0, -0.3), (1.5, 0.3))), 0.02)
+    return [(m, G) for m in interior_exhaustion(G, [0.3, 0.1, 0.05]).members]
+
+
+RHO1_CASES = {
+    "single-cells": lambda: [(_single_cell(0, 0), _single_cell(3, -4)),
+                             (_single_cell(2, 2), _single_cell(2, 2))],
+    "disjoint-lobes": lambda: [(make_domain(disc(-1.5, 0.7), 0.02),
+                                make_domain(annulus(1.5 + 0.4j, 0.3, 0.7), 0.02))],
+    "nested-members": _nested_pairs,
+    "reinhardt-on-axis": lambda: [
+        (make_domain(reinhardt_profile(rectangle((0, 0), (1, 0.7))), 0.02),
+         make_domain(reinhardt_profile(disc(0.5 + 0.5j, 0.45)), 0.02)),
+        (make_domain(reinhardt_profile(rectangle((0, 0), (1, 0.7))), 0.02),
+         make_domain(reinhardt_profile(rectangle((0.3, 0), (0.9, 1))), 0.02))],
+    # the large disc's cells sit at negative indices of the small one's array
+    "negative-indices": lambda: [(make_domain(disc(0, 1), 0.02),
+                                  make_domain(disc(0.9 + 0.3j, 0.3), 0.02))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RHO1_CASES))
+def test_rho1_parts_bits_equal_oracle_on_named_cases(case):
+    for U, V in RHO1_CASES[case]():
+        assert_rho1_bits_equal(U, V)
+
+
+def test_named_cases_reach_the_tile_pruning():
+    U, V = RHO1_CASES["negative-indices"]()[0]
+    _, _, iU, iV = geom._frame(U, V)
+    cells = geom._outside_cells(U, V, (iU[0] - iV[0], iU[1] - iV[1]))
+    assert len(cells) > geom.PRUNE_MIN
+    assert (cells < 0).any()
+    kept = geom._tile_pruned(cells, V.boundary.tree)
+    assert 0 < len(kept) < len(cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(1, 30),
+       ny=st.integers(1, 30), p=st.floats(0.0, 1.0))
+def test_boundary_mask_is_idempotent(seed, nx, ny, p):
+    mask = np.random.default_rng(seed).random((nx, ny)) < p
+    b = geom.boundary_mask(mask)
+    assert (geom.boundary_mask(b) == b).all()
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    calls = []
+    real = geom.cKDTree
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "cKDTree", counted)
+    return calls
+
+
+@pytest.mark.parametrize("depths", [[0.2], [0.2, 0.15, 0.1]])
+def test_exhaustion_run_builds_one_boundary_tree_per_domain(tree_builds, depths):
+    from blab import lab
+
+    cfg = lab.config_from_dict({
+        "experiment": "exhaustion", "h": 0.04, "seed": 3,
+        "shapes": {"target": disc(0, 1)}, "basis_window": [4, 8],
+        "depths": depths})
+    lab.run_exhaustion(cfg)
+    assert len(tree_builds) == len(depths) + 1
+
+
+# ---------------------------------------------------------------------------
+# barbell necks against the full-frame construction
+# ---------------------------------------------------------------------------
+
+def full_frame_neck_masks(G, D, segment, widths):
+    """Oracle: every member mask with the segment distance taken on every
+    cell of the common array."""
+    mG, mD, origin = geom._aligned_masks(G, D)
+    h = G.h
+    cx = geom._axis_centers(origin[0], mG.shape[0], h)
+    cy = geom._axis_centers(origin[1], mG.shape[1], h)
+    X, Y = np.meshgrid(cx, cy, indexing="ij")
+    seg_dist = geom._segment_distance(X, Y, segment[0], segment[1])
+    return [(mG | mD) | (seg_dist <= w / 2) for w in widths]
+
+
+def _edge_lobes():
+    """Square lobes on the bottom row of one array, joined along that row."""
+    mask_g = np.zeros((20, 12), dtype=bool)
+    mask_g[0:5, 0:5] = True
+    mask_d = np.zeros_like(mask_g)
+    mask_d[12:20, 0:6] = True
+    G = geom.GridDomain(origin=(0.0, 0.0), h=0.1, mask=mask_g)
+    D = geom.GridDomain(origin=(0.0, 0.0), h=0.1, mask=mask_d)
+    return G, D, (0.45 + 0.05j, 1.25 + 0.05j)
+
+
+def _diagonal_lobes():
+    u = np.exp(0.25j * np.pi)
+    G = make_domain(disc(-1 - 1j, 0.6), 0.02)
+    D = make_domain(disc(1.1 + 0.9j, 0.5), 0.02)
+    return G, D, (-1 - 1j + 0.6 * u, 1.1 + 0.9j - 0.5 * u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (make_domain(disc(-2, 1), 0.02), make_domain(annulus(2, 0.5, 1), 0.02),
+             (-1.0 + 0j, 1.0 + 0j)),
+    _edge_lobes,
+    _diagonal_lobes,
+], ids=["horizontal", "array-edge", "diagonal"])
+def test_barbell_necks_equal_full_frame_construction(make):
+    G, D, seg = make()
+    widths = [25 * G.h, 15 * G.h, 5 * G.h, 3.5 * G.h]
+    seq = barbell_sequence(G, D, seg, widths)
+    for member, expected in zip(seq.members,
+                                full_frame_neck_masks(G, D, seg, widths)):
+        assert (member.mask == expected).all()
 
 
 def corner_lobes(di, dj):

@@ -356,3 +356,37 @@ def test_hurwitz_track_disc_exhaustion_zero_free():
                              margin=0.4)
     assert track.counts == (0, 0)
     assert track.kernel_errors[0] > track.kernel_errors[1]
+
+
+def _default_probes_full_grid(dom, cfg):
+    """Oracle: default_probes reading its probes from the full complex
+    center grid."""
+    depth = zr.distance_field(dom)
+    labels = dom.component_labels
+    grid = (dom.centers_x[:, None] + 1j * dom.centers_y[None, :]).ravel()
+    rng = np.random.default_rng(cfg.seed)
+    probes = []
+    for comp in range(1, dom.n_components + 1):
+        d = np.where(labels == comp, depth.values, -1.0)
+        flat_best = int(np.argmax(d))
+        probes.append(complex(grid[flat_best]))
+        deep = np.nonzero((d >= cfg.depth_fraction * d.max()).ravel())[0]
+        picks = rng.choice(deep, size=min(cfg.n_random, deep.size), replace=False)
+        probes.extend(complex(grid[k]) for k in np.sort(picks))
+    return probes
+
+
+@pytest.mark.parametrize("spec, h", [
+    (disc(0.1 - 0.2j, 0.8), 0.03),
+    (annulus(0, 0.4, 1), 0.04),
+    (union(disc(-1.2, 0.5), disc(1.2 + 0.3j, 0.6)), 0.05),
+    (rectangle((0, 0), (0.12, 0.09)), 0.03),     # fewer deep cells than draws
+])
+@pytest.mark.parametrize("n_random", [0, 3, 12])
+def test_default_probes_equal_full_grid_reads(spec, h, n_random):
+    dom = make_domain(spec, h)
+    cfg = zr.ProbeConfig(seed=5, n_random=n_random)
+    new = zr.default_probes(dom, cfg)
+    old = _default_probes_full_grid(dom, cfg)
+    assert all(type(p) is complex for p in new)
+    assert np.array(new).tobytes() == np.array(old).tobytes()
