@@ -127,6 +127,13 @@ class GridDomain:
         out.imag = np.broadcast_to(self.centers_y[None, :], cells.shape)[cells]
         return out
 
+    def centers_at(self, cells: np.ndarray) -> np.ndarray:
+        """Complex centers of (n, 2) cell indices, as in centers_of."""
+        out = np.empty(len(cells), dtype=complex)
+        out.real = self.centers_x[cells[:, 0]]
+        out.imag = self.centers_y[cells[:, 1]]
+        return out
+
     @cached_property
     def true_centers(self) -> np.ndarray:
         """Complex centers of true cells in row-major order."""
@@ -174,22 +181,32 @@ class GridDomain:
     def n_components(self) -> int:
         return int(self.component_labels.max())
 
+    def _indices(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array indices i, j of the cells holding the points, and whether
+        each point lies on the array: the one point-to-cell rule."""
+        pts = np.asarray(points, dtype=complex)
+        i = np.floor((pts.real - self.origin[0]) / self.h).astype(np.intp)
+        j = np.floor((pts.imag - self.origin[1]) / self.h).astype(np.intp)
+        return i, j, (i >= 0) & (i < self.nx) & (j >= 0) & (j < self.ny)
+
+    def labels_at(self, points) -> np.ndarray:
+        """Component label of the cell holding each point, in the shape of
+        points: 0 off the array or outside the domain."""
+        i, j, on = self._indices(points)
+        return np.where(on, self.component_labels[np.where(on, i, 0),
+                                                  np.where(on, j, 0)], 0)
+
     def cell_of(self, point: complex) -> tuple[int, int] | None:
         """Indices of the cell containing the point, or None if off-array."""
-        i = math.floor((point.real - self.origin[0]) / self.h)
-        j = math.floor((point.imag - self.origin[1]) / self.h)
-        if 0 <= i < self.nx and 0 <= j < self.ny:
-            return i, j
-        return None
+        i, j, on = self._indices(point)
+        return (int(i), int(j)) if on else None
 
     def contains(self, point: complex) -> bool:
-        ij = self.cell_of(point)
-        return ij is not None and bool(self.mask[ij])
+        return bool(self.labels_at(point))
 
     def component_of(self, point: complex) -> int:
         """Component label at the point (0 if outside the domain)."""
-        ij = self.cell_of(point)
-        return int(self.component_labels[ij]) if ij is not None else 0
+        return int(self.labels_at(point))
 
 
 @dataclass(frozen=True)
@@ -513,9 +530,10 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def extract_sets(U: GridDomain) -> PointSet:
-    """Discretize the closure and the boundary of U as cell-center points."""
+    """Discretize the closure and the boundary of U as cell-center points,
+    in row-major order, read from the domain's cached cells."""
     return PointSet(closure=U.true_centers,
-                    boundary=U.centers_of(boundary_mask(U.mask)))
+                    boundary=U.centers_at(U.boundary.cells))
 
 
 # ---------------------------------------------------------------------------

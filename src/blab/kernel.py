@@ -9,13 +9,19 @@ the reproducing identity an algebraic identity at the quadrature level.
 Closed forms cover discs (rational or truncated series), annuli (Laurent
 series with a recorded geometric tail bound), balls, and products of planar
 factors for the C^2 experiments.
+
+Every kernel object answers one protocol (`Kernel`): `eval_many(zs, w)` for
+a batch of z at one w, or one row per w of a 1-D array of w;
+`eval_error_estimate(w)`; for planar kernels, `domain`; and scalar `eval`,
+one shim over `eval_many`.  C^2 models take zs of shape (P, n) and w of
+shape (n,) or (k, n).  Fitted models raise `OutsideDomainError` off their
+domain and are exactly zero across components (`GridDomain.labels_at`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,12 +47,29 @@ class OutsideDomainError(KernelError):
     """An evaluation point is outside the model's domain."""
 
 
+class Kernel:
+    """The evaluator protocol; subclasses define eval_many and
+    eval_error_estimate."""
+
+    def eval(self, z, w) -> complex:
+        return complex(self.eval_many(np.array([z]), w)[0])
+
+
+def _require_inside(domain: GridDomain, points) -> np.ndarray:
+    """Component labels of the points, raising if any lies outside."""
+    labels = domain.labels_at(points)
+    if (labels == 0).any():
+        raise OutsideDomainError(
+            f"point {np.asarray(points)[labels == 0][0]} is outside the domain")
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # fitted planar models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KernelModel:
+class KernelModel(Kernel):
     """Finite-rank reproducing kernel of a basis span on a grid domain."""
 
     basis: bs.BasisSpec
@@ -68,21 +91,6 @@ class KernelModel:
         B = bs.term_matrix(self.basis, points)
         return self.factor.whiten(B)
 
-    def _require_inside(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex).ravel()
-        dom = self.domain
-        i = np.floor((pts.real - dom.origin[0]) / dom.h).astype(int)
-        j = np.floor((pts.imag - dom.origin[1]) / dom.h).astype(int)
-        ok = (i >= 0) & (i < dom.nx) & (j >= 0) & (j < dom.ny)
-        if not ok.all():
-            raise OutsideDomainError(
-                f"point {pts[~ok][0]} is outside the domain array")
-        labels = dom.component_labels[i, j]
-        if (labels == 0).any():
-            raise OutsideDomainError(
-                f"point {pts[labels == 0][0]} is outside the domain")
-        return labels
-
     def eval_many(self, zs: np.ndarray, w) -> np.ndarray:
         """K(z, w) for a batch of z at one w, shape (len(zs),), or at each
         w of a 1-D array, shape (len(w), len(zs)) with one row per w.
@@ -96,8 +104,8 @@ class KernelModel:
         """
         zs = np.asarray(zs, dtype=complex).ravel()
         ws = np.asarray(w, dtype=complex)
-        z_labels = self._require_inside(zs)
-        w_labels = self._require_inside(ws)
+        z_labels = _require_inside(self.domain, zs)
+        w_labels = _require_inside(self.domain, ws.ravel())
         V = self.whitened(zs)
         Bw = bs.term_matrix(self.basis, ws)
         out = np.empty((ws.size, zs.size), dtype=complex)
@@ -107,13 +115,10 @@ class KernelModel:
             out[w_labels[:, None] != z_labels[None, :]] = 0.0
         return out if ws.ndim else out[0]
 
-    def eval(self, z: complex, w: complex) -> complex:
-        return complex(self.eval_many(np.array([z]), w)[0])
-
     def diagonal(self, zs: np.ndarray) -> np.ndarray:
         """K(z, z) >= 0, exact: sum of squared moduli of whitened coords."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        self._require_inside(zs)
+        _require_inside(self.domain, zs)
         V = self.whitened(zs)
         return np.sum(V.real ** 2 + V.imag ** 2, axis=0)
 
@@ -155,19 +160,6 @@ def fit_kernel(U: GridDomain, basis: bs.BasisSpec):
                        domain=U, dropped=dropped)
 
 
-def eval_kernel(model, z, w):
-    """Kernel value(s) with the cross-component zero rule enforced.
-
-    Accepts a scalar or an array of z for fixed w; points must lie inside
-    the model's domain.
-    """
-    zs = np.asarray(z, dtype=complex)
-    out = model.eval_many(zs.ravel(), complex(w))
-    if zs.ndim == 0:
-        return complex(out[0])
-    return out.reshape(zs.shape)
-
-
 # ---------------------------------------------------------------------------
 # extremal characterization and reproducing residual
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def extremal_value(model: KernelModel, z: complex,
     f with f(z) = ||f||^2 = K(z, z).  The constraint is verified to hold with
     equality to the stated relative tolerance.
     """
-    model._require_inside(np.array([z]))
+    _require_inside(model.domain, z)
     bz = bs.term_matrix(model.basis, np.array([z]))[0]
     c = model.factor.solve(np.conj(bz))
     value = (bz @ c).real
@@ -257,7 +249,7 @@ def _shifted(z, w, center: complex):
 
 
 @dataclass(frozen=True)
-class DiscKernel:
+class DiscKernel(Kernel):
     """Disc kernel r^2 / (pi (r^2 - s)^2), s = (z-c) conj(w-c).
 
     With a truncation M the kernel of the degree-M monomial span is evaluated
@@ -278,9 +270,6 @@ class DiscKernel:
         coef = np.arange(self.truncation + 1, 0, -1, dtype=float)
         return _blockwise(lambda b: _horner(coef, b / r2) / (np.pi * r2), s)
 
-    def eval(self, z, w):
-        return complex(self.eval_many(np.array([z]), w)[0])
-
     def tail_bound(self, s_abs: float) -> float:
         if self.truncation is None:
             return 0.0
@@ -300,7 +289,7 @@ class DiscKernel:
 
 
 @dataclass(frozen=True)
-class AnnulusKernel:
+class AnnulusKernel(Kernel):
     """Annulus kernel as the orthogonal Laurent series, truncated at |n| <= M.
 
     Coefficients are c_n = 1/||z^n||^2 with
@@ -364,9 +353,6 @@ class AnnulusKernel:
             v = rho2 / b
             return _horner(pos, b / R2) + _horner(neg, v) * v
         return _blockwise(block, s)
-
-    def eval(self, z, w):
-        return complex(self.eval_many(np.array([z]), w)[0])
 
     def tail_bound(self, s_abs: float) -> float:
         """Upper bound on the modulus of the dropped series tail at |s|."""
@@ -441,26 +427,30 @@ def annulus_auto_truncation(rho: float, R: float, tol: float = 1e-10,
 
 
 @dataclass(frozen=True)
-class ProductKernel:
+class ProductKernel(Kernel):
     """Pointwise product of planar factor kernels: the C^2 (or C^n) kernel of
     a product domain.  Its zero set is exactly (zero set of a factor) times
     the remaining factor domains."""
 
     factors: tuple
 
-    def eval(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
-        out = 1.0 + 0.0j
-        for k, fac in enumerate(self.factors):
-            out *= fac.eval(z[k], w[k])
-        return complex(out)
-
-    def eval_pairs(self, zs: np.ndarray, w: Sequence[complex]) -> np.ndarray:
-        """Batch over rows of zs (shape (P, n_factors)) at fixed w."""
+    def eval_many(self, zs, w) -> np.ndarray:
+        """K(z, w) for rows z of zs (shape (P, n_factors)) at one w, shape
+        (P,), or at each row of a (k, n_factors) array of w, shape (k, P)."""
         zs = np.asarray(zs, dtype=complex)
-        out = np.ones(zs.shape[0], dtype=complex)
+        ws = np.asarray(w, dtype=complex)
+        out = 1.0
         for k, fac in enumerate(self.factors):
-            out *= fac.eval_many(zs[:, k], complex(w[k]))
+            out = out * fac.eval_many(zs[:, k], ws[..., k])
         return out
+
+    def eval_error_estimate(self, w) -> float:
+        """The factors' error scales propagated to first order through the
+        product, each other factor at its diagonal value at w."""
+        diag = [abs(fac.eval(wk, wk)) for fac, wk in zip(self.factors, w)]
+        return sum(fac.eval_error_estimate(wk)
+                   * math.prod(d for j, d in enumerate(diag) if j != k)
+                   for k, (fac, wk) in enumerate(zip(self.factors, w)))
 
     def slice_fixed_last(self, z2: complex) -> "ScaledPlanarKernel":
         """Planar slice z1 -> K((z1, z2), (w1, z2)): the first factor scaled
@@ -471,7 +461,7 @@ class ProductKernel:
 
 
 @dataclass(frozen=True)
-class ScaledPlanarKernel:
+class ScaledPlanarKernel(Kernel):
     base: object
     scale: complex
     domain: GridDomain | None = None
@@ -479,23 +469,27 @@ class ScaledPlanarKernel:
     def eval_many(self, zs, w):
         return self.base.eval_many(zs, w) * self.scale
 
-    def eval(self, z, w):
-        return complex(self.eval_many(np.array([z]), w)[0])
-
     def eval_error_estimate(self, w: complex) -> float:
         return abs(self.scale) * self.base.eval_error_estimate(w)
 
 
 @dataclass(frozen=True)
-class BallKernel:
+class BallKernel(Kernel):
     """Unit-ball kernel in C^n: n! / (pi^n (1 - <z, w>)^(n+1))."""
 
     n: int
 
-    def eval(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
-        inner = sum(zk * np.conj(wk) for zk, wk in zip(z, w))
-        return complex(math.factorial(self.n)
-                       / (np.pi ** self.n * (1 - inner) ** (self.n + 1)))
+    def eval_many(self, zs, w) -> np.ndarray:
+        """K(z, w) for rows z of zs (shape (P, n)) at one w, shape (P,), or
+        at each row of a (k, n) array of w, shape (k, P)."""
+        zs = np.asarray(zs, dtype=complex)
+        wc = np.conj(np.asarray(w, dtype=complex))[..., None, :]
+        inner = (zs * wc).sum(axis=-1)
+        return math.factorial(self.n) / (np.pi ** self.n
+                                         * (1 - inner) ** (self.n + 1))
+
+    def eval_error_estimate(self, w) -> float:
+        return EVAL_ERROR_COEFF * (1.0 + abs(self.eval(w, w)))
 
 
 def closed_form(spec: dict, truncation: int | None = None,
@@ -537,8 +531,13 @@ def closed_form(spec: dict, truncation: int | None = None,
 # reinhardt models and slices
 # ---------------------------------------------------------------------------
 
+def _moduli(pairs: np.ndarray) -> np.ndarray:
+    """Profile points |z1| + i |z2| of the rows (z1, z2) of pairs."""
+    return np.abs(pairs[:, 0]) + 1j * np.abs(pairs[:, 1])
+
+
 @dataclass(frozen=True)
-class ReinhardtKernelModel:
+class ReinhardtKernelModel(Kernel):
     """Diagonal kernel of a monomial span on a reinhardt domain.
 
     K(z, w) = sum over terms of (z1 conj(w1))^a (z2 conj(w2))^b / ||term||^2.
@@ -552,47 +551,45 @@ class ReinhardtKernelModel:
     def __post_init__(self):
         self.norms.setflags(write=False)
 
-    def _profile_point(self, z: Sequence[complex]) -> complex:
-        return complex(abs(z[0]), abs(z[1]))
+    def eval_many(self, zs, w) -> np.ndarray:
+        """K(z, w) for pairs z = (z1, z2), the rows of zs (shape (P, 2)), at
+        one pair w, shape (P,), or at each row of a (k, 2) array of w, shape
+        (k, P).
 
-    def component_of(self, z: Sequence[complex]) -> int:
-        return self.profile.component_of(self._profile_point(z))
-
-    def eval(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
-        cz = self.component_of(z)
-        cw = self.component_of(w)
-        if cz == 0 or cw == 0:
-            raise OutsideDomainError("evaluation point outside the reinhardt domain")
-        if cz != cw:
-            return 0.0 + 0.0j
-        s1 = z[0] * np.conj(w[0])
-        s2 = z[1] * np.conj(w[1])
-        out = 0.0 + 0.0j
-        for t, nrm in zip(self.basis.terms, self.norms):
-            out += s1 ** t.a * s2 ** t.b / nrm
-        return complex(out)
-
-    def eval_pairs(self, zs: np.ndarray, w: Sequence[complex]) -> np.ndarray:
-        """Batch over rows of zs = [(z1, z2), ...] at fixed w."""
+        Components are read from the profile at (|z1|, |z2|): a point off the
+        profile raises, and pairs whose components differ evaluate to
+        exactly zero, only on a profile of several components.
+        """
         zs = np.asarray(zs, dtype=complex)
-        s1 = zs[:, 0] * np.conj(w[0])
-        s2 = zs[:, 1] * np.conj(w[1])
-        out = np.zeros(zs.shape[0], dtype=complex)
+        ws = np.asarray(w, dtype=complex).reshape(-1, 2)
+        z_labels = _require_inside(self.profile, _moduli(zs))
+        w_labels = _require_inside(self.profile, _moduli(ws))
+        wc = np.conj(ws)
+        s1 = zs[None, :, 0] * wc[:, None, 0]
+        s2 = zs[None, :, 1] * wc[:, None, 1]
+        out = np.zeros(s1.shape, dtype=complex)
         for t, nrm in zip(self.basis.terms, self.norms):
             out += s1 ** t.a * s2 ** t.b / nrm
-        return out
+        if self.profile.n_components > 1:
+            out[w_labels[:, None] != z_labels[None, :]] = 0.0
+        return out if np.ndim(w) > 1 else out[0]
 
     def slice_fixed_last(self, z2: complex) -> "ReinhardtSliceKernel":
         return ReinhardtSliceKernel(model=self, z2=complex(z2),
                                     domain=slice_domain(self.profile, abs(z2)))
 
-    def eval_error_estimate_pair(self, w: Sequence[complex]) -> float:
+    def eval_error_estimate(self, w) -> float:
         kww = abs(self.eval(w, w))
         return EVAL_ERROR_COEFF * (1.0 + kww) * len(self.basis)
 
 
+def _with_last(points: np.ndarray, z2: complex) -> np.ndarray:
+    """Pairs (p, z2) for each p, along a new last axis."""
+    return np.stack([points, np.full(points.shape, z2)], axis=-1)
+
+
 @dataclass(frozen=True)
-class ReinhardtSliceKernel:
+class ReinhardtSliceKernel(Kernel):
     """Planar function z1 -> K((z1, z2), (w1, z2)) of a reinhardt model."""
 
     model: ReinhardtKernelModel
@@ -601,17 +598,12 @@ class ReinhardtSliceKernel:
 
     def eval_many(self, zs, w):
         zs = np.asarray(zs, dtype=complex).ravel()
-        pairs = np.column_stack([zs, np.full(zs.size, self.z2)])
         ws = np.asarray(w, dtype=complex)
-        rows = [self.model.eval_pairs(pairs, (complex(wk), self.z2))
-                for wk in ws.ravel()]
-        return np.array(rows) if ws.ndim else rows[0]
-
-    def eval(self, z, w):
-        return complex(self.eval_many(np.array([z]), w)[0])
+        return self.model.eval_many(_with_last(zs, self.z2),
+                                    _with_last(ws, self.z2))
 
     def eval_error_estimate(self, w: complex) -> float:
-        return self.model.eval_error_estimate_pair((complex(w), self.z2))
+        return self.model.eval_error_estimate((complex(w), self.z2))
 
 
 def slice_domain(profile: GridDomain, r2: float) -> GridDomain:
@@ -683,7 +675,7 @@ def kernel_error(models, reference, margin: float,
     """
     models = tuple(models)
     if domain is None:
-        domain = getattr(reference, "domain", None) or models[0].domain
+        domain = reference.domain or models[0].domain
     cells = compact_cells(domain, margin)
     z_probes = _probe_centers_dense_enough(domain, cells, zstride)
     w_probes = _probe_centers_dense_enough(domain, cells, wstride)
@@ -733,12 +725,8 @@ def kernel_error_c2(model, reference, margin: float,
     if profile is None:
         profile = model.profile
     zs, ws = reinhardt_probe_pairs(profile, margin)
-    worst = 0.0
-    for w in ws:
-        a = model.eval_pairs(zs, (complex(w[0]), complex(w[1])))
-        b = reference.eval_pairs(zs, (complex(w[0]), complex(w[1])))
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+    return float(np.max(np.abs(model.eval_many(zs, ws)
+                               - reference.eval_many(zs, ws))))
 
 
 # ---------------------------------------------------------------------------

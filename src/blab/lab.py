@@ -39,7 +39,6 @@ from .geom import (
     interior_exhaustion,
     is_logconvex_profile,
     barbell_sequence,
-    boundary_mask,
     make_domain,
     rectangle,
     reinhardt_profile,
@@ -483,7 +482,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
 def _rightmost_boundary_point(U: GridDomain) -> complex:
     """Deterministic attachment point: boundary cell of largest x, ties
     broken toward the smallest |y|."""
-    pts = U.centers_of(boundary_mask(U.mask))
+    pts = U.centers_at(U.boundary.cells)
     order = np.lexsort((np.abs(pts.imag), -pts.real))
     return complex(pts[order[0]])
 

@@ -13,6 +13,12 @@ certification: the zero must sit at depth at least `lobe_gamma` times the
 local maximum of the distance function reached by monotone ascent from the
 candidate.  Genuine ring zeros sit at more than half of their lobe depth;
 boundary artifacts sit at a few percent.
+
+Every search reads the model through the kernel protocol of `blab.kernel`:
+`model.eval_many(points, w0)`, `model.eval_error_estimate(w0)` and
+`model.domain`, whose `labels_at` places points in components.  Only
+`winding_count` also takes a plain function f(zs) -> values, when w0 is
+None.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,21 +50,6 @@ def circle_contour(center: complex, radius: float, n: int = 64) -> np.ndarray:
         raise ZeroSearchError("contour needs at least 16 samples")
     t = 2 * np.pi * np.arange(n) / n
     return center + radius * np.exp(1j * t)
-
-
-# ---------------------------------------------------------------------------
-# evaluation plumbing shared by scan / winding
-# ---------------------------------------------------------------------------
-
-def _evaluator(model, w0: complex | None) -> tuple[Callable, float]:
-    """Normalize a model or a bare callable into (f(zs) -> values, err_est)."""
-    if callable(model) and not hasattr(model, "eval_many"):
-        return model, 0.0
-    if w0 is None:
-        raise ZeroSearchError("w0 is required for kernel models")
-    err = model.eval_error_estimate(w0) if hasattr(model, "eval_error_estimate") \
-        else 0.0
-    return (lambda zs: model.eval_many(zs, w0)), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +85,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     on the array window of the bbox alone, started on the stride lattice,
     so its cost follows the bbox and not the grid.
     """
-    dom = getattr(model, "domain", None)
+    dom = model.domain
     if dom is None:
         raise ZeroSearchError("model carries no grid domain to scan")
     w_comp = dom.component_of(w0)
@@ -133,8 +124,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     pts = np.empty(ii.size, dtype=complex)
     pts.real = xs[ii]
     pts.imag = ys[jj]
-    f, _ = _evaluator(model, w0)
-    mods = np.abs(f(pts))
+    mods = np.abs(model.eval_many(pts, w0))
     vi = np.full(lattice.shape, np.inf)
     vi[lattice] = mods
     median = float(np.median(mods))
@@ -158,17 +148,15 @@ def refine_minimum(model, w0: complex, z0: complex, h: float,
                    rounds: int = 3) -> complex:
     """Sharpen a scan minimizer on shrinking local 5x5 grids (deterministic)."""
     dom = model.domain
-    f, _ = _evaluator(model, w0)
     best = z0
     spacing = h
     for _ in range(rounds):
         off = spacing * np.arange(-2, 3)
         grid = (best + off[:, None] + 1j * off[None, :]).ravel()
-        keep = np.array([dom.contains(p) for p in grid])
-        pts = grid[keep]
+        pts = grid[dom.labels_at(grid) > 0]
         if pts.size == 0:
             break
-        vals = np.abs(f(pts))
+        vals = np.abs(model.eval_many(pts, w0))
         best = complex(pts[int(np.argmin(vals))])
         spacing /= 2
     return best
@@ -186,19 +174,28 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
     bisection until successive arguments differ by less than pi/2; the result
     divided by 2 pi is the exact integer count for a function holomorphic
     inside.  Raises ContourError when the modulus floor (10x the evaluation
-    error estimate) is violated or refinement does not settle.
+    error estimate) is violated, a contour point leaves w0's component of
+    the model's domain, or refinement does not settle.  With w0 None, model
+    is a plain function f(zs) -> values, with no error estimate or domain.
     """
-    f, err = _evaluator(model, w0)
     pts = np.asarray(contour, dtype=complex).ravel()
     if pts.size < 8:
         raise ZeroSearchError("contour too coarse")
-    plain_callable = callable(model) and not hasattr(model, "eval_many")
-    dom = None if plain_callable else getattr(model, "domain", None)
-    if dom is not None and w0 is not None:
-        w_comp = dom.component_of(w0)
-        for p in pts:
-            if dom.component_of(p) != w_comp:
-                raise ContourError(f"contour point {p} leaves w0's component")
+    if w0 is None:
+        f, err, dom = model, 0.0, None
+    else:
+        f = lambda zs: model.eval_many(zs, w0)
+        err, dom = float(model.eval_error_estimate(w0)), model.domain
+    w_comp = dom.component_of(w0) if dom is not None else 0
+
+    def require_component(points, what):
+        if dom is not None:
+            off = points[dom.labels_at(points) != w_comp]
+            if off.size:
+                raise ContourError(f"{what} point {off[0]} leaves w0's "
+                                   "component")
+
+    require_component(pts, "contour")
     vals = f(pts)
     floor = floor_factor * err
 
@@ -223,12 +220,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
             raise ContourError("contour refinement exploded; a zero sits on or "
                                "too near the contour")
         mids = 0.5 * (pts[bad] + np.roll(pts, -1)[bad])
-        if dom is not None and w0 is not None:
-            w_comp = dom.component_of(w0)
-            for p in mids:
-                if dom.component_of(p) != w_comp:
-                    raise ContourError(f"refined contour point {p} leaves the "
-                                       "component")
+        require_component(mids, "refined contour")
         mid_vals = f(mids)
         insert_at = np.nonzero(bad)[0] + 1
         pts = np.insert(pts, insert_at, mids)
@@ -410,7 +402,7 @@ def certify_zero(model, w0: complex, z_star: complex,
     d_here = float(depth.values[cell])
     if d_here < cfg.lobe_gamma * _lobe_scale(depth, cell):
         return None
-    _, err = _evaluator(model, w0)
+    err = float(model.eval_error_estimate(w0))
     radius = cfg.contour_radius_cells * dom.h
     for _ in range(cfg.contour_growths + 1):
         if radius >= d_here:
@@ -423,8 +415,7 @@ def certify_zero(model, w0: complex, z_star: complex,
             continue
         if winding < 1:
             return None
-        f, _ = _evaluator(model, w0)
-        floor = float(np.min(np.abs(f(contour))))
+        floor = float(np.min(np.abs(model.eval_many(contour, w0))))
         cert = ZeroCertificate(w0=complex(w0), contour=tuple(contour),
                                winding=winding, min_modulus_on_contour=floor,
                                z_star=complex(z_star), eval_error=err)
@@ -441,7 +432,7 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
     minimum modulus observed over all scans and the scan resolution.
     """
     cfg = probe_config or ProbeConfig()
-    dom = getattr(model, "domain", None)
+    dom = model.domain
     if dom is None:
         raise ZeroSearchError("model carries no grid domain")
     depth = distance_field(dom)
@@ -488,7 +479,7 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
             counts.append(None)
     errors: list[float | None] = []
     if reference is not None:
-        ref_dom = getattr(reference, "domain", None)
+        ref_dom = reference.domain
         if margin is None:
             ctr = np.asarray(contour, dtype=complex)
             depth = distance_field(ref_dom)

@@ -1,6 +1,7 @@
 """Domain representation, distance fields, and the two set metrics."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -178,6 +179,35 @@ def test_reinhardt_distance_field_mirrors_axis():
     r2 = U.centers_y[j]
     expected = min(1 - r1, 1 - r2)
     assert df.values[i, j] == pytest.approx(expected, abs=2 * U.h)
+
+
+@pytest.mark.parametrize("spec", [
+    disc(0.1, 0.7),
+    annulus(0, 0.3, 0.9),
+    union(disc(-1, 0.5), rectangle((0, -0.4), (1.2, 0.3))),
+])
+def test_extract_sets_boundary_reads_the_cached_cells(spec):
+    U = make_domain(spec, h=0.02)
+    got = extract_sets(U).boundary
+    want = U.centers_of(geom.boundary_mask(U.mask))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_labels_at_matches_the_point_rules():
+    U = make_domain(union(disc(-1, 0.5), annulus(1, 0.2, 0.6)), h=0.02)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-1, 1, 400)
+    labels = U.labels_at(pts.reshape(20, 20))
+    assert labels.shape == (20, 20)
+    for p, lab in zip(pts, labels.ravel()):
+        # oracle: the cell of the point by scalar floor division
+        i = math.floor((p.real - U.origin[0]) / U.h)
+        j = math.floor((p.imag - U.origin[1]) / U.h)
+        on = 0 <= i < U.nx and 0 <= j < U.ny
+        assert lab == (U.component_labels[i, j] if on else 0)
+        assert U.cell_of(p) == ((i, j) if on else None)
+        assert lab == U.component_of(p) and (lab > 0) == U.contains(p)
+    assert U.labels_at(5 + 5j) == 0 and U.cell_of(5 + 5j) is None
 
 
 # ---------------------------------------------------------------------------

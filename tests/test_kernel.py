@@ -57,12 +57,6 @@ def test_eval_outside_domain_raises(disc_model):
         disc_model.eval(0, 1.5 + 1j)
 
 
-def test_eval_kernel_batch_shape(disc_model):
-    zs = np.array([[0.1, 0.2], [0.3j, -0.4]])
-    out = kn.eval_kernel(disc_model, zs, 0.1)
-    assert out.shape == (2, 2)
-
-
 # ---------------------------------------------------------------------------
 # kernel algebra on random probes
 # ---------------------------------------------------------------------------
@@ -410,7 +404,7 @@ def test_blocked_series_equal_one_pass(monkeypatch, block):
 
 def _rows_match_scalar_calls(K, zs, ws):
     rows = K.eval_many(zs, ws)
-    assert rows.shape == (ws.size, zs.size)
+    assert rows.shape == (len(ws), len(zs))
     for k, w in enumerate(ws):
         assert rows[k].tobytes() == K.eval_many(zs, w).tobytes()
 
@@ -450,6 +444,72 @@ def test_eval_many_rows_match_scalar_calls_reinhardt_slice(
     sl = ring_times_disc_model.slice_fixed_last(0.3)
     zs = np.array([0.6, -0.7 + 0.1j, 0.8j, 0.9])
     _rows_match_scalar_calls(sl, zs, np.array([0.8, -0.65j]))
+
+
+def random_pairs(n, r1, r2, seed):
+    """n pairs (z1, z2) with |z1| in r1 and |z2| in r2, random phases."""
+    rng = np.random.default_rng(seed)
+    radii = np.column_stack([rng.uniform(*r1, n), rng.uniform(*r2, n)])
+    return radii * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+
+
+def test_eval_many_rows_match_scalar_calls_c2(ring_times_disc_model):
+    zs = random_pairs(203, (0.55, 0.95), (0.05, 0.95), seed=15)
+    ws = random_pairs(9, (0.55, 0.95), (0.05, 0.95), seed=16)
+    prod = kn.closed_form({"shape": "product",
+                           "factors": [annulus(0, 0.5, 1), disc(0, 1)]},
+                          truncation=16)
+    for K in (ring_times_disc_model, prod):
+        _rows_match_scalar_calls(K, zs, ws)
+    ball = kn.closed_form({"shape": "ball", "n": 2})
+    _rows_match_scalar_calls(ball, random_pairs(203, (0, 0.6), (0, 0.6), 17),
+                             random_pairs(9, (0, 0.6), (0, 0.6), 18))
+
+
+def test_c2_model_applies_the_domain_rules_in_every_call(ring_times_disc_model):
+    # (0.3, 0.3) lies in the profile's hole r1 < 0.5, as z, as w and on the
+    # slice at r2 = 0.3
+    model = ring_times_disc_model
+    with pytest.raises(kn.OutsideDomainError):
+        model.eval_many([[0.3, 0.3]], (0.8, 0.3))
+    with pytest.raises(kn.OutsideDomainError):
+        model.eval_many([[0.8, 0.3]], [(0.8, 0.3), (0.3, 0.3)])
+    with pytest.raises(kn.OutsideDomainError):
+        model.eval((0.3, 0.3), (0.8, 0.3))
+    with pytest.raises(kn.OutsideDomainError):
+        model.slice_fixed_last(0.3).eval(0.3, 0.8)
+
+    # two profile components: pairs across them are exactly zero, read from
+    # (|z1|, |z2|) whatever the phases
+    profile = make_domain(reinhardt_profile(union(
+        rectangle((0.2, 0), (0.45, 1)), rectangle((0.6, 0), (1, 1)))), h=0.01)
+    two = kn.fit_kernel(profile, bs.reinhardt_window(-4, 4, 4))
+    zs = np.concatenate([random_pairs(40, (0.25, 0.4), (0.1, 0.9), seed=19),
+                         random_pairs(40, (0.65, 0.95), (0.1, 0.9), seed=20)])
+    ws = np.array([[0.3, 0.5], [-0.8j, 0.5]])
+    rows = two.eval_many(zs, ws)
+    inner = np.arange(80) < 40
+    assert (rows[0, ~inner] == 0).all() and (rows[0, inner] != 0).all()
+    assert (rows[1, inner] == 0).all() and (rows[1, ~inner] != 0).all()
+    assert two.eval((0.3, 0.5), (0.8, 0.5)) == 0.0
+    _rows_match_scalar_calls(two, zs, ws)
+
+
+def test_every_kernel_answers_the_protocol(disc_model, ring_times_disc_model):
+    disc_cf = kn.closed_form(disc(0, 1))
+    prod = kn.closed_form({"shape": "product",
+                           "factors": [annulus(0, 0.5, 1), disc(0, 1)]},
+                          truncation=16)
+    planar = [disc_model, disc_cf, kn.closed_form(annulus(0, 0.5, 1)),
+              kn.ScaledPlanarKernel(base=disc_cf, scale=2.0),
+              ring_times_disc_model.slice_fixed_last(0.3)]
+    pairs = [ring_times_disc_model, prod, kn.closed_form({"shape": "ball",
+                                                          "n": 2})]
+    for K, w in [(K, 0.7 + 0.1j) for K in planar] + [(K, (0.7, 0.3j))
+                                                     for K in pairs]:
+        assert isinstance(K, kn.Kernel)
+        assert 0 < K.eval_error_estimate(w) < 1e-6
+        assert K.eval(w, w).real > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,52 @@
+"""The benchmark's tracer still fits the package it wraps.
+
+`perfbench` times layers by rebinding the functions and methods that
+`perfbench/layers.py` names, from outside `src/blab`.  This test installs
+those wrappers on the live modules and checks that each one is bound, that
+a traced call records spans, and that every binding is restored on exit, so
+that a refactor which unbinds a traced name fails here and not only in a
+traced benchmark run.  The benchmark files are imported, never changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from blab import basis, geom, kernel, lab, zeros
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import layers
+        import spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return layers, spans
+
+
+def test_layer_targets_install_and_restore(bench):
+    layers, spans = bench
+    modules = [geom, basis, kernel, zeros, lab]
+    targets = layers.targets(*modules)
+    assert "eval_many" in vars(kernel.KernelModel)
+    classes = [t.owner for t in targets if isinstance(t.owner, type)]
+    before = {owner: dict(vars(owner)) for owner in modules + classes}
+    rec = spans.Recorder()
+    with spans.Patch(rec, targets, modules):
+        for t in targets:
+            assert getattr(t.owner, t.attr) is not before[t.owner][t.attr]
+        U = geom.make_domain(geom.disc(0, 1), h=0.05)
+        model = kernel.fit_kernel(U, basis.monomials(0, 4))
+        model.eval(0.1, 0.2)
+    names = {s.name for s in rec.spans}
+    assert {"geom.make_domain", "kernel.fit", "basis.gram",
+            "kernel.eval_many", "kernel.whiten"} <= names
+    for owner, saved in before.items():
+        now = vars(owner)
+        assert now.keys() == saved.keys()
+        assert all(now[k] is v for k, v in saved.items()), owner
