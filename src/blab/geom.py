@@ -201,13 +201,6 @@ class GridDomain:
         i, j, on = self._indices(point)
         return (int(i), int(j)) if on else None
 
-    def contains(self, point: complex) -> bool:
-        return bool(self.labels_at(point))
-
-    def component_of(self, point: complex) -> int:
-        """Component label at the point (0 if outside the domain)."""
-        return int(self.labels_at(point))
-
 
 @dataclass(frozen=True)
 class DistanceField:

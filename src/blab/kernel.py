@@ -12,16 +12,17 @@ factors for the C^2 experiments.
 
 Every kernel object answers one protocol (`Kernel`): `eval_many(zs, w)` for
 a batch of z at one w, or one row per w of a 1-D array of w;
-`eval_error_estimate(w)`; for planar kernels, `domain`; and scalar `eval`,
-one shim over `eval_many`.  C^2 models take zs of shape (P, n) and w of
-shape (n,) or (k, n).  Fitted models raise `OutsideDomainError` off their
-domain and are exactly zero across components (`GridDomain.labels_at`).
+`eval_error_estimate(w)`; `domain` for planar kernels; scalar `eval`, a shim
+over `eval_many`.  C^2 models take zs (P, n) and w (n,) or (k, n).  Fitted
+models and Reinhardt slices raise `OutsideDomainError` off their domain and
+are exactly zero across components (a slice's are the profile's).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -514,14 +515,10 @@ def closed_form(spec: dict, truncation: int | None = None,
         M = truncation if truncation is not None else annulus_auto_truncation(rho, R)
         grid = make_domain(spec, h) if h else None
         return AnnulusKernel(center=c, rho=rho, R=R, truncation=M, domain=grid)
-    if kind == "product":
-        factors = tuple(closed_form(f, truncation=truncation, h=h)
-                        for f in spec["factors"])
-        return ProductKernel(factors=factors)
-    if kind == "polydisc":
-        discs = tuple(closed_form(d, truncation=truncation, h=h)
-                      for d in spec["discs"])
-        return ProductKernel(factors=discs)
+    if kind in ("product", "polydisc"):
+        parts = spec["factors" if kind == "product" else "discs"]
+        return ProductKernel(factors=tuple(
+            closed_form(f, truncation=truncation, h=h) for f in parts))
     if kind == "ball":
         return BallKernel(n=spec["n"])
     raise KernelError(f"no closed form for shape {kind!r}")
@@ -558,12 +555,18 @@ class ReinhardtKernelModel(Kernel):
 
         Components are read from the profile at (|z1|, |z2|): a point off the
         profile raises, and pairs whose components differ evaluate to
-        exactly zero, only on a profile of several components.
+        exactly zero.
         """
         zs = np.asarray(zs, dtype=complex)
         ws = np.asarray(w, dtype=complex).reshape(-1, 2)
-        z_labels = _require_inside(self.profile, _moduli(zs))
-        w_labels = _require_inside(self.profile, _moduli(ws))
+        out = self._sum(zs, ws, _require_inside(self.profile, _moduli(zs)),
+                        _require_inside(self.profile, _moduli(ws)))
+        return out if np.ndim(w) > 1 else out[0]
+
+    def _sum(self, zs, ws, z_labels, w_labels) -> np.ndarray:
+        """The term sum at every pair of rows of ws and zs, shape
+        (len(ws), len(zs)), exactly zero where the profile components
+        z_labels and w_labels differ (only on a profile of several)."""
         wc = np.conj(ws)
         s1 = zs[None, :, 0] * wc[:, None, 0]
         s2 = zs[None, :, 1] * wc[:, None, 1]
@@ -572,7 +575,7 @@ class ReinhardtKernelModel(Kernel):
             out += s1 ** t.a * s2 ** t.b / nrm
         if self.profile.n_components > 1:
             out[w_labels[:, None] != z_labels[None, :]] = 0.0
-        return out if np.ndim(w) > 1 else out[0]
+        return out
 
     def slice_fixed_last(self, z2: complex) -> "ReinhardtSliceKernel":
         return ReinhardtSliceKernel(model=self, z2=complex(z2),
@@ -597,13 +600,30 @@ class ReinhardtSliceKernel(Kernel):
     domain: GridDomain
 
     def eval_many(self, zs, w):
+        """Points are checked against the slice's own domain; the profile
+        component of a point is that of its slice component."""
         zs = np.asarray(zs, dtype=complex).ravel()
         ws = np.asarray(w, dtype=complex)
-        return self.model.eval_many(_with_last(zs, self.z2),
-                                    _with_last(ws, self.z2))
+        out = self.model._sum(
+            _with_last(zs, self.z2), _with_last(ws.ravel(), self.z2),
+            self._profile_labels[_require_inside(self.domain, zs)],
+            self._profile_labels[_require_inside(self.domain, ws.ravel())])
+        return out if ws.ndim else out[0]
+
+    @cached_property
+    def _profile_labels(self) -> np.ndarray:
+        """Profile component of each slice component (index 0 unused): the
+        largest profile label at (|c|, |z2|) over its cell centers c."""
+        dom = self.domain
+        out = np.zeros(dom.n_components + 1, dtype=np.intp)
+        np.maximum.at(out, dom.component_labels[dom.mask],
+                      self.model.profile.labels_at(
+                          np.abs(dom.centers_of(dom.mask)) + 1j * abs(self.z2)))
+        return out
 
     def eval_error_estimate(self, w: complex) -> float:
-        return self.model.eval_error_estimate((complex(w), self.z2))
+        kww = abs(self.eval(w, w))
+        return EVAL_ERROR_COEFF * (1.0 + kww) * len(self.model.basis)
 
 
 def slice_domain(profile: GridDomain, r2: float) -> GridDomain:

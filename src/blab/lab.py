@@ -514,6 +514,31 @@ def _nearest_boundary_point(U: GridDomain, to: complex) -> complex:
     return complex(bd[int(np.argmin(np.abs(bd - to)))])
 
 
+def _exhausted_start(config: ExperimentConfig,
+                     **mode) -> tuple[ExperimentReport, GridDomain, GridDomain]:
+    """The report of a nowhere-density run, the target G and its first
+    stage, an interior exhaustion member within delta/4 of G.  Corners of
+    the level set move by eps * sqrt(2), so the depth budget uses delta/10
+    rather than delta/8."""
+    spec = config.shapes["target"]
+    h, delta = config.h, float(config.delta)
+    G = make_domain(spec, h)
+    report = ExperimentReport(
+        experiment="nowhere-density",
+        metadata={"h": h, "seed": config.seed,
+                  "basis_window": list(config.basis_window), "target": spec,
+                  "delta": delta, **mode},
+        columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
+    eps = max(delta / 10 - 2 * h, 1.5 * h)
+    member = interior_exhaustion(G, [eps]).members[0]
+    r1 = rho1(member, G)
+    report.add_row(stage=0, step="exhaust", rho1_to_target=r1,
+                   rho2_to_target=rho2(member, G), detail=f"depth {eps:.6g}")
+    report.check("exhaustion_within_quarter_delta", r1 < delta / 4,
+                 f"rho1 {r1:.6g} vs {delta / 4:.6g}")
+    return report, G, member
+
+
 def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     """The end-to-end construction: arbitrarily rho1-close to the input
     domain, produce a domain whose kernel carries a certified zero.
@@ -525,31 +550,12 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     input places an annulus x disc product (log-convexity validated) and
     certifies on the annulus-factor slice.
     """
-    spec = config.shapes["target"]
-    if spec["shape"] == "reinhardt-profile":
+    if config.shapes["target"]["shape"] == "reinhardt-profile":
         return _run_nowhere_density_c2(config)
-    h = config.h
-    delta = float(config.delta)
-    G = make_domain(spec, h)
+    report, G, member = _exhausted_start(config, connected=config.connected)
+    h, delta = config.h, float(config.delta)
     window = config.basis_window
     n_neg, n_pos = window
-
-    report = ExperimentReport(
-        experiment="nowhere-density",
-        metadata={"h": h, "seed": config.seed, "basis_window": list(window),
-                  "target": spec, "delta": delta,
-                  "connected": config.connected},
-        columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
-
-    # stage 1: exhaust within delta/4.  Corners of the level set move by
-    # eps * sqrt(2), so the depth budget uses delta/10 rather than delta/8.
-    eps = max(delta / 10 - 2 * h, 1.5 * h)
-    member = interior_exhaustion(G, [eps]).members[0]
-    r1 = rho1(member, G)
-    report.add_row(stage=0, step="exhaust", rho1_to_target=r1,
-                   rho2_to_target=rho2(member, G), detail=f"depth {eps:.6g}")
-    report.check("exhaustion_within_quarter_delta", r1 < delta / 4,
-                 f"rho1 {r1:.6g} vs {delta / 4:.6g}")
 
     # stage 2: place a small annulus of diameter < delta/4 within delta/4
     R_d = 0.99 * delta / 8
@@ -626,27 +632,9 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
 def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
     """Reinhardt-profile variant: place an annulus x disc product near the
     profile and certify on the annulus-factor slice."""
-    spec = config.shapes["target"]
-    h = config.h
-    delta = float(config.delta)
-    G = make_domain(spec, h)
-    window = config.basis_window
-    n_neg, n_pos = window
-
-    report = ExperimentReport(
-        experiment="nowhere-density",
-        metadata={"h": h, "seed": config.seed, "basis_window": list(window),
-                  "target": spec, "delta": delta,
-                  "mode": "reinhardt"},
-        columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
-
-    eps = max(delta / 10 - 2 * h, 1.5 * h)
-    member = interior_exhaustion(G, [eps]).members[0]
-    r1 = rho1(member, G)
-    report.add_row(stage=0, step="exhaust", rho1_to_target=r1,
-                   rho2_to_target=rho2(member, G), detail=f"depth {eps:.6g}")
-    report.check("exhaustion_within_quarter_delta", r1 < delta / 4,
-                 f"rho1 {r1:.6g} vs {delta / 4:.6g}")
+    report, G, member = _exhausted_start(config, mode="reinhardt")
+    h, delta = config.h, float(config.delta)
+    n_neg, n_pos = config.basis_window
 
     # place an annulus x disc product beyond the profile in r1: its profile
     # is the rectangle (r1_lo, 0) x (r1_lo + ring, r2_hi)

@@ -88,7 +88,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     dom = model.domain
     if dom is None:
         raise ZeroSearchError("model carries no grid domain to scan")
-    w_comp = dom.component_of(w0)
+    w_comp = int(dom.labels_at(w0))
     if w_comp == 0:
         raise ZeroSearchError(f"w0 = {w0} is outside the domain")
     target = w_comp if component is None else component
@@ -186,7 +186,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
     else:
         f = lambda zs: model.eval_many(zs, w0)
         err, dom = float(model.eval_error_estimate(w0)), model.domain
-    w_comp = dom.component_of(w0) if dom is not None else 0
+    w_comp = int(dom.labels_at(w0)) if dom is not None else 0
 
     def require_component(points, what):
         if dom is not None:

@@ -349,8 +349,8 @@ def test_criterion_8_kernel_algebra():
         dw = model.diagonal(ws)
         assert (dz > 0).all() and (dw > 0).all(), f"{name}: diagonal positivity"
 
-        labels_z = [dom.component_of(z) for z in zs]
-        labels_w = [dom.component_of(w) for w in ws]
+        labels_z = dom.labels_at(zs)
+        labels_w = dom.labels_at(ws)
         for z, w, a, b, lz, lw in zip(zs, ws, dz, dw, labels_z, labels_w):
             kzw = model.eval(z, w)
             kwz = model.eval(w, z)

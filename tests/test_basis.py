@@ -323,7 +323,7 @@ def test_negative_power_rejected_with_pole_on_a_node():
     # is a quadrature node sitting on the pole
     c = 0.005 + 0.005j
     U = make_domain(annulus(c, 0.004, 1), h=0.01)
-    assert not U.contains(c)
+    assert U.labels_at(c) == 0
     with pytest.raises(bs.BasisError):
         bs.gram_matrix(bs.laurent(c, 1, 1), U)
 

@@ -206,7 +206,6 @@ def test_labels_at_matches_the_point_rules():
         on = 0 <= i < U.nx and 0 <= j < U.ny
         assert lab == (U.component_labels[i, j] if on else 0)
         assert U.cell_of(p) == ((i, j) if on else None)
-        assert lab == U.component_of(p) and (lab > 0) == U.contains(p)
     assert U.labels_at(5 + 5j) == 0 and U.cell_of(5 + 5j) is None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from blab import basis as bs
 from blab import kernel as kn
+from blab import zeros
 from blab.geom import (annulus, barbell_sequence, disc, interior_exhaustion,
                        make_domain, rectangle, reinhardt_profile, union)
 
@@ -495,6 +496,48 @@ def test_c2_model_applies_the_domain_rules_in_every_call(ring_times_disc_model):
     _rows_match_scalar_calls(two, zs, ws)
 
 
+def test_slice_answers_on_its_own_domain(ring_times_disc_model):
+    sl = ring_times_disc_model.slice_fixed_last(0.8)
+    # p sits in a slice cell whose center has |c| < 1, but |p| > 1 is off
+    # the profile: the slice reads its own domain, not the profile cell
+    p = 0.7075 + 0.7075j
+    assert sl.domain.labels_at(p) > 0 and abs(p) > 1
+    assert np.isfinite(sl.eval(p, 0.8)) and sl.eval(p, 0.8) != 0
+    assert sl.eval(-0.7 + 0.1j, 0.8) == ring_times_disc_model.eval(
+        (-0.7 + 0.1j, 0.8), (0.8, 0.8))
+    # every point of every slice cell, near its corners
+    cells = sl.domain.centers_of(sl.domain.mask)
+    for d in (0.49 + 0.49j, 0.49 - 0.49j, -0.49 + 0.49j, -0.49 - 0.49j):
+        q = cells + d * sl.domain.h
+        q = q[sl.domain.labels_at(q) > 0]
+        assert np.isfinite(sl.eval_many(q, 0.8)).all()
+    # refinement started at outer edge cells probes h/4 off them; three of
+    # these starts reached a point off the profile cell when the slice read
+    # the profile
+    edges = sl.domain.centers_at(sl.domain.boundary.cells)
+    for e in edges[np.abs(edges) > 0.9][::4]:
+        best = zeros.refine_minimum(sl, -0.9j, e, sl.domain.h)
+        assert sl.domain.labels_at(best) > 0
+    with pytest.raises(kn.OutsideDomainError):
+        sl.eval(0.3, 0.8)
+
+
+def test_slice_zero_across_profile_components():
+    # at r2 = 0.5 the slice is two annuli, one per profile rectangle
+    profile = make_domain(reinhardt_profile(union(
+        rectangle((0.2, 0), (0.45, 1)), rectangle((0.6, 0), (1, 1)))), h=0.01)
+    two = kn.fit_kernel(profile, bs.reinhardt_window(-4, 4, 4))
+    sl = two.slice_fixed_last(0.5)
+    assert sl.domain.n_components == 2
+    zs = np.array([0.3, -0.35j, 0.7, 0.9j, 0.7075 + 0.7075j])
+    assert sl.domain.labels_at(zs).all()
+    rows = sl.eval_many(zs, np.array([0.4, 0.8j]))
+    assert (rows[0, 2:] == 0).all() and (rows[0, :2] != 0).all()
+    assert (rows[1, :2] == 0).all() and (rows[1, 2:] != 0).all()
+    assert rows[1, 2] == two.eval((0.7, 0.5), (0.8j, 0.5))
+    _rows_match_scalar_calls(sl, zs, np.array([0.4, 0.8j]))
+
+
 def test_every_kernel_answers_the_protocol(disc_model, ring_times_disc_model):
     disc_cf = kn.closed_form(disc(0, 1))
     prod = kn.closed_form({"shape": "product",
@@ -576,8 +619,8 @@ def test_reinhardt_slice_matches_full_eval(ring_times_disc_model):
     z1, w1 = -0.7 + 0.1j, 0.8
     assert sl.eval(z1, w1) == pytest.approx(
         model.eval((z1, 0.3), (w1, 0.3)), rel=1e-12)
-    assert sl.domain.contains(0.7 + 0j)
-    assert not sl.domain.contains(0.3 + 0j)
+    assert sl.domain.labels_at(0.7 + 0j) > 0
+    assert sl.domain.labels_at(0.3 + 0j) == 0
 
 
 def test_product_slice_scales_first_factor():

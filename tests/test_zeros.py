@@ -120,7 +120,7 @@ def test_scan_finds_annulus_zero_basin(annulus_cf):
 def test_scan_cross_component_reported_distinctly():
     U = make_domain(union(disc(-2, 0.8), disc(2, 0.8)), h=0.02)
     model = kn.fit_kernel(U, bs.monomials(0, 8))
-    other = U.component_of(2 + 0j)
+    other = int(U.labels_at(2 + 0j))
     scan = zr.scan_min_modulus(model, -2 + 0j, stride=4, component=other)
     assert scan.cross_component
     assert scan.candidates == ()
@@ -135,7 +135,7 @@ def test_scan_outside_w0_rejected(disc_cf):
 def _scan_full_grid(model, w0, stride=4, component=None, bbox=None):
     """The full-grid scan that the window-local one replaced, as the oracle."""
     dom = model.domain
-    w_comp = dom.component_of(w0)
+    w_comp = int(dom.labels_at(w0))
     target = w_comp if component is None else component
     sub = dom.component_labels == target
     if bbox is not None:
@@ -199,8 +199,8 @@ def test_window_scan_equals_full_grid_scan(ring_and_disc_fit, stride, bbox,
     w0 = 0.8 + 0.02j
     component = None
     if other_component:
-        component = model.domain.component_of(2.2 + 0j)
-        assert component != model.domain.component_of(w0)
+        component = int(model.domain.labels_at(2.2 + 0j))
+        assert component != model.domain.labels_at(w0)
     try:
         want = _scan_full_grid(model, w0, stride, component, bbox)
     except zr.ZeroSearchError as e:
