@@ -22,13 +22,17 @@ one contiguous row, so a block goes to zherk (trans='C') without a copy.
 Whitening (`GramFactor.whiten`) calls LAPACK's triangular solve ztrtrs
 directly, on a right side written in its Fortran order by the division
 by the scale.
+
+A fit takes one path, and either fits or fails loudly: `gram_matrix`
+raises BasisError on a term whose squared norm is not a positive normal
+float, and `factorize` raises FactorizationError the first time Cholesky
+of the normalized Gram fails.  Every term is kept, and the Gram is
+factored as assembled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -38,8 +42,6 @@ from scipy.linalg.lapack import ztrtrs
 
 from .geom import FOUR_CONN, GridDomain, PLANAR, REINHARDT
 
-DROP_FLOOR = 1e-290         # diagonal entries at underflow scale carry no signal
-REGULARIZATION = 1e-12      # diagonal shift factor for the factorization retry
 GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
 
 
@@ -48,7 +50,8 @@ class BasisError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """Gram factorization failed even after regularization."""
+    """Cholesky factorization of the normalized Gram matrix failed: the
+    basis is numerically dependent on the domain."""
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,6 @@ class BasisSpec:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def subset(self, indices: Sequence[int]) -> "BasisSpec":
-        return BasisSpec(terms=tuple(self.terms[i] for i in indices), kind=self.kind)
 
 
 def monomials(center: complex, degree: int) -> BasisSpec:
@@ -242,25 +242,11 @@ class GramMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def subset(self, indices: Sequence[int]) -> "GramMatrix":
-        idx = np.asarray(indices)
-        sub = self.matrix[np.ix_(idx, idx)].copy()
-        return GramMatrix(matrix=sub, basis=self.basis.subset(indices),
-                          conditioning=_normalized_cond(sub))
-
 
 def _normalized_cond(G: np.ndarray) -> float:
-    """Conditioning of the diagonally normalized matrix, computed over the
-    block of healthy diagonal entries (underflowed rows carry no signal and
-    would poison the eigensolve)."""
-    diag = np.diag(G).real
-    healthy = np.isfinite(diag) & (diag > DROP_FLOOR)
-    if not healthy.any():
-        return math.inf
-    H = G[np.ix_(healthy, healthy)]
-    d = np.sqrt(np.abs(np.diag(H).real))
-    C = H / np.outer(d, d)
-    eig = np.linalg.eigvalsh(C)
+    """Conditioning of the diagonally normalized matrix."""
+    d = np.sqrt(np.diag(G).real)
+    eig = np.linalg.eigvalsh(G / np.outer(d, d))
     lo = max(float(eig[0]), 1e-300)
     return float(eig[-1]) / lo
 
@@ -280,6 +266,11 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
     the stored matrix is exactly Hermitian with a real diagonal.
     Reinhardt cross terms between distinct bidegrees vanish analytically
     and are set to zero.
+
+    A term whose diagonal entry, its squared norm on U, is not a finite
+    positive normal float carries no usable signal (a norm that underflows
+    on a small domain, say): it raises BasisError, naming the first such
+    term.
     """
     check_admissible(basis, U)
     N = len(basis)
@@ -307,6 +298,14 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
         G = np.zeros((N, N), dtype=complex)
         for i, t in enumerate(basis.terms):
             G[i, i] = np.sum(r1 ** (2 * t.a + 1) * r2 ** (2 * t.b + 1)) * w
+    diag = np.diag(G).real
+    bad = ~(np.isfinite(diag) & (diag >= np.finfo(float).tiny))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BasisError(
+            f"term {basis.terms[i].label()!r} has squared norm "
+            f"{float(diag[i])!r} on the domain, not a finite positive normal "
+            "float: drop it from the basis")
     trace = float(np.trace(G).real)
     eig_min = float(np.linalg.eigvalsh(G)[0])
     if eig_min <= -1e-10 * trace:
@@ -331,10 +330,6 @@ class GramFactor:
 
     lower: np.ndarray
     scale: np.ndarray
-    basis: BasisSpec
-    conditioning: float
-    regularized: bool = False
-    shift: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.lower).all():
@@ -375,37 +370,23 @@ class GramFactor:
 
 
 def factorize(G: GramMatrix) -> GramFactor:
-    """Triangular factorization enabling solves G x = y.
+    """Cholesky factorization of the diagonally normalized Gram matrix
+    C = G / (s s^T), enabling solves G x = y.
 
-    Factorization happens on the diagonally normalized matrix C (unit
-    diagonal), so a failed attempt is retried once with the diagonal shift
-    1e-12 * trace(C) / N = 1e-12 applied there; the shift is recorded.
-    Shifting the raw matrix instead would scale with the largest diagonal
-    entry and erase every small-norm direction of a wide-scale basis.
-    A second failure signals a numerically dependent basis.
+    The factorization is attempted once: if Cholesky fails, C is not
+    numerically positive definite, the basis is dependent on the domain,
+    and FactorizationError is raised.
     """
     s = np.sqrt(np.abs(np.diag(G.matrix).real))
     if (s == 0).any():
         raise FactorizationError("Gram matrix has a zero diagonal entry")
-    C = G.matrix / np.outer(s, s)
-    shift = 0.0
-    regularized = False
-    for attempt in range(2):
-        try:
-            L = np.linalg.cholesky(C)
-            cond = _normalized_cond(C) if regularized else G.conditioning
-            return GramFactor(lower=L, scale=s, basis=G.basis,
-                              conditioning=cond,
-                              regularized=regularized, shift=shift)
-        except np.linalg.LinAlgError:
-            if attempt == 1:
-                break
-            shift = REGULARIZATION * float(np.trace(C).real) / G.n
-            C = C + shift * np.eye(G.n)
-            regularized = True
-    raise FactorizationError(
-        "Gram factorization failed after regularization: numerically dependent "
-        "basis; shrink the basis window")
+    try:
+        L = np.linalg.cholesky(G.matrix / np.outer(s, s))
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            "Gram factorization failed: numerically dependent basis; "
+            "shrink the basis window") from None
+    return GramFactor(lower=L, scale=s)
 
 
 # ---------------------------------------------------------------------------

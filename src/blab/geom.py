@@ -468,11 +468,6 @@ def domain_union(U: GridDomain, V: GridDomain) -> GridDomain:
     return GridDomain(origin=origin, h=U.h, mask=mU | mV, kind=U.kind)
 
 
-def domain_difference(U: GridDomain, V: GridDomain) -> GridDomain:
-    mU, mV, origin = _aligned_masks(U, V)
-    return GridDomain(origin=origin, h=U.h, mask=mU & ~mV, kind=U.kind)
-
-
 # ---------------------------------------------------------------------------
 # distance fields and discretized sets
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ class KernelModel(Kernel):
     gram: bs.GramMatrix
     factor: bs.GramFactor
     domain: GridDomain
-    dropped: tuple = ()
 
     @property
     def n_terms(self) -> int:
@@ -131,34 +130,26 @@ class KernelModel(Kernel):
         local kernel magnitude.
         """
         kww = float(self.diagonal(np.array([w]))[0])
-        amp = math.sqrt(max(self.factor.conditioning, 1.0))
+        amp = math.sqrt(max(self.gram.conditioning, 1.0))
         return EVAL_ERROR_COEFF * amp * (1.0 + kww)
 
 
 def fit_kernel(U: GridDomain, basis: bs.BasisSpec):
-    """Fit the finite-rank kernel of the basis span on U.
+    """Fit the finite-rank kernel of the basis span on U, keeping every term.
 
-    Terms whose diagonal Gram entry is zero, nonfinite, or degraded to the
-    subnormal range are dropped before factorization: their whitened columns
-    carry no information.  Well-scaled terms are kept regardless of the
-    spread between diagonal entries; the diagonal normalization inside the
-    factorization makes the solve scale-free.  Reinhardt profiles get a
+    Well-scaled terms fit regardless of the spread between diagonal
+    entries; the diagonal normalization inside the factorization makes the
+    solve scale-free.  A term whose norm underflows on U raises BasisError
+    (from `gram_matrix`), and a numerically dependent basis raises
+    FactorizationError (from `factorize`).  Reinhardt profiles get a
     diagonal model.
     """
     gram = bs.gram_matrix(basis, U)
-    diag = np.diag(gram.matrix).real
-    keep = np.nonzero(np.isfinite(diag) & (diag > bs.DROP_FLOOR))[0]
-    dropped: tuple = ()
-    if len(keep) < gram.n:
-        dropped = tuple(basis.terms[i] for i in range(gram.n) if i not in set(keep))
-        gram = gram.subset(keep)
     if U.kind == REINHARDT:
         return ReinhardtKernelModel(
-            basis=gram.basis, norms=np.diag(gram.matrix).real.copy(),
-            profile=U, dropped=dropped)
-    factor = bs.factorize(gram)
-    return KernelModel(basis=gram.basis, gram=gram, factor=factor,
-                       domain=U, dropped=dropped)
+            basis=basis, norms=np.diag(gram.matrix).real.copy(), profile=U)
+    return KernelModel(basis=basis, gram=gram, factor=bs.factorize(gram),
+                       domain=U)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +231,7 @@ def _blockwise(series, s):
     return out.reshape(np.shape(s))
 
 
-def _shifted(z, w, center: complex):
+def _centered_product(z, w, center: complex):
     """s = (z - c) conj(w - c); one row per w when w is a 1-D array."""
     zc = np.asarray(z, dtype=complex) - center
     wc = np.conj(np.asarray(w, dtype=complex) - center)
@@ -264,7 +255,7 @@ class DiscKernel(Kernel):
     domain: GridDomain | None = None
 
     def eval_many(self, zs, w):
-        s = _shifted(zs, w, self.center)
+        s = _centered_product(zs, w, self.center)
         r2 = self.r * self.r
         if self.truncation is None:
             return r2 / (np.pi * (r2 - s) ** 2)
@@ -298,7 +289,7 @@ class AnnulusKernel(Kernel):
     2 pi log(R/rho) for n = -1.  Evaluation is carried out on the scaled
     variables s/R^2 and rho^2/s so that scaled copies of the annulus stay in
     floating range, by Horner loops over SERIES_BLOCK elements at a time
-    (bit-identical to one pass); the dropped tail is bounded by recorded
+    (bit-identical to one pass); the truncated tail is bounded by recorded
     geometric sums.
     """
 
@@ -332,7 +323,7 @@ class AnnulusKernel(Kernel):
         return np.concatenate([[first], rest])
 
     def eval_many(self, zs, w):
-        s = _shifted(zs, w, self.center)
+        s = _centered_product(zs, w, self.center)
         mod = np.abs(s)
         if np.any(mod <= self.rho ** 2) or np.any(mod >= self.R ** 2):
             bad = s.ravel()[np.argmax((mod <= self.rho ** 2)
@@ -356,7 +347,7 @@ class AnnulusKernel(Kernel):
         return _blockwise(block, s)
 
     def tail_bound(self, s_abs: float) -> float:
-        """Upper bound on the modulus of the dropped series tail at |s|."""
+        """Upper bound on the modulus of the truncated series tail at |s|."""
         M = self.truncation
         q = s_abs / self.R ** 2
         u = self.rho ** 2 / s_abs
@@ -543,7 +534,6 @@ class ReinhardtKernelModel(Kernel):
     basis: bs.BasisSpec
     norms: np.ndarray
     profile: GridDomain
-    dropped: tuple = ()
 
     def __post_init__(self):
         self.norms.setflags(write=False)

@@ -386,13 +386,13 @@ def test_blocked_series_equal_one_pass(monkeypatch, block):
              (kn.AnnulusKernel(c, 0.5, 1.0, 12), _annulus_series_one_pass)]
     for K, one_pass in cases:
         for z, w in ((zs[:57], ws[0]), (zs[:19], ws[:3]), (zs, ws)):
-            want = one_pass(K, kn._shifted(z, w, c))
+            want = one_pass(K, kn._centered_product(z, w, c))
             got = K.eval_many(z, w)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # a scalar keeps numpy scalar arithmetic, which rounds differently
         # from a 1-element array
-        s = kn._shifted(np.complex128(zs[0]), ws[0], c)
+        s = kn._centered_product(np.complex128(zs[0]), ws[0], c)
         got = K.eval_many(np.complex128(zs[0]), ws[0])
         assert np.ndim(got) == 0
         assert np.complex128(got).tobytes() == \
@@ -556,7 +556,7 @@ def test_every_kernel_answers_the_protocol(disc_model, ring_times_disc_model):
 
 
 # ---------------------------------------------------------------------------
-# dropped terms
+# one fit path: every term kept, or a loud failure
 # ---------------------------------------------------------------------------
 
 def test_wide_scale_spread_keeps_all_terms():
@@ -565,21 +565,28 @@ def test_wide_scale_spread_keeps_all_terms():
     U = make_domain(disc(0, 0.05), h=0.002)
     model = kn.fit_kernel(U, bs.monomials(0, 14))
     assert model.n_terms == 15
-    assert model.dropped == ()
     # oracle: scaled closed form K_rD(0, 0) = 1/(pi r^2); the 25-cell
     # diameter caps the quadrature accuracy at the percent level
     assert model.eval(0, 0).real == pytest.approx(1 / (np.pi * 0.05 ** 2),
                                                   rel=2e-2)
 
 
-def test_underflowed_terms_dropped():
-    # at radius 0.01 the degree-80 norm sits below the subnormal floor and
-    # carries no signal; the fit prunes it and stays usable
+def test_underflowed_term_rejected():
+    # at radius 0.01 the squared norm pi r^(2n+2) / (n+1) of z^n falls below
+    # the smallest normal float (2.2e-308) first at n = 76: the fit raises,
+    # naming that term
     U = make_domain(disc(0, 0.01), h=0.0005)
-    model = kn.fit_kernel(U, bs.monomials(0, 80))
-    assert model.n_terms < 81
-    assert model.eval(0, 0).real == pytest.approx(1 / (np.pi * 0.01 ** 2),
-                                                  rel=2e-2)
+    with pytest.raises(bs.BasisError, match="'planar 0.0 0.0 76'"):
+        kn.fit_kernel(U, bs.monomials(0, 80))
+
+
+def test_double_spanned_polynomials_fail_to_factor():
+    # a Laurent window already spans the polynomials, so monomials at a
+    # second center make the basis numerically dependent, and the fit raises
+    U = make_domain(union(annulus(0.03 + 0.02j, 0.5, 1), disc(2.2, 0.4)), h=0.02)
+    with pytest.raises(bs.FactorizationError):
+        kn.fit_kernel(U, bs.merged(bs.laurent(0.03 + 0.02j, 8, 8),
+                                   bs.monomials(2.2, 4)))
 
 
 # ---------------------------------------------------------------------------

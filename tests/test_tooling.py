@@ -8,6 +8,7 @@ that a refactor which unbinds a traced name fails here and not only in a
 traced benchmark run.  The benchmark files are imported, never changed.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,8 @@ def test_layer_targets_install_and_restore(bench):
     names = {s.name for s in rec.spans}
     assert {"geom.make_domain", "kernel.fit", "basis.gram",
             "kernel.eval_many", "kernel.whiten"} <= names
+    # the tracer reads the fitted Gram's conditioning
+    assert math.isfinite(rec.maxima["basis.cond_max"])
     for owner, saved in before.items():
         now = vars(owner)
         assert now.keys() == saved.keys()
