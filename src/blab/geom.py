@@ -44,6 +44,7 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 SUBSAMPLES = 32     # per axis, for the area fraction of a cut cell
 TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
 PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
+PAD_CELLS = 2       # cells of array margin around a rasterized shape
 
 
 class GeomError(ValueError):
@@ -142,8 +143,7 @@ class GridDomain:
     @cached_property
     def distance(self) -> DistanceField:
         """The domain's exact distance field, computed on first use."""
-        return DistanceField(origin=self.origin, h=self.h, kind=self.kind,
-                             values=_edt(self.mask, self.h, self.kind, self.origin))
+        return DistanceField(_edt(self.mask, self.h, self.kind, self.origin))
 
     @cached_property
     def boundary(self) -> BoundaryCells:
@@ -189,12 +189,16 @@ class GridDomain:
         j = np.floor((pts.imag - self.origin[1]) / self.h).astype(np.intp)
         return i, j, (i >= 0) & (i < self.nx) & (j >= 0) & (j < self.ny)
 
+    def values_at(self, values: np.ndarray, points) -> np.ndarray:
+        """Entry of a cell array of the mask's shape at the cell holding
+        each point, in the shape of points: 0 off the array."""
+        i, j, on = self._indices(points)
+        return np.where(on, values[np.where(on, i, 0), np.where(on, j, 0)], 0)
+
     def labels_at(self, points) -> np.ndarray:
         """Component label of the cell holding each point, in the shape of
         points: 0 off the array or outside the domain."""
-        i, j, on = self._indices(points)
-        return np.where(on, self.component_labels[np.where(on, i, 0),
-                                                  np.where(on, j, 0)], 0)
+        return self.values_at(self.component_labels, points)
 
     def cell_of(self, point: complex) -> tuple[int, int] | None:
         """Indices of the cell containing the point, or None if off-array."""
@@ -204,25 +208,16 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Sampled distance-to-complement d_U on the lattice of its domain.
+    """Sampled distance-to-complement d_U on the lattice of its domain,
+    read at points through `GridDomain.values_at`.
 
     Values are zero exactly on cells outside the domain mask.
     """
 
-    origin: tuple[float, float]
-    h: float
     values: np.ndarray
-    kind: str = PLANAR
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    def at(self, point: complex) -> float:
-        i = math.floor((point.real - self.origin[0]) / self.h)
-        j = math.floor((point.imag - self.origin[1]) / self.h)
-        if 0 <= i < self.values.shape[0] and 0 <= j < self.values.shape[1]:
-            return float(self.values[i, j])
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -390,8 +385,8 @@ def _area_fractions(spec: dict, mask: np.ndarray, cx: np.ndarray,
 
 
 def make_domain(spec: dict, h: float,
-                bounds: tuple[float, float, float, float] | None = None,
-                pad: int = 2) -> GridDomain:
+                bounds: tuple[float, float, float, float] | None = None
+                ) -> GridDomain:
     """Rasterize a shape spec: mask true exactly where cell centers satisfy it.
 
     The lattice origin is snapped to an integer multiple of h so that domains
@@ -404,12 +399,12 @@ def make_domain(spec: dict, h: float,
     if bounds is None:
         bounds = _spec_bbox(spec)
     x0, y0, x1, y1 = bounds
-    ox = (math.floor(x0 / h) - pad) * h
-    oy = (math.floor(y0 / h) - pad) * h
+    ox = (math.floor(x0 / h) - PAD_CELLS) * h
+    oy = (math.floor(y0 / h) - PAD_CELLS) * h
     if kind == REINHARDT:
         ox, oy = max(ox, 0.0), max(oy, 0.0)
-    nx = int(math.ceil((x1 - ox) / h)) + pad
-    ny = int(math.ceil((y1 - oy) / h)) + pad
+    nx = int(math.ceil((x1 - ox) / h)) + PAD_CELLS
+    ny = int(math.ceil((y1 - oy) / h)) + PAD_CELLS
     cx = _axis_centers(ox, nx, h)
     cy = _axis_centers(oy, ny, h)
     X, Y = np.meshgrid(cx, cy, indexing="ij")

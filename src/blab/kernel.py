@@ -38,6 +38,14 @@ from .geom import (
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
 PROBE_CHUNK = 64            # w probes per eval_many call in kernel_error
 SERIES_BLOCK = 4096         # elements per Horner pass of a closed-form series
+Z_STRIDE = 4                # z probe lattice of kernel_error(_c2), in cells
+W_STRIDE = 16               # w probe lattice of kernel_error, in cells
+C2_W_PROBES = 12            # seeded w draws of kernel_error_c2
+DEFAULT_SEED = 1729         # probe seed of every seeded draw by default
+RESIDUAL_STRIDE = 8         # probe lattice of reproducing_residual, in cells
+EXTREMAL_TOL = 1e-8         # relative slack of the extremal constraint
+TAIL_TOL = 1e-10            # tail bound of an automatic annulus truncation
+SIGN_SCAN_SAMPLES = 4000    # scan points of diagonal_sign_changes
 
 
 class KernelError(ValueError):
@@ -156,20 +164,19 @@ def fit_kernel(U: GridDomain, basis: bs.BasisSpec):
 # extremal characterization and reproducing residual
 # ---------------------------------------------------------------------------
 
-def extremal_value(model: KernelModel, z: complex,
-                   tol: float = 1e-8) -> tuple[float, np.ndarray]:
+def extremal_value(model: KernelModel, z: complex) -> tuple[float, np.ndarray]:
     """Maximize f(z) over the basis span subject to f(z) >= ||f||^2.
 
     The optimizer is the kernel section at z: solving G c = conj(b(z)) gives
     f with f(z) = ||f||^2 = K(z, z).  The constraint is verified to hold with
-    equality to the stated relative tolerance.
+    equality to the relative tolerance EXTREMAL_TOL.
     """
     _require_inside(model.domain, z)
     bz = bs.term_matrix(model.basis, np.array([z]))[0]
     c = model.factor.solve(np.conj(bz))
     value = (bz @ c).real
     norm_sq = (np.conj(c) @ (model.gram.matrix @ c)).real
-    if abs(norm_sq - value) > tol * max(abs(value), 1e-300):
+    if abs(norm_sq - value) > EXTREMAL_TOL * max(abs(value), 1e-300):
         raise KernelError(
             f"extremal constraint violated: f(z)={value:.6e}, "
             f"||f||^2={norm_sq:.6e}")
@@ -177,8 +184,7 @@ def extremal_value(model: KernelModel, z: complex,
 
 
 def reproducing_residual(model: KernelModel, i: int,
-                         quadrature: GridDomain | None = None,
-                         probe_stride: int = 8) -> float:
+                         quadrature: GridDomain | None = None) -> float:
     """Residual of the reproducing identity for basis term i.
 
     max over probe z of |int K(z, w) b_i(w) dV(w) - b_i(z)| / (1 + |b_i(z)|),
@@ -195,7 +201,7 @@ def reproducing_residual(model: KernelModel, i: int,
     Vq = model.factor.whiten(Bq)
     q = (Vq * (np.conj(Bq[:, i]) * frac)[None, :]).sum(axis=1) * quad.h * quad.h
 
-    probes = _probe_centers(model.domain, model.domain.mask, probe_stride)
+    probes = _probe_centers(model.domain, model.domain.mask, RESIDUAL_STRIDE)
     Vz = model.whitened(probes)
     integral = np.conj(q) @ Vz
     target = bs.term_matrix(model.basis, probes)[:, i]
@@ -378,12 +384,12 @@ class AnnulusKernel(Kernel):
         return float((self._pos_coefs() * u ** n).sum()
                      + (self._neg_coefs() * v ** m).sum())
 
-    def diagonal_sign_changes(self, samples: int = 4000) -> list[float]:
+    def diagonal_sign_changes(self) -> list[float]:
         """Real zeros of the truncated series on the negative axis of the
         convergence annulus rho^2 < |s| < R^2 (bisection after a sign scan)."""
         lo = -self.R ** 2 * 0.995
         hi = -self.rho ** 2 * 1.005
-        ss = np.linspace(lo, hi, samples)
+        ss = np.linspace(lo, hi, SIGN_SCAN_SAMPLES)
         vals = self._series(ss.astype(complex)).real
         roots = []
         for k in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
@@ -405,15 +411,13 @@ class AnnulusKernel(Kernel):
         return float(self._series(np.complex128(s)).real)
 
 
-def annulus_auto_truncation(rho: float, R: float, tol: float = 1e-10,
-                            band: tuple[float, float] | None = None) -> int:
-    """Smallest truncation whose tail bound is below tol across the probe
-    band of |s| (default: radii 5 percent inside the annulus of convergence)."""
-    if band is None:
-        band = ((1.05 * rho) ** 2, (0.95 * R) ** 2)
+def annulus_auto_truncation(rho: float, R: float) -> int:
+    """Smallest truncation whose tail bound is below TAIL_TOL across the
+    probe band of |s|: radii 5 percent inside the annulus of convergence."""
     for M in range(8, 4097):
         k = AnnulusKernel(0, rho, R, M)
-        if k.tail_bound(band[0]) < tol and k.tail_bound(band[1]) < tol:
+        if (k.tail_bound((1.05 * rho) ** 2) < TAIL_TOL
+                and k.tail_bound((0.95 * R) ** 2) < TAIL_TOL):
             return M
     raise KernelError("no admissible truncation below 4096 terms")
 
@@ -491,7 +495,7 @@ def closed_form(spec: dict, truncation: int | None = None,
     disc: exact rational form, or the degree-`truncation` series when a
     truncation is given (for matched comparison against a fitted model).
     annulus: Laurent series; `truncation` defaults to the smallest order
-    whose recorded tail bound is below 1e-10 on the probe band.
+    whose recorded tail bound is below TAIL_TOL on the probe band.
     product: factors built recursively.  ball: {"shape": "ball", "n": k}.
     Passing h attaches a rasterized grid for scanning.
     """
@@ -666,29 +670,28 @@ def compact_cells(domain: GridDomain, margin: float) -> np.ndarray:
 
 
 def kernel_error(models, reference, margin: float,
-                 domain: GridDomain | None = None,
-                 zstride: int = 4, wstride: int = 16) -> tuple[float, ...]:
+                 domain: GridDomain | None = None) -> tuple[float, ...]:
     """Max |K_model - K_reference| for each model of a sequence, over one
     deterministic probe-pair lattice of the compact set {depth > margin} of
     the reference domain (by default the reference's own, else the first
     model's).
 
-    z runs over every 4th cell of the compact set along each axis, w over
-    every 16th; every model and the reference are evaluated on exactly the
-    same pairs.  When the compact set is too small for a stride lattice the
-    stride halves until probes exist.  Each PROBE_CHUNK w probes make one
-    `eval_many` call (an array of w, one row per w) on the reference, whose
-    rows every model is then compared with, so the reference is evaluated
-    once per run of a domain sequence, and memory holds one reference chunk
-    and one model chunk whatever the number of models.  Returns one float
-    per model, each equal to a one-model call.
+    z runs over every Z_STRIDE-th cell of the compact set along each axis, w
+    over every W_STRIDE-th; every model and the reference are evaluated on
+    exactly the same pairs.  When the compact set is too small for a stride
+    lattice the stride halves until probes exist.  Each PROBE_CHUNK w probes
+    make one `eval_many` call (an array of w, one row per w) on the
+    reference, whose rows every model is then compared with, so the
+    reference is evaluated once per run of a domain sequence, and memory
+    holds one reference chunk and one model chunk whatever the number of
+    models.  Returns one float per model, each equal to a one-model call.
     """
     models = tuple(models)
     if domain is None:
         domain = reference.domain or models[0].domain
     cells = compact_cells(domain, margin)
-    z_probes = _probe_centers_dense_enough(domain, cells, zstride)
-    w_probes = _probe_centers_dense_enough(domain, cells, wstride)
+    z_probes = _probe_centers_dense_enough(domain, cells, Z_STRIDE)
+    w_probes = _probe_centers_dense_enough(domain, cells, W_STRIDE)
     worst = [0.0] * len(models)
     for start in range(0, w_probes.size, PROBE_CHUNK):
         ws = w_probes[start:start + PROBE_CHUNK]
@@ -709,32 +712,30 @@ def _probe_centers_dense_enough(domain: GridDomain, cells: np.ndarray,
     return domain.centers_of(cells)
 
 
-def reinhardt_probe_pairs(profile: GridDomain, margin: float,
-                          stride: int = 4, n_w: int = 12,
-                          seed: int = 1729) -> tuple[np.ndarray, np.ndarray]:
+def reinhardt_probe_pairs(profile: GridDomain,
+                          margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic C^2 probe points over the compact profile cells.
 
-    Radii come from the stride sub-lattice of {profile depth > margin}; the
-    torus phases cycle through a fixed golden-angle table.
+    Radii come from the Z_STRIDE sub-lattice of {profile depth > margin}; the
+    torus phases cycle through a fixed golden-angle table, and C2_W_PROBES of
+    the points, drawn with DEFAULT_SEED, are the w probes.
     """
     cells = compact_cells(profile, margin)
-    pts = _probe_centers(profile, cells, stride)
+    pts = _probe_centers(profile, cells, Z_STRIDE)
     golden = 2 * np.pi * 0.381966011250105
     phases = np.exp(1j * golden * np.arange(2 * pts.size).reshape(-1, 2))
     zs = np.column_stack([pts.real * phases[:pts.size, 0],
                           pts.imag * phases[:pts.size, 1]])
-    rng = np.random.default_rng(seed)
-    widx = rng.choice(pts.size, size=min(n_w, pts.size), replace=False)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    widx = rng.choice(pts.size, size=min(C2_W_PROBES, pts.size), replace=False)
     ws = zs[widx]
     return zs, ws
 
 
-def kernel_error_c2(model, reference, margin: float,
-                    profile: GridDomain | None = None) -> float:
-    """Max |K_model - K_reference| over the deterministic C^2 probe pairs."""
-    if profile is None:
-        profile = model.profile
-    zs, ws = reinhardt_probe_pairs(profile, margin)
+def kernel_error_c2(model, reference, margin: float) -> float:
+    """Max |K_model - K_reference| over the deterministic C^2 probe pairs
+    of the model's profile."""
+    zs, ws = reinhardt_probe_pairs(model.profile, margin)
     return float(np.max(np.abs(model.eval_many(zs, ws)
                                - reference.eval_many(zs, ws))))
 

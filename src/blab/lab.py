@@ -50,6 +50,7 @@ from .geom import (
 )
 
 EXPERIMENTS = ("exhaustion", "barbell", "nowhere-density", "metric-demo")
+LADDER_SAMPLES = 16     # degrees sampled for the nowhere-density ladder
 
 CONFIG_KEYS = {
     "experiment": str,
@@ -277,12 +278,11 @@ def default_basis_for(spec: dict, window: tuple[int, int]) -> bs.BasisSpec:
     return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
 
 
-def lobe_probe_points(D: GridDomain, n_random: int, seed: int,
-                      depth_fraction: float = 0.35) -> tuple[complex, ...]:
+def lobe_probe_points(D: GridDomain, n_random: int,
+                      seed: int) -> tuple[complex, ...]:
     """Deep probe points of a lobe domain D, usable as w0 probes in any
     domain containing D (the experiment members all do)."""
-    cfg = zr.ProbeConfig(n_random=n_random, seed=seed,
-                         depth_fraction=depth_fraction)
+    cfg = zr.ProbeConfig(n_random=n_random, seed=seed)
     return tuple(zr.default_probes(D, cfg))
 
 
@@ -488,7 +488,7 @@ def _rightmost_boundary_point(U: GridDomain) -> complex:
 
 
 def _localized_high_degrees(member: GridDomain, D: GridDomain,
-                            center: complex, count: int = 16) -> tuple[list, float]:
+                            center: complex) -> tuple[list, float]:
     """Monomial degrees whose mass concentrates on the small far lobe D.
 
     D is placed beyond the member's circumcircle around `center`, so the
@@ -496,16 +496,17 @@ def _localized_high_degrees(member: GridDomain, D: GridDomain,
     suppression = (member circumradius) / (distance from center to D).
     Returns the degree ladder and the suppression base (a base at or above
     one means no polynomial degree can localize and certification will be
-    reported as failed).
+    reported as failed).  Boundary cells suffice: a farthest cell, and a
+    nearest one from more than a cell away, has a false 4-neighbour.
     """
-    r_mem = float(np.abs(member.true_centers - center).max())
-    r_d = float(np.abs(D.true_centers - center).min())
+    r_mem = float(np.abs(extract_sets(member).boundary - center).max())
+    r_d = float(np.abs(extract_sets(D).boundary - center).min())
     base = r_mem / r_d
     if base >= 0.98:
         return [], base
     k2 = math.ceil(math.log(100.0) / -math.log(base))
     lo, hi = math.ceil(0.8 * k2), math.ceil(1.8 * k2)
-    degrees = sorted({int(round(v)) for v in np.linspace(lo, hi, count)})
+    degrees = sorted({int(round(v)) for v in np.linspace(lo, hi, LADDER_SAMPLES)})
     return degrees, base
 
 

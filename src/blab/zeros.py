@@ -2,14 +2,14 @@
 
 Certification is one-sided by design: a certificate asserts that the model's
 kernel section has a zero inside a stated contour (argument principle with a
-modulus floor on the contour), while a no-zero verdict only reports the
-smallest modulus observed over the probe set at a stated resolution, never
-zero-freeness.
+modulus floor on the contour of `FLOOR_FACTOR` evaluation error estimates),
+while a no-zero verdict only reports the smallest modulus observed over the
+probe set at a stated resolution, never zero-freeness.
 
 Finite-rank kernels of zero-free domains can acquire spurious boundary-
 hugging zeros (truncated sections of a zero-free function need not be
 zero-free).  Candidates are therefore screened by a lobe-depth rule before
-certification: the zero must sit at depth at least `lobe_gamma` times the
+certification: the zero must sit at depth at least `LOBE_GAMMA` times the
 local maximum of the distance function reached by monotone ascent from the
 candidate.  Genuine ring zeros sit at more than half of their lobe depth;
 boundary artifacts sit at a few percent.
@@ -31,9 +31,18 @@ from typing import Sequence
 import numpy as np
 
 from .geom import DistanceField, GridDomain, distance_field
+from .kernel import DEFAULT_SEED, KernelError, kernel_error
 
-DEFAULT_SEED = 1729
 ARG_STEP_LIMIT = np.pi / 2
+FLOOR_FACTOR = 10.0           # contour floor, in evaluation error estimates
+MAX_CONTOUR_POINTS = 1 << 17  # refined contour size that fails winding_count
+REFINE_ROUNDS = 3             # local grid halvings in refine_minimum
+DEPTH_FRACTION = 0.35         # default probes: share of the component depth
+LOBE_GAMMA = 0.2              # admissible zero depth: share of its lobe depth
+MAX_CANDIDATES = 5            # scan minima tried for a certificate, per w0
+CONTOUR_POINTS = 64           # samples of a certificate contour
+CONTOUR_RADIUS_CELLS = 3.0    # first certificate contour radius, in cells
+CONTOUR_GROWTHS = 3           # twofold radius growths on a floor violation
 
 
 class ContourError(RuntimeError):
@@ -44,7 +53,8 @@ class ZeroSearchError(ValueError):
     """Invalid probe or scan request."""
 
 
-def circle_contour(center: complex, radius: float, n: int = 64) -> np.ndarray:
+def circle_contour(center: complex, radius: float,
+                   n: int = CONTOUR_POINTS) -> np.ndarray:
     """Counterclockwise circle sampled at n points (closed implicitly)."""
     if n < 16:
         raise ZeroSearchError("contour needs at least 16 samples")
@@ -144,13 +154,12 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
                       resolution=stride * dom.h)
 
 
-def refine_minimum(model, w0: complex, z0: complex, h: float,
-                   rounds: int = 3) -> complex:
-    """Sharpen a scan minimizer on shrinking local 5x5 grids (deterministic)."""
+def refine_minimum(model, w0: complex, z0: complex, h: float) -> complex:
+    """Sharpen a scan minimizer on REFINE_ROUNDS shrinking 5x5 grids."""
     dom = model.domain
     best = z0
     spacing = h
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         off = spacing * np.arange(-2, 3)
         grid = (best + off[:, None] + 1j * off[None, :]).ravel()
         pts = grid[dom.labels_at(grid) > 0]
@@ -166,17 +175,17 @@ def refine_minimum(model, w0: complex, z0: complex, h: float,
 # winding count
 # ---------------------------------------------------------------------------
 
-def winding_count(model, w0: complex | None, contour: np.ndarray,
-                  floor_factor: float = 10.0, max_points: int = 1 << 17) -> int:
+def winding_count(model, w0: complex | None, contour: np.ndarray) -> int:
     """Zeros of z -> K(z, w0) inside a closed counterclockwise polyline.
 
     The total argument change is accumulated over samples, refined by segment
     bisection until successive arguments differ by less than pi/2; the result
     divided by 2 pi is the exact integer count for a function holomorphic
-    inside.  Raises ContourError when the modulus floor (10x the evaluation
-    error estimate) is violated, a contour point leaves w0's component of
-    the model's domain, or refinement does not settle.  With w0 None, model
-    is a plain function f(zs) -> values, with no error estimate or domain.
+    inside.  Raises ContourError when the modulus floor (FLOOR_FACTOR times
+    the evaluation error estimate) is violated, a contour point leaves w0's
+    component of the model's domain, or refinement passes MAX_CONTOUR_POINTS
+    samples.  With w0 None, model is a plain function f(zs) -> values, with
+    no error estimate or domain.
     """
     pts = np.asarray(contour, dtype=complex).ravel()
     if pts.size < 8:
@@ -197,7 +206,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
 
     require_component(pts, "contour")
     vals = f(pts)
-    floor = floor_factor * err
+    floor = FLOOR_FACTOR * err
 
     while True:
         mods = np.abs(vals)
@@ -216,7 +225,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
                 raise ContourError(
                     f"argument sum {count:.3f} turns is not close to an integer")
             return int(nearest)
-        if pts.size * 2 > max_points:
+        if pts.size * 2 > MAX_CONTOUR_POINTS:
             raise ContourError("contour refinement exploded; a zero sits on or "
                                "too near the contour")
         mids = 0.5 * (pts[bad] + np.roll(pts, -1)[bad])
@@ -235,8 +244,9 @@ def winding_count(model, w0: complex | None, contour: np.ndarray,
 class ZeroCertificate:
     """Argument-principle witness for a kernel zero near z_star.
 
-    Valid only with winding >= 1 and a contour modulus floor exceeding ten
-    times the evaluation error estimate.
+    Valid only with winding >= 1 and a contour modulus floor exceeding
+    FLOOR_FACTOR times the evaluation error estimate, the floor that
+    `winding_count` enforces.
     """
 
     w0: complex
@@ -249,10 +259,11 @@ class ZeroCertificate:
     def validate(self) -> None:
         if self.winding < 1:
             raise ZeroSearchError("certificate must enclose at least one zero")
-        if not self.min_modulus_on_contour > 10.0 * self.eval_error:
+        if not self.min_modulus_on_contour > FLOOR_FACTOR * self.eval_error:
             raise ZeroSearchError(
                 f"certificate floor {self.min_modulus_on_contour:.3e} does not "
-                f"clear 10x the evaluation error {self.eval_error:.3e}")
+                f"clear {FLOOR_FACTOR:g}x the evaluation error "
+                f"{self.eval_error:.3e}")
 
     def to_dict(self) -> dict:
         return {
@@ -320,7 +331,7 @@ class ProbeConfig:
 
     w0 points default to the deepest cell of each component plus n_random
     cells drawn (fixed seed) from the deep part of the component, cells at
-    depth at least depth_fraction of the component maximum.  Deep anchoring
+    depth at least DEPTH_FRACTION of the component maximum.  Deep anchoring
     keeps probe points inside the region where a finite-rank kernel is a
     trustworthy proxy of the domain's kernel.
     """
@@ -329,12 +340,6 @@ class ProbeConfig:
     n_random: int = 8
     seed: int = DEFAULT_SEED
     stride: int = 4
-    depth_fraction: float = 0.35
-    lobe_gamma: float = 0.2
-    max_candidates: int = 5
-    contour_points: int = 64
-    contour_radius_cells: float = 3.0
-    contour_growths: int = 3
     scan_bbox: tuple | None = None  # (x0, y0, x1, y1) restriction of the scan
 
 
@@ -372,7 +377,7 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
         sel.flat[flat_best] = True
         probes.append(complex(dom.centers_of(sel)[0]))
         dmax = d.max()
-        deep = np.nonzero((d >= cfg.depth_fraction * dmax).ravel())[0]
+        deep = np.nonzero((d >= DEPTH_FRACTION * dmax).ravel())[0]
         take = min(cfg.n_random, deep.size)
         picks = rng.choice(deep, size=take, replace=False)
         sel.flat[flat_best] = False
@@ -383,15 +388,14 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
 
 
 def certify_zero(model, w0: complex, z_star: complex,
-                 cfg: ProbeConfig = ProbeConfig(),
                  depth: DistanceField | None = None) -> ZeroCertificate | None:
     """Try to certify a zero of K(., w0) near the candidate z_star.
 
-    The contour is a circle of radius contour_radius_cells * h, grown
-    twofold up to contour_growths times when the modulus floor is violated.
-    Candidates failing the lobe-depth admissibility rule are rejected
-    outright (boundary-hugging truncation artifacts).  Returns None when no
-    valid certificate arises.
+    The contour is a circle of CONTOUR_POINTS samples and radius
+    CONTOUR_RADIUS_CELLS * h, grown twofold up to CONTOUR_GROWTHS times when
+    the modulus floor is violated.  Candidates failing the lobe-depth
+    admissibility rule are rejected outright (boundary-hugging truncation
+    artifacts).  Returns None when no valid certificate arises.
     """
     dom = model.domain
     if depth is None:
@@ -400,14 +404,14 @@ def certify_zero(model, w0: complex, z_star: complex,
     if cell is None or not dom.mask[cell]:
         return None
     d_here = float(depth.values[cell])
-    if d_here < cfg.lobe_gamma * _lobe_scale(depth, cell):
+    if d_here < LOBE_GAMMA * _lobe_scale(depth, cell):
         return None
     err = float(model.eval_error_estimate(w0))
-    radius = cfg.contour_radius_cells * dom.h
-    for _ in range(cfg.contour_growths + 1):
+    radius = CONTOUR_RADIUS_CELLS * dom.h
+    for _ in range(CONTOUR_GROWTHS + 1):
         if radius >= d_here:
             return None
-        contour = circle_contour(z_star, radius, cfg.contour_points)
+        contour = circle_contour(z_star, radius)
         try:
             winding = winding_count(model, w0, contour)
         except ContourError:
@@ -443,9 +447,9 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
     for w0 in w0s:
         scan = scan_min_modulus(model, w0, stride=cfg.stride, bbox=cfg.scan_bbox)
         floor = min(floor, scan.min_modulus)
-        for z0, _ in scan.candidates[:cfg.max_candidates]:
+        for z0, _ in scan.candidates[:MAX_CANDIDATES]:
             z_star = refine_minimum(model, w0, z0, dom.h)
-            cert = certify_zero(model, w0, z_star, cfg, depth)
+            cert = certify_zero(model, w0, z_star, depth)
             if cert is not None:
                 return Verdict(status="zero-certified", certificate=cert,
                                floor=float(floor), resolution=resolution)
@@ -468,9 +472,8 @@ class HurwitzTrack:
 
 def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
                   reference=None, margin: float | None = None) -> HurwitzTrack:
-    """Winding count per model on the same contour, plus reference errors."""
-    from .kernel import KernelError, kernel_error
-
+    """Winding count per model on the same contour, plus reference errors
+    at margin (default: half the least reference depth on the contour)."""
     counts: list[int | None] = []
     for m in models:
         try:
@@ -481,9 +484,8 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
     if reference is not None:
         ref_dom = reference.domain
         if margin is None:
-            ctr = np.asarray(contour, dtype=complex)
-            depth = distance_field(ref_dom)
-            margin = 0.5 * min(depth.at(p) for p in ctr)
+            depth = distance_field(ref_dom).values
+            margin = 0.5 * float(ref_dom.values_at(depth, contour).min())
         for m in models:
             try:
                 errors.append(kernel_error([m], reference, margin,

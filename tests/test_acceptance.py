@@ -136,12 +136,12 @@ def test_criterion_3_square_floor(square_fit_12):
     full-domain scan floor only measures how close the scan gets to a
     corner.  The clause checks that the no-zero-found verdict is not a near
     miss: the floor is taken over the cells the lobe-depth rule admits,
-    depth >= lobe_gamma x the maximum depth.  On the square that region is
+    depth >= LOBE_GAMMA x the maximum depth.  On the square that region is
     a box, passed to the verdict as its scan_bbox.
     """
     dom = square_fit_12.domain
     depth = distance_field(dom).values
-    admitted = depth >= zr.ProbeConfig().lobe_gamma * depth.max()
+    admitted = depth >= zr.LOBE_GAMMA * depth.max()
     pts = dom.centers_of(admitted)
     bbox = (pts.real.min(), pts.imag.min(), pts.real.max(), pts.imag.max())
     grid = dom.centers_x[:, None] + 1j * dom.centers_y[None, :]

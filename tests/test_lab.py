@@ -1,7 +1,9 @@
 """Experiment drivers, configs, and report files."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +189,7 @@ def reference_calls(monkeypatch):
 
 def _reference_chunks(domain, margin):
     cells = kn.compact_cells(domain, margin)
-    n_w = kn._probe_centers_dense_enough(domain, cells, 16).size
+    n_w = kn._probe_centers_dense_enough(domain, cells, kn.W_STRIDE).size
     return math.ceil(n_w / kn.PROBE_CHUNK)
 
 
@@ -266,6 +268,43 @@ def test_nowhere_density_disconnected_mode():
     assert report.rows[2]["rho1_to_target"] < 0.5
     cert = report.certificates["final"]
     cert.validate()
+
+
+def _fit_heavy_nowhere_density(seed):
+    """The nowhere-density configs of one benchmark fit-heavy cycle, read
+    from perfbench/workloads.py (standard library only, never changed)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [raw for inp in workloads.generate("fit-heavy", seed)
+            for raw in inp["configs"] if raw["experiment"] == "nowhere-density"]
+
+
+class _LadderBuilt(Exception):
+    pass
+
+
+def test_localized_degrees_equal_all_cells_formula(monkeypatch):
+    # boundary cells give the circumradius and the lobe distance of the
+    # all-cells formula to the bit, on the benchmark's own shapes; each run
+    # stops once its ladder is built
+    calls = []
+
+    def spy(member, D, center, real=lab._localized_high_degrees):
+        calls.append((member, D, center, real(member, D, center)))
+        raise _LadderBuilt
+    monkeypatch.setattr(lab, "_localized_high_degrees", spy)
+    configs = _fit_heavy_nowhere_density(seed=1)
+    assert configs
+    for raw in configs:
+        with pytest.raises(_LadderBuilt):
+            lab.run_nowhere_density(lab.config_from_dict(raw))
+    for member, D, center, (degrees, base) in calls:
+        r_mem = float(np.abs(member.true_centers - center).max())
+        r_d = float(np.abs(D.true_centers - center).min())
+        assert base == r_mem / r_d
+        assert degrees
 
 
 def test_nowhere_density_under_resolved_delta():

@@ -1,11 +1,14 @@
-"""The benchmark's tracer still fits the package it wraps.
+"""The benchmark's tracer and inputs still fit the package they drive.
 
 `perfbench` times layers by rebinding the functions and methods that
-`perfbench/layers.py` names, from outside `src/blab`.  This test installs
+`perfbench/layers.py` names, from outside `src/blab`.  One test installs
 those wrappers on the live modules and checks that each one is bound, that
 a traced call records spans, and that every binding is restored on exit, so
 that a refactor which unbinds a traced name fails here and not only in a
-traced benchmark run.  The benchmark files are imported, never changed.
+traced benchmark run.  Another builds every input of
+`perfbench/workloads.py` through the calls `perfbench/run.py` makes, so
+that a signature change cannot silently break the benchmark's inputs.  The
+benchmark files are imported, never changed.
 """
 
 import math
@@ -25,13 +28,14 @@ def bench():
     try:
         import layers
         import spans
+        import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return layers, spans
+    return layers, spans, workloads
 
 
 def test_layer_targets_install_and_restore(bench):
-    layers, spans = bench
+    layers, spans, _ = bench
     modules = [geom, basis, kernel, zeros, lab]
     targets = layers.targets(*modules)
     assert "eval_many" in vars(kernel.KernelModel)
@@ -53,3 +57,20 @@ def test_layer_targets_install_and_restore(bench):
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[k] is v for k, v in saved.items()), owner
+
+
+def test_workload_inputs_build(bench):
+    _, _, workloads = bench
+    for name in workloads.WORKLOADS:
+        cycle = workloads.generate(name, seed=3)
+        assert cycle, name
+        for inp in cycle:
+            for raw in inp.get("configs", ()):
+                cfg = lab.config_from_dict(raw)
+                assert cfg.experiment == raw["experiment"]
+            for v in inp.get("verdicts", ()):
+                cfg = zeros.ProbeConfig(seed=v["probe_seed"])
+                assert cfg.seed == v["probe_seed"] and cfg.w0_points is None
+                assert len(lab.default_basis_for(v["model"],
+                                                 tuple(v["window"])))
+            assert ("configs" in inp) != ("verdicts" in inp), inp["id"]

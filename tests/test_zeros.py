@@ -79,6 +79,33 @@ def test_winding_floor_violation_near_zero():
         zr.winding_count(f, None, zr.circle_contour(0, 0.5, 64))
 
 
+class _ScaledIdentity:
+    """K(z, w0) = scale * z with a fixed error estimate and no domain."""
+
+    domain = None
+
+    def __init__(self, scale, err):
+        self.scale, self.err = scale, err
+
+    def eval_many(self, zs, w):
+        return self.scale * zs
+
+    def eval_error_estimate(self, w):
+        return self.err
+
+
+def test_winding_floor_is_strict_at_floor_factor():
+    # the square's edge midpoints have modulus exactly 1, so the contour
+    # minimum of scale * z is exactly scale
+    square = np.array([1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j])
+    err = 0.5
+    floor = zr.FLOOR_FACTOR * err
+    with pytest.raises(zr.ContourError, match="modulus floor"):
+        zr.winding_count(_ScaledIdentity(floor, err), 0j, square)
+    above = np.nextafter(floor, np.inf)
+    assert zr.winding_count(_ScaledIdentity(above, err), 0j, square) == 1
+
+
 def test_winding_disc_closed_form_zero_free(disc_cf):
     assert zr.winding_count(disc_cf, 0.2, zr.circle_contour(0, 0.6)) == 0
 
@@ -240,6 +267,19 @@ def test_certificate_invariants_enforced():
                            eval_error=1e-3).validate()
 
 
+def test_certificate_floor_is_strict_at_floor_factor():
+    err = 0.5
+    floor = zr.FLOOR_FACTOR * err
+
+    def cert(m):
+        return zr.ZeroCertificate(w0=0j, contour=(1 + 0j,), winding=1,
+                                  min_modulus_on_contour=m, z_star=0.5 + 0j,
+                                  eval_error=err)
+    with pytest.raises(zr.ZeroSearchError, match="does not clear"):
+        cert(floor).validate()
+    cert(np.nextafter(floor, np.inf)).validate()
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -357,6 +397,28 @@ def test_hurwitz_track_disc_exhaustion_zero_free():
     assert track.kernel_errors[0] > track.kernel_errors[1]
 
 
+def test_hurwitz_default_margin_on_annulus(annulus_cf, monkeypatch):
+    # the default margin is half the least reference depth on the contour,
+    # read through the reference domain's cell rule
+    margins = []
+
+    def spy(models, reference, margin, domain=None):
+        margins.append(margin)
+        return kn.kernel_error(models, reference, margin, domain=domain)
+    monkeypatch.setattr(zr, "kernel_error", spy)
+    contour = zr.circle_contour(-0.8839, 0.02)
+    track = zr.hurwitz_track([annulus_cf], 0.8, contour, reference=annulus_cf)
+    assert track.kernel_errors == (0.0,)
+    dom = annulus_cf.domain
+    i = np.floor((contour.real - dom.origin[0]) / dom.h).astype(int)
+    j = np.floor((contour.imag - dom.origin[1]) / dom.h).astype(int)
+    depth = zr.distance_field(dom).values
+    assert margins == [0.5 * float(depth[i, j].min())]
+    # closed form: the outer circle R = 1 is the nearest boundary
+    outer = 0.5 * (1.0 - np.abs(contour).max())
+    assert margins[0] == pytest.approx(outer, abs=dom.h)
+
+
 def _default_probes_full_grid(dom, cfg):
     """Oracle: default_probes reading its probes from the full complex
     center grid."""
@@ -369,7 +431,7 @@ def _default_probes_full_grid(dom, cfg):
         d = np.where(labels == comp, depth.values, -1.0)
         flat_best = int(np.argmax(d))
         probes.append(complex(grid[flat_best]))
-        deep = np.nonzero((d >= cfg.depth_fraction * d.max()).ravel())[0]
+        deep = np.nonzero((d >= zr.DEPTH_FRACTION * d.max()).ravel())[0]
         picks = rng.choice(deep, size=min(cfg.n_random, deep.size), replace=False)
         probes.extend(complex(grid[k]) for k in np.sort(picks))
     return probes
