@@ -384,8 +384,9 @@ def factorize(G: GramMatrix) -> GramFactor:
         L = np.linalg.cholesky(G.matrix / np.outer(s, s))
     except np.linalg.LinAlgError:
         raise FactorizationError(
-            "Gram factorization failed: numerically dependent basis; "
-            "shrink the basis window") from None
+            f"Gram factorization failed: the {G.n}-term basis is numerically "
+            f"dependent on the domain (normalized conditioning "
+            f"{G.conditioning:.3g})") from None
     return GramFactor(lower=L, scale=s)
 
 

@@ -18,7 +18,11 @@ Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
 symmetric difference plus sup-norm distance between interior distance
 functions).  rho1 is sensitive to slits and punctures; rho2 tolerates thin
-tails.  rho2 embeds the two cached fields in a common array.  rho1 measures
+tails.  rho2 takes its sup term on the symmetric difference alone, by the
+lattice identity sup |d_U - d_V| = max(max over U \\ V of d_U, max over
+V \\ U of d_V), so it reads a domain's cached field only where that domain
+sticks out of the other: a domain nested in the other is never
+transformed for rho2.  rho1 measures
 each directed term with nearest-cell queries against the other domain's
 boundary cells, in a kd-tree each domain builds once (`GridDomain.boundary`);
 large query sets are first cut to the tiles that can hold the maximum.
@@ -640,29 +644,44 @@ def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
     return (2 * np.pi) ** 2 * cx[ii] * cy[jj] * h * h
 
 
+def _max_on(A: GridDomain, cells: np.ndarray, at: tuple[int, int]) -> float:
+    """Max of A's cached field over the true cells of a common-frame mask
+    that all lie in A (A's array sits at offset `at`); 0.0 for no cells,
+    in which case the field is not read."""
+    sub = cells[at[0]:at[0] + A.nx, at[1]:at[1] + A.ny]
+    if not sub.any():
+        return 0.0
+    return float(A.distance.values[sub].max())
+
+
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     """The two terms of rho2: (symmetric-difference volume, sup |d_U - d_V|).
 
-    The sup embeds each domain's cached field in the common array.  That is
-    exact: a true cell's nearest complement cell lies within its own array
-    plus the false ring around it, and at a radial axis the mirror argument
-    of `_edt` holds in either array."""
+    On one lattice the sup is taken on the symmetric difference alone:
+    sup |d_U - d_V| = max(max over U \\ V of d_U, max over V \\ U of d_V).
+    Off U u V both fields vanish, and on U \\ V the gap is d_U itself.  For
+    x in U n V, let c be V's nearest complement cell.  If c lies outside U
+    then d_U(x) <= |x - c| = d_V(x); otherwise c lies in U \\ V and
+    d_U(x) <= d_V(x) + d_U(c).  By symmetry |d_U - d_V| on U n V never
+    exceeds the two maxima; at a radial axis the same holds for the mirror
+    images of `_edt`.  A domain's cached field is read only when its own
+    part of the symmetric difference is non-empty, so a domain nested in
+    the other is never transformed here.  The result is the exact lattice
+    sup, with no cancellation from d_U - d_V."""
     origin, shape, iU, iV = _frame(U, V)
     mU, mV = _embed(U.mask, shape, iU), _embed(V.mask, shape, iV)
-    if (mU == mV).all():
-        return 0.0, 0.0
     sym = mU ^ mV
+    if not sym.any():
+        return 0.0, 0.0
     vol = float(_cell_volumes(sym, origin, U.h, U.kind).sum())
-    dU = _embed(U.distance.values, shape, iU)
-    dV = _embed(V.distance.values, shape, iV)
-    return vol, float(np.abs(dU - dV).max())
+    return vol, max(_max_on(U, sym & mU, iU), _max_on(V, sym & mV, iV))
 
 
 def rho2(U: GridDomain, V: GridDomain) -> float:
     """Symmetric-difference volume plus sup-norm gap of distance functions.
 
-    The sup over the whole plane reduces to the aligned array: both distance
-    functions vanish outside their domains.
+    The sup over the whole plane reduces to the symmetric difference (see
+    `rho2_parts`): both distance functions vanish outside their domains.
     """
     vol, sup = rho2_parts(U, V)
     return vol + sup

@@ -607,26 +607,34 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
                                          if n > n_pos)),
                       bs.principal_parts(c_d, n_neg)) if degrees else \
         bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg))
-    model = kn.fit_kernel(result, basis)
     probes = lobe_probe_points(D, n_random=6, seed=config.seed)
     pad = 2 * h
     bbox = (c_d.real - R_d - pad, c_d.imag - R_d - pad,
             c_d.real + R_d + pad, c_d.imag + R_d + pad)
-    verdict = zr.lu_qi_keng_verdict(
-        model, zr.ProbeConfig(w0_points=probes, seed=config.seed, stride=1,
-                              scan_bbox=bbox))
-    if verdict.certified:
-        report.attach_certificate("final", verdict.certificate)
-        detail = (f"z* = {verdict.certificate.z_star:.6g}, "
-                  f"winding {verdict.certificate.winding}")
+    try:
+        model = kn.fit_kernel(result, basis)
+    except (bs.BasisError, bs.FactorizationError) as e:
+        certified = False
+        detail = (f"certification failed; the fit raised "
+                  f"{type(e).__name__}: {e} (basis window {window}, "
+                  f"localization base {suppression:.3g})")
     else:
-        detail = (f"certification failed; floor {verdict.floor:.6g} at "
-                  f"resolution {verdict.resolution:.6g} (basis window "
-                  f"{window}, localization base {suppression:.3g}, "
-                  f"no automatic growth)")
+        verdict = zr.lu_qi_keng_verdict(
+            model, zr.ProbeConfig(w0_points=probes, seed=config.seed,
+                                  stride=1, scan_bbox=bbox))
+        certified = verdict.certified
+        if certified:
+            report.attach_certificate("final", verdict.certificate)
+            detail = (f"z* = {verdict.certificate.z_star:.6g}, "
+                      f"winding {verdict.certificate.winding}")
+        else:
+            detail = (f"certification failed; floor {verdict.floor:.6g} at "
+                      f"resolution {verdict.resolution:.6g} (basis window "
+                      f"{window}, localization base {suppression:.3g}, "
+                      f"no automatic growth)")
     report.add_row(stage=3, step="certify", rho1_to_target=r1_result,
                    rho2_to_target=None, detail=detail)
-    report.check("zero_certified", verdict.certified, detail)
+    report.check("zero_certified", certified, detail)
     return report
 
 

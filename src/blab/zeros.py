@@ -187,14 +187,22 @@ def winding_count(model, w0: complex | None, contour: np.ndarray) -> int:
     samples.  With w0 None, model is a plain function f(zs) -> values, with
     no error estimate or domain.
     """
+    err = 0.0 if w0 is None else float(model.eval_error_estimate(w0))
+    return _winding(model, w0, contour, err)[0]
+
+
+def _winding(model, w0: complex | None, contour: np.ndarray,
+             err: float) -> tuple[int, float]:
+    """`winding_count` at a given evaluation error estimate, with the least
+    modulus over the unrefined contour samples (the certificate floor)."""
     pts = np.asarray(contour, dtype=complex).ravel()
     if pts.size < 8:
         raise ZeroSearchError("contour too coarse")
     if w0 is None:
-        f, err, dom = model, 0.0, None
+        f, dom = model, None
     else:
         f = lambda zs: model.eval_many(zs, w0)
-        err, dom = float(model.eval_error_estimate(w0)), model.domain
+        dom = model.domain
     w_comp = int(dom.labels_at(w0)) if dom is not None else 0
 
     def require_component(points, what):
@@ -206,6 +214,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray) -> int:
 
     require_component(pts, "contour")
     vals = f(pts)
+    contour_min = float(np.abs(vals).min())
     floor = FLOOR_FACTOR * err
 
     while True:
@@ -224,7 +233,7 @@ def winding_count(model, w0: complex | None, contour: np.ndarray) -> int:
             if abs(count - nearest) > 0.25:
                 raise ContourError(
                     f"argument sum {count:.3f} turns is not close to an integer")
-            return int(nearest)
+            return int(nearest), contour_min
         if pts.size * 2 > MAX_CONTOUR_POINTS:
             raise ContourError("contour refinement exploded; a zero sits on or "
                                "too near the contour")
@@ -395,7 +404,10 @@ def certify_zero(model, w0: complex, z_star: complex,
     CONTOUR_RADIUS_CELLS * h, grown twofold up to CONTOUR_GROWTHS times when
     the modulus floor is violated.  Candidates failing the lobe-depth
     admissibility rule are rejected outright (boundary-hugging truncation
-    artifacts).  Returns None when no valid certificate arises.
+    artifacts).  Each contour is evaluated once: the winding pass also gives
+    the floor, the least modulus over its unrefined samples, and the error
+    estimate is computed once per call.  Returns None when no valid
+    certificate arises.
     """
     dom = model.domain
     if depth is None:
@@ -413,13 +425,12 @@ def certify_zero(model, w0: complex, z_star: complex,
             return None
         contour = circle_contour(z_star, radius)
         try:
-            winding = winding_count(model, w0, contour)
+            winding, floor = _winding(model, w0, contour, err)
         except ContourError:
             radius *= 2
             continue
         if winding < 1:
             return None
-        floor = float(np.min(np.abs(model.eval_many(contour, w0))))
         cert = ZeroCertificate(w0=complex(w0), contour=tuple(contour),
                                winding=winding, min_modulus_on_contour=floor,
                                z_star=complex(z_star), eval_error=err)

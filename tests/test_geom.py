@@ -690,13 +690,25 @@ def edt_rho1_parts(U, V):
             max(edt_directed_sup(bU, bV, U.h), edt_directed_sup(bV, bU, U.h)))
 
 
-def edt_rho2_sup(U, V):
-    """Oracle of rho2's sup term: both fields transformed afresh on the
-    aligned masks."""
+def edt_rho2_sups(U, V):
+    """Oracles of rho2's sup term, from both fields transformed afresh on
+    the aligned masks: the max of each field over its own part of the
+    symmetric difference, and the full-array max |dU - dV|."""
     mU, mV, origin = geom._aligned_masks(U, V)
     dU = geom._edt(mU, U.h, U.kind, origin)
     dV = geom._edt(mV, U.h, U.kind, origin)
-    return float(np.abs(dU - dV).max())
+    sym = max(dU[mU & ~mV].max(initial=0.0), dV[mV & ~mU].max(initial=0.0))
+    return float(sym), float(np.abs(dU - dV).max())
+
+
+def assert_rho2_sup_matches_oracles(U, V):
+    # the symmetric-difference max to the bit; the full-array max |dU - dV|
+    # is the same lattice sup up to the rounding of dU - dV on U n V
+    for A, B in ((U, V), (V, U)):
+        new = geom.rho2_parts(A, B)[1]
+        sym, full = edt_rho2_sups(A, B)
+        assert new == sym, (new, sym)
+        assert new <= full <= new + 8 * np.spacing(new), (new, full)
 
 
 def oracle_pairs():
@@ -737,14 +749,15 @@ def oracle_pairs():
 
 
 def test_metrics_match_full_array_transform_oracles():
-    # rho2's sup term must match exactly.  rho1 may differ by one ulp: where
-    # the same integer squared offset is reached by two index offsets (425 =
-    # 20^2 + 5^2 = 19^2 + 8^2), the kd-tree and the EDT may pick different
-    # nearest cells, and (di h)^2 + (dj h)^2 rounds differently for each.
-    # The EDT breaks such ties arbitrarily too.
+    # rho2's sup term must match its symmetric-difference oracle exactly.
+    # rho1 may differ by one ulp: where the same integer squared offset is
+    # reached by two index offsets (425 = 20^2 + 5^2 = 19^2 + 8^2), the
+    # kd-tree and the EDT may pick different nearest cells, and
+    # (di h)^2 + (dj h)^2 rounds differently for each.  The EDT breaks such
+    # ties arbitrarily too.
     for U, V in oracle_pairs():
+        assert_rho2_sup_matches_oracles(U, V)
         for A, B in ((U, V), (V, U)):
-            assert geom.rho2_parts(A, B)[1] == edt_rho2_sup(A, B)
             for new, old in zip(geom.rho1_parts(A, B), edt_rho1_parts(A, B)):
                 assert abs(new - old) <= np.spacing(old), (new, old)
 
@@ -804,9 +817,10 @@ def assert_rho1_bits_equal(U, V):
 
 
 @st.composite
-def lattice_domains(draw, kind):
+def lattice_domains(draw, kind, reach=70):
     """A random mask (noise, a filled ellipse or one with holes) at a random
-    integer offset; reinhardt profiles sit on or near both radial axes."""
+    integer offset of at most reach cells; reinhardt profiles sit on or near
+    both radial axes."""
     h = 0.05
     nx, ny = draw(st.integers(1, 56)), draw(st.integers(1, 56))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -822,8 +836,8 @@ def lattice_domains(draw, kind):
             mask &= rng.random((nx, ny)) > 0.05
     if not mask.any():
         mask[rng.integers(nx), rng.integers(ny)] = True
-    lo = 0 if kind == geom.REINHARDT else -70
-    oi, oj = draw(st.integers(lo, 70)), draw(st.integers(lo, 70))
+    lo = 0 if kind == geom.REINHARDT else -reach
+    oi, oj = draw(st.integers(lo, reach)), draw(st.integers(lo, reach))
     if kind == geom.REINHARDT:
         oi, oj = draw(st.sampled_from([0, oi])), draw(st.sampled_from([0, oj]))
     return geom.GridDomain(origin=(oi * h, oj * h), h=h, mask=mask, kind=kind)
@@ -833,6 +847,22 @@ def lattice_domains(draw, kind):
 def lattice_pairs(draw):
     kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
     return draw(lattice_domains(kind)), draw(lattice_domains(kind))
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Pairs whose arrays overlap: planar offsets within 8 cells, reinhardt
+    origins 0-3h, so mirrored (origin 0) and unmirrored arrays both occur."""
+    kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
+    reach = 3 if kind == geom.REINHARDT else 8
+    return (draw(lattice_domains(kind, reach)),
+            draw(lattice_domains(kind, reach)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=overlapping_pairs())
+def test_rho2_sup_is_the_symmetric_difference_max(pair):
+    assert_rho2_sup_matches_oracles(*pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1046,6 +1076,8 @@ def edt_calls(monkeypatch):
 
 @pytest.mark.parametrize("target", [disc(0, 1), annulus(0, 0.3, 1.2)])
 def test_exhaustion_run_makes_one_transform_per_domain(edt_calls, target):
+    # members lie in the target, so rho2 reads the target's field alone;
+    # an annulus run certifies each member, and certification reads its own
     from blab import lab
 
     depths = [0.2, 0.15, 0.1]
@@ -1054,7 +1086,36 @@ def test_exhaustion_run_makes_one_transform_per_domain(edt_calls, target):
         "shapes": {"target": target}, "basis_window": [4, 8],
         "depths": depths})
     lab.run_exhaustion(cfg)
-    assert len(edt_calls) == len(depths) + 1
+    certified = target["shape"] == "annulus"
+    assert len(edt_calls) == 1 + (len(depths) if certified else 0)
+
+
+def test_barbell_run_transforms_the_right_lobe_and_each_member(edt_calls):
+    # the probes read the right lobe's field and each verdict its member's;
+    # the union lies in every member, so rho2 needs no other field
+    from blab import lab
+
+    widths = [0.4, 0.2, 0.1]
+    cfg = lab.config_from_dict({
+        "experiment": "barbell", "h": 0.02,
+        "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
+        "basis_window": [8, 8], "widths": widths})
+    lab.run_barbell(cfg)
+    assert len(edt_calls) == 1 + len(widths)
+
+
+def test_nowhere_density_run_makes_three_transforms(edt_calls):
+    # the target (exhaustion), the placed lobe (probes) and the joined
+    # result (rho2 and the verdict); the exhaustion member lies in the
+    # target and is never transformed
+    from blab import lab
+
+    cfg = lab.config_from_dict({
+        "experiment": "nowhere-density", "h": 0.004,
+        "shapes": {"target": disc(0, 0.7)},
+        "basis_window": [8, 10], "delta": 0.5, "connected": True})
+    lab.run_nowhere_density(cfg)
+    assert len(edt_calls) == 3
 
 
 def test_distance_field_is_shared_and_read_only(edt_calls):
@@ -1067,4 +1128,4 @@ def test_distance_field_is_shared_and_read_only(edt_calls):
     rho1(U, U)
     rho2(U, make_domain(disc(0, 0.9), h=0.05))
     interior_exhaustion(U, [0.2])
-    assert len(edt_calls) == 2   # U and the 0.9 disc
+    assert len(edt_calls) == 1   # U; the 0.9 disc lies inside U

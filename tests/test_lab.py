@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +273,30 @@ def test_nowhere_density_disconnected_mode():
     cert.validate()
 
 
+def test_nowhere_density_failed_fit_writes_a_report(tmp_path):
+    # on this L the localizing ladder makes the result's Gram numerically
+    # singular; the run reports a failed certification instead of raising
+    L = {"shape": "union", "parts": [rectangle((0, 0), (2, 1)),
+                                      rectangle((0, 0), (1, 2))]}
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({
+        "experiment": "nowhere-density", "h": 0.004,
+        "shapes": {"target": L}, "basis_window": [8, 10], "delta": 0.5,
+        "connected": True, "seed": 3}))
+    out = tmp_path / "out"
+    assert cli.main(["zeros", str(path), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    checks = {a["name"]: a for a in summary["assertions"]}
+    assert not checks["zero_certified"]["passed"]
+    assert "FactorizationError" in checks["zero_certified"]["detail"]
+    assert "numerically dependent on the domain" in \
+        checks["zero_certified"]["detail"]
+    assert all(a["passed"] for name, a in checks.items()
+               if name != "zero_certified")
+    assert summary["certificates"] == {}
+    assert summary["rows"][-1]["step"] == "certify"
+
+
 def _fit_heavy_nowhere_density(seed):
     """The nowhere-density configs of one benchmark fit-heavy cycle, read
     from perfbench/workloads.py (standard library only, never changed)."""
@@ -319,6 +346,28 @@ def test_nowhere_density_under_resolved_delta():
 # ---------------------------------------------------------------------------
 # report invariants
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["disc_exhaustion", "nowhere_density"])
+def test_shipped_report_bytes_reproduce_across_runs_and_threads(tmp_path,
+                                                                name):
+    # two runs in this process and one in a fresh process on two BLAS
+    # threads write the same summary.json, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    config = root / "configs" / f"{name}.json"
+    for run in ("a", "b"):
+        report = lab.run_experiment(lab.load_config(config))
+        report.write(tmp_path / run)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "blab.cli", "experiment", str(config),
+         "--out", str(tmp_path / "c")], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    a, b, c = ((tmp_path / run / "summary.json").read_bytes()
+               for run in ("a", "b", "c"))
+    assert a == b == c
+
 
 def test_certificates_embedded_are_valid(metric_report):
     # metric demo embeds none; a synthetic certificate must validate to attach

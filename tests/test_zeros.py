@@ -256,6 +256,37 @@ def test_certificate_round_trip(tmp_path, annulus_cf):
     assert loaded.winding == 1
 
 
+def test_certificate_contour_is_evaluated_once(annulus_fit, monkeypatch):
+    # the winding pass gives the floor: after the refinement grids (25
+    # points each) comes one 64-point contour pass, and the error estimate
+    # is computed once
+    sizes, errors = [], []
+    eval_many = kn.KernelModel.eval_many
+    estimate = kn.KernelModel.eval_error_estimate
+
+    def spy_eval(self, zs, w):
+        sizes.append(len(zs))
+        return eval_many(self, zs, w)
+
+    def spy_error(self, w):
+        errors.append(w)
+        return estimate(self, w)
+
+    monkeypatch.setattr(kn.KernelModel, "eval_many", spy_eval)
+    monkeypatch.setattr(kn.KernelModel, "eval_error_estimate", spy_error)
+    verdict = zr.lu_qi_keng_verdict(annulus_fit)
+    assert verdict.certified
+    assert sizes[-3:] == [25, 25, zr.CONTOUR_POINTS]
+    assert sizes.count(zr.CONTOUR_POINTS) == 1
+    assert len(errors) == 1
+    cert = verdict.certificate
+    monkeypatch.undo()
+    # the floor is the one a separate pass over the contour gives, bit for bit
+    again = annulus_fit.eval_many(np.asarray(cert.contour), cert.w0)
+    assert cert.min_modulus_on_contour == float(np.min(np.abs(again)))
+    assert cert.eval_error == annulus_fit.eval_error_estimate(cert.w0)
+
+
 def test_certificate_invariants_enforced():
     with pytest.raises(zr.ZeroSearchError):
         zr.ZeroCertificate(w0=0, contour=(1 + 0j,), winding=0,
