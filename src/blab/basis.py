@@ -232,7 +232,6 @@ class GramMatrix:
     """Hermitian matrix of L2 inner products G_ij = int_U b_i conj(b_j) dV."""
 
     matrix: np.ndarray
-    basis: BasisSpec
     conditioning: float
 
     def __post_init__(self):
@@ -312,7 +311,7 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
         raise BasisError(
             f"Gram matrix is not positive to quadrature tolerance "
             f"(min eigenvalue {eig_min:.3e} vs trace {trace:.3e})")
-    return GramMatrix(matrix=G, basis=basis, conditioning=_normalized_cond(G))
+    return GramMatrix(matrix=G, conditioning=_normalized_cond(G))
 
 
 # ---------------------------------------------------------------------------
@@ -388,54 +387,3 @@ def factorize(G: GramMatrix) -> GramFactor:
             f"dependent on the domain (normalized conditioning "
             f"{G.conditioning:.3g})") from None
     return GramFactor(lower=L, scale=s)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_basis(basis: BasisSpec, path) -> None:
-    """One term per line; first line is the basis kind."""
-    lines = [basis.kind] + [t.label() for t in basis.terms]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_basis(path) -> BasisSpec:
-    with open(path, encoding="utf-8") as f:
-        kind = f.readline().strip()
-        terms: list = []
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "planar":
-                terms.append(PlanarTerm(complex(float(parts[1]), float(parts[2])),
-                                        int(parts[3])))
-            elif parts[0] == "reinhardt":
-                terms.append(ReinhardtTerm(int(parts[1]), int(parts[2])))
-            else:
-                raise BasisError(f"unknown term line {line!r}")
-    return BasisSpec(tuple(terms), kind=kind)
-
-
-def save_gram(G: GramMatrix, path) -> None:
-    """Plain-text complex matrix: header `gram <N>`, then rows of re im pairs."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"gram {G.n}\n")
-        for row in G.matrix:
-            f.write(" ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row)
-                    + "\n")
-
-
-def load_gram_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if header[:1] != ["gram"]:
-            raise BasisError(f"not a gram matrix file: {path}")
-        n = int(header[1])
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            vals = [float(t) for t in f.readline().split()]
-            out[i] = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)]
-    return out

@@ -12,7 +12,8 @@ alone (cellwise operations, exhaustions, necks, loaded grids) integrates
 with unit weights over its true cells.
 
 Each domain computes its exact distance-to-complement field once, on first
-use (`GridDomain.distance`); every reader of a field shares that transform.
+use (`GridDomain.distance`), as a read-only array of the mask's shape; every
+reader of a field shares that transform.
 
 Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
@@ -145,9 +146,12 @@ class GridDomain:
         return self.centers_of(self.mask)
 
     @cached_property
-    def distance(self) -> DistanceField:
-        """The domain's exact distance field, computed on first use."""
-        return DistanceField(_edt(self.mask, self.h, self.kind, self.origin))
+    def distance(self) -> np.ndarray:
+        """The domain's exact distance field, computed on first use: a
+        read-only array of the mask's shape, zero exactly off the mask."""
+        d = _edt(self.mask, self.h, self.kind, self.origin)
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def boundary(self) -> BoundaryCells:
@@ -208,20 +212,6 @@ class GridDomain:
         """Indices of the cell containing the point, or None if off-array."""
         i, j, on = self._indices(point)
         return (int(i), int(j)) if on else None
-
-
-@dataclass(frozen=True)
-class DistanceField:
-    """Sampled distance-to-complement d_U on the lattice of its domain,
-    read at points through `GridDomain.values_at`.
-
-    Values are zero exactly on cells outside the domain mask.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -301,6 +291,33 @@ def difference(a: dict, b: dict) -> dict:
 
 def reinhardt_profile(region: dict) -> dict:
     return {"shape": "reinhardt-profile", "region": region}
+
+
+def check_spec(spec) -> None:
+    """Raise GeomError unless spec is a shape spec holding every key that
+    `_spec_bbox` and `_spec_predicate` read, in the form `forms` gives."""
+    if not isinstance(spec, dict):
+        raise GeomError(f"a shape spec is an object, got {spec!r}")
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    pair = lambda each: lambda v: (isinstance(v, (list, tuple))
+                                   and len(v) == 2 and all(map(each, v)))
+    shape = lambda v: check_spec(v) is None     # raises on a malformed spec
+    forms = {"disc": {"center": pair(number), "r": number},
+             "annulus": {"center": pair(number), "rho": number, "R": number},
+             "rectangle": {"corners": pair(pair(number))},
+             "union": {"parts": lambda v: isinstance(v, (list, tuple))
+                       and len(v) > 0 and all(map(shape, v))},
+             "difference": {"a": shape, "b": shape},
+             "reinhardt-profile": {"region": shape}}
+    kind = spec.get("shape")
+    if not isinstance(kind, str) or kind not in forms:
+        raise GeomError(f"unknown shape spec {kind!r}")
+    for key, ok in forms[kind].items():
+        if key not in spec:
+            raise GeomError(f"{kind} spec needs key {key!r}")
+        if not ok(spec[key]):
+            raise GeomError(f"{kind} spec key {key!r} is malformed: "
+                            f"{spec[key]!r}")
 
 
 def _spec_bbox(spec: dict) -> tuple[float, float, float, float]:
@@ -501,11 +518,11 @@ def _edt(mask: np.ndarray, h: float, kind: str,
     return dist[px:px + nx, py:py + ny].copy()
 
 
-def distance_field(U: GridDomain) -> DistanceField:
+def distance_field(U: GridDomain) -> np.ndarray:
     """Exact Euclidean distance transform of the domain mask (0 off U).
 
-    Computed once per domain and shared: this returns `U.distance`, whose
-    values are read-only."""
+    Computed once per domain and shared: this returns `U.distance`, a
+    read-only array of the mask's shape."""
     return U.distance
 
 
@@ -651,7 +668,7 @@ def _max_on(A: GridDomain, cells: np.ndarray, at: tuple[int, int]) -> float:
     sub = cells[at[0]:at[0] + A.nx, at[1]:at[1] + A.ny]
     if not sub.any():
         return 0.0
-    return float(A.distance.values[sub].max())
+    return float(A.distance[sub].max())
 
 
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
@@ -708,7 +725,7 @@ def interior_exhaustion(G: GridDomain, depths: Sequence[float]) -> DomainSequenc
     for eps in depths:
         if eps <= G.h:
             raise GeomError(f"exhaustion depth {eps} must exceed the spacing {G.h}")
-        m = df.values > eps
+        m = df > eps
         if not m.any():
             raise EmptyDomainError(f"exhaustion depth {eps} empties the domain")
         members.append(GridDomain(origin=G.origin, h=G.h, mask=m, kind=G.kind))

@@ -268,20 +268,10 @@ class DiscKernel(Kernel):
         coef = np.arange(self.truncation + 1, 0, -1, dtype=float)
         return _blockwise(lambda b: _horner(coef, b / r2) / (np.pi * r2), s)
 
-    def tail_bound(self, s_abs: float) -> float:
-        if self.truncation is None:
-            return 0.0
-        q = s_abs / (self.r * self.r)
-        if q >= 1:
-            return math.inf
-        M = self.truncation
-        tail = q ** (M + 1) * ((M + 2) - (M + 1) * q) / (1 - q) ** 2
-        return tail / (np.pi * self.r * self.r)
-
     def eval_error_estimate(self, w: complex) -> float:
         """Floating-point evaluation error of this (possibly truncated)
         kernel.  The truncation gap to the ideal disc kernel is a modeling
-        property reported by tail_bound, not an evaluation error."""
+        property of the truncation, not an evaluation error."""
         kww = abs(self.eval(w, w))
         return EVAL_ERROR_COEFF * (1.0 + kww)
 
@@ -662,7 +652,7 @@ def _probe_centers(domain: GridDomain, cells: np.ndarray, stride: int) -> np.nda
 
 def compact_cells(domain: GridDomain, margin: float) -> np.ndarray:
     """Cells of the domain at depth greater than the margin."""
-    depth = distance_field(domain).values
+    depth = distance_field(domain)
     cells = depth > margin
     if not cells.any():
         raise KernelError(f"compact set at margin {margin} is empty")
@@ -738,19 +728,3 @@ def kernel_error_c2(model, reference, margin: float) -> float:
     zs, ws = reinhardt_probe_pairs(model.profile, margin)
     return float(np.max(np.abs(model.eval_many(zs, ws)
                                - reference.eval_many(zs, ws))))
-
-
-# ---------------------------------------------------------------------------
-# field dumps
-# ---------------------------------------------------------------------------
-
-def dump_kernel_field(model, w: complex, path, stride: int = 1) -> None:
-    """CSV of K(., w) over the domain: re(z), im(z), re(K), im(K), |K|."""
-    cells = model.domain.mask
-    probes = _probe_centers(model.domain, cells, stride)
-    vals = model.eval_many(probes, w)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("re_z,im_z,re_K,im_K,abs_K\n")
-        for z, k in zip(probes, vals):
-            f.write(f"{z.real:.12g},{z.imag:.12g},{k.real:.12g},"
-                    f"{k.imag:.12g},{abs(k):.12g}\n")

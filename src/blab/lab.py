@@ -28,9 +28,11 @@ from . import basis as bs
 from . import kernel as kn
 from . import zeros as zr
 from .geom import (
+    GeomError,
     GridDomain,
     _spec_bbox,
     annulus,
+    check_spec,
     difference,
     disc,
     distance_field,
@@ -100,9 +102,11 @@ class ExperimentConfig:
                               f"expected one of {EXPERIMENTS}")
         if not 0 < self.h < math.inf:
             raise ConfigError("h must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name, sched in (("depths", self.depths), ("widths", self.widths)):
-            if not sched:
-                continue
+            if not sched and name in REQUIRED[self.experiment]:
+                raise ConfigError(f"{name} must not be empty")
             if not all(v > 0 for v in sched):
                 raise ConfigError(f"{name} must be positive")
             if len(sched) > 1 and not all(a > b for a, b in zip(sched, sched[1:])):
@@ -124,8 +128,8 @@ def _real(key: str, v) -> float:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a JSON config dict: unknown keys are rejected, and so is any
-    value of the wrong type (a JSON true is not a number here)."""
+    """Validate a JSON config dict: unknown keys, values of the wrong type
+    (a JSON true is not a number here) and malformed shapes are rejected."""
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -165,6 +169,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs["h"] = float(kwargs["h"])
     if "delta" in kwargs:
         kwargs["delta"] = float(kwargs["delta"])
+    if "shapes" in REQUIRED[exp]:
+        for name in ("left", "right") if exp == "barbell" else ("target",):
+            if name not in raw["shapes"]:
+                raise ConfigError(f"experiment {exp!r} requires shape {name!r}")
+            try:
+                check_spec(raw["shapes"][name])
+            except GeomError as e:
+                raise ConfigError(f"shape {name!r}: {e}") from e
     if not kwargs.get("out_dir"):
         kwargs["out_dir"] = f"runs/{exp}"
     return ExperimentConfig(**kwargs)
@@ -677,7 +689,7 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
     # certify on the annulus-factor slice of the placed product
     model = kn.fit_kernel(Dprof, bs.reinhardt_window(-n_neg, n_pos, n_pos))
     depth_prof = distance_field(Dprof)
-    flat = int(np.argmax(depth_prof.values))
+    flat = int(np.argmax(depth_prof))
     i0, j0 = np.unravel_index(flat, Dprof.mask.shape)
     z2 = Dprof.centers_y[j0]
     sl = model.slice_fixed_last(z2)

@@ -23,14 +23,13 @@ None.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geom import DistanceField, GridDomain, distance_field
+from .geom import GridDomain, distance_field
 from .kernel import DEFAULT_SEED, KernelError, kernel_error
 
 ARG_STEP_LIMIT = np.pi / 2
@@ -297,15 +296,6 @@ class ZeroCertificate:
         cert.validate()
         return cert
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "ZeroCertificate":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -352,9 +342,8 @@ class ProbeConfig:
     scan_bbox: tuple | None = None  # (x0, y0, x1, y1) restriction of the scan
 
 
-def _lobe_scale(depth: DistanceField, start: tuple[int, int]) -> float:
-    """Local distance-field maximum reached by greedy 8-neighbor ascent."""
-    v = depth.values
+def _lobe_scale(v: np.ndarray, start: tuple[int, int]) -> float:
+    """Local maximum of a distance field reached by greedy 8-neighbor ascent."""
     nx, ny = v.shape
     i, j = start
     for _ in range(nx * ny):
@@ -380,7 +369,7 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
     probes: list[complex] = []
     for comp in range(1, dom.n_components + 1):
         in_comp = labels == comp
-        d = np.where(in_comp, depth.values, -1.0)
+        d = np.where(in_comp, depth, -1.0)
         sel = np.zeros(d.shape, dtype=bool)
         flat_best = int(np.argmax(d))
         sel.flat[flat_best] = True
@@ -397,7 +386,7 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
 
 
 def certify_zero(model, w0: complex, z_star: complex,
-                 depth: DistanceField | None = None) -> ZeroCertificate | None:
+                 depth: np.ndarray | None = None) -> ZeroCertificate | None:
     """Try to certify a zero of K(., w0) near the candidate z_star.
 
     The contour is a circle of CONTOUR_POINTS samples and radius
@@ -406,8 +395,8 @@ def certify_zero(model, w0: complex, z_star: complex,
     admissibility rule are rejected outright (boundary-hugging truncation
     artifacts).  Each contour is evaluated once: the winding pass also gives
     the floor, the least modulus over its unrefined samples, and the error
-    estimate is computed once per call.  Returns None when no valid
-    certificate arises.
+    estimate is computed once per call.  depth defaults to the domain's
+    `distance_field`.  Returns None when no valid certificate arises.
     """
     dom = model.domain
     if depth is None:
@@ -415,7 +404,7 @@ def certify_zero(model, w0: complex, z_star: complex,
     cell = dom.cell_of(z_star)
     if cell is None or not dom.mask[cell]:
         return None
-    d_here = float(depth.values[cell])
+    d_here = float(depth[cell])
     if d_here < LOBE_GAMMA * _lobe_scale(depth, cell):
         return None
     err = float(model.eval_error_estimate(w0))
@@ -495,7 +484,7 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
     if reference is not None:
         ref_dom = reference.domain
         if margin is None:
-            depth = distance_field(ref_dom).values
+            depth = distance_field(ref_dom)
             margin = 0.5 * float(ref_dom.values_at(depth, contour).min())
         for m in models:
             try:

@@ -140,7 +140,7 @@ def test_criterion_3_square_floor(square_fit_12):
     a box, passed to the verdict as its scan_bbox.
     """
     dom = square_fit_12.domain
-    depth = distance_field(dom).values
+    depth = distance_field(dom)
     admitted = depth >= zr.LOBE_GAMMA * depth.max()
     pts = dom.centers_of(admitted)
     bbox = (pts.real.min(), pts.imag.min(), pts.real.max(), pts.imag.max())

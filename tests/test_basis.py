@@ -198,8 +198,7 @@ def _random_factor(n=9, seed=5):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     H = A @ A.conj().T + n * np.eye(n)
-    return H, bs.factorize(bs.GramMatrix(matrix=H, basis=bs.monomials(0, n - 1),
-                                         conditioning=1.0))
+    return H, bs.factorize(bs.GramMatrix(matrix=H, conditioning=1.0))
 
 
 def test_whiten_equals_solve_triangular_bytes():
@@ -364,8 +363,7 @@ def test_reinhardt_b_negative_rejected():
 
 def test_factorize_diagonal_gram():
     d = np.array([np.pi, 0.5, 2.0])
-    G = bs.GramMatrix(matrix=np.diag(d).astype(complex),
-                      basis=bs.monomials(0, 2), conditioning=4.0)
+    G = bs.GramMatrix(matrix=np.diag(d).astype(complex), conditioning=4.0)
     F = bs.factorize(G)
     # normalized cholesky of the identity
     assert np.allclose(F.lower, np.eye(3))
@@ -373,8 +371,7 @@ def test_factorize_diagonal_gram():
 
 
 def test_factorize_one_by_one():
-    G = bs.GramMatrix(matrix=np.array([[np.pi + 0j]]),
-                      basis=bs.monomials(0, 0), conditioning=1.0)
+    G = bs.GramMatrix(matrix=np.array([[np.pi + 0j]]), conditioning=1.0)
     F = bs.factorize(G)
     assert F.scale[0] == pytest.approx(np.sqrt(np.pi))
 
@@ -384,8 +381,7 @@ def test_solve_residual_on_random_admissible_gram():
     A = rng.normal(size=(60, 8)) + 1j * rng.normal(size=(60, 8))
     M = A.conj().T @ A / 60
     M = (M + M.conj().T) / 2
-    G = bs.GramMatrix(matrix=M, basis=bs.monomials(0, 7),
-                      conditioning=bs._normalized_cond(M))
+    G = bs.GramMatrix(matrix=M, conditioning=bs._normalized_cond(M))
     F = bs.factorize(G)
     e0 = np.zeros(8, dtype=complex)
     e0[0] = 1.0
@@ -398,45 +394,7 @@ def test_solve_residual_on_random_admissible_gram():
     -np.eye(2, dtype=complex) * 1e6,
 ], ids=["singular", "negative-definite"])
 def test_factorize_fails_on_first_cholesky_failure(M):
-    G = bs.GramMatrix(matrix=M, basis=bs.monomials(0, 1), conditioning=np.inf)
+    G = bs.GramMatrix(matrix=M, conditioning=np.inf)
     with pytest.raises(bs.FactorizationError):
         bs.factorize(G)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_basis_text_round_trip(tmp_path):
-    B = bs.merged(bs.monomials(0.5 + 0.25j, 3), bs.principal_parts(2 + 0j, 2))
-    path = tmp_path / "basis.txt"
-    bs.save_basis(B, path)
-    assert bs.load_basis(path) == B
-
-
-def test_gram_text_round_trip(tmp_path):
-    U = make_domain(disc(0, 1), h=0.05)
-    G = bs.gram_matrix(bs.monomials(0, 3), U)
-    path = tmp_path / "gram.txt"
-    bs.save_gram(G, path)
-    M = bs.load_gram_matrix(path)
-    assert (M == G.matrix).all()
-
-
-def test_reinhardt_basis_text_round_trip(tmp_path):
-    B = bs.reinhardt_window(-3, 3, 2)
-    path = tmp_path / "rbasis.txt"
-    bs.save_basis(B, path)
-    loaded = bs.load_basis(path)
-    assert loaded == B
-    assert loaded.kind == "reinhardt-profile"
-
-
-def test_numpy_typed_centers_serialize_cleanly(tmp_path):
-    c = np.complex128(0.25 + 0.5j)
-    B = bs.BasisSpec((bs.PlanarTerm(c, 0), bs.PlanarTerm(c, 2)))
-    path = tmp_path / "np_basis.txt"
-    bs.save_basis(B, path)
-    loaded = bs.load_basis(path)
-    assert [t.n for t in loaded.terms] == [0, 2]
-    assert loaded.terms[0].center == complex(c)

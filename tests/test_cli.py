@@ -68,6 +68,10 @@ def test_invalid_config_exits_3(tmp_path, capsys):
                                "surprise": 1})
     assert main(["metric", cfg]) == 3
     assert "unknown config keys" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, {"experiment": "metric-demo", "h": 0.02},
+                    name="valid.json")
+    assert main(["metric", cfg, "--seed", "-1"]) == 3
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_3(tmp_path, capsys):

@@ -130,33 +130,32 @@ def test_distance_field_matches_brute_force():
     U = make_domain(union(disc(0, 0.6), rectangle((0.3, -0.2), (1.4, 0.3))), h=0.1)
     df = distance_field(U)
     oracle = brute_force_edt(U.mask, U.h)
-    assert np.allclose(df.values, oracle, atol=1e-12)
+    assert np.allclose(df, oracle, atol=1e-12)
 
 
 def test_distance_field_zero_off_domain():
     U = make_domain(disc(0, 1), h=0.05)
     df = distance_field(U)
-    assert (df.values[~U.mask] == 0).all()
-    assert (df.values[U.mask] > 0).all()
+    assert (df[~U.mask] == 0).all()
+    assert (df[U.mask] > 0).all()
 
 
 def test_disc_center_depth():
     U = make_domain(disc(0, 1), h=0.02)
     df = distance_field(U)
-    assert U.values_at(df.values, 0j) == pytest.approx(1.0, abs=2 * 0.02)
+    assert U.values_at(df, 0j) == pytest.approx(1.0, abs=2 * 0.02)
 
 
 def test_square_center_depth():
     U = make_domain(rectangle((0, 0), (1, 1)), h=0.02)
     df = distance_field(U)
-    depth = U.values_at(df.values, 0.5 + 0.5j)
+    depth = U.values_at(df, 0.5 + 0.5j)
     assert depth == pytest.approx(0.5, abs=2 * 0.02)
 
 
 def test_distance_field_lattice_lipschitz():
     U = make_domain(annulus(0, 0.4, 1), h=0.05)
-    df = distance_field(U)
-    v = df.values
+    v = distance_field(U)
     h = U.h
     rng = np.random.default_rng(3)
     ii = rng.integers(0, U.nx, size=(200, 2))
@@ -171,7 +170,7 @@ def test_reinhardt_distance_field_mirrors_axis():
     # outer edge, not by any phantom complement at negative radii
     U = make_domain(reinhardt_profile(rectangle((0, 0), (1, 1))), h=0.05)
     df = distance_field(U)
-    near_axis = U.values_at(df.values, 0.025 + 0.5j)
+    near_axis = U.values_at(df, 0.025 + 0.5j)
     assert near_axis == pytest.approx(0.5, abs=0.1)
 
     # oracle on the quadrant: complement is only r1 > 1 or r2 > 1
@@ -179,7 +178,7 @@ def test_reinhardt_distance_field_mirrors_axis():
     r1 = U.centers_x[i]
     r2 = U.centers_y[j]
     expected = min(1 - r1, 1 - r2)
-    assert df.values[i, j] == pytest.approx(expected, abs=2 * U.h)
+    assert df[i, j] == pytest.approx(expected, abs=2 * U.h)
 
 
 @pytest.mark.parametrize("spec", [
@@ -1122,9 +1121,9 @@ def test_distance_field_is_shared_and_read_only(edt_calls):
     U = make_domain(disc(0, 1), h=0.05)
     df = distance_field(U)
     assert distance_field(U) is df
-    assert not df.values.flags.writeable
+    assert not df.flags.writeable
     with pytest.raises(ValueError):
-        df.values[0, 0] = 1.0
+        df[0, 0] = 1.0
     rho1(U, U)
     rho2(U, make_domain(disc(0, 0.9), h=0.05))
     interior_exhaustion(U, [0.2])

@@ -641,20 +641,6 @@ def test_product_slice_scales_first_factor():
     assert sl.domain is not None
 
 
-# ---------------------------------------------------------------------------
-# field dump
-# ---------------------------------------------------------------------------
-
-def test_kernel_field_dump(tmp_path, disc_model):
-    path = tmp_path / "field.csv"
-    kn.dump_kernel_field(disc_model, 0.2, path, stride=16)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re_z,im_z,re_K,im_K,abs_K"
-    row = [float(t) for t in lines[1].split(",")]
-    assert len(row) == 5
-    assert row[4] == pytest.approx(np.hypot(row[2], row[3]), rel=1e-9)
-
-
 def test_annulus_series_argument_outside_convergence():
     K = kn.closed_form(annulus(0, 0.5, 1), truncation=16)
     with pytest.raises(kn.KernelError, match="annulus of convergence"):

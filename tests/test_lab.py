@@ -84,6 +84,18 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
      "needs numbers"),
     ({"experiment": "barbell", "widths": [0.4], "segment": [1, 2]},
      r"\[\[x, y\], \[x, y\]\]"),
+    ({"shapes": {}}, "requires shape 'target'"),
+    ({"experiment": "barbell", "widths": [0.4],
+      "shapes": {"left": disc(-2, 1)}}, "requires shape 'right'"),
+    ({"shapes": {"target": 5}}, "a shape spec is an object"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0]}}},
+     "needs key 'r'"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0, 0], "r": 1}}},
+     "'center' is malformed"),
+    ({"shapes": {"target": {"shape": "union", "parts": []}}},
+     "'parts' is malformed"),
+    ({"depths": []}, "depths must not be empty"),
+    ({"seed": -1}, "seed must be nonnegative"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)

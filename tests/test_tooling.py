@@ -9,8 +9,12 @@ traced benchmark run.  Another builds every input of
 `perfbench/workloads.py` through the calls `perfbench/run.py` makes, so
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
+
+No linter ships with the project, so one more test parses every module of
+`src/blab` with `ast` and fails on an imported name the module never reads.
 """
 
+import ast
 import math
 import sys
 from pathlib import Path
@@ -20,6 +24,7 @@ import pytest
 from blab import basis, geom, kernel, lab, zeros
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "blab"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +79,23 @@ def test_workload_inputs_build(bench):
                 assert len(lab.default_basis_for(v["model"],
                                                  tuple(v["window"])))
             assert ("configs" in inp) != ("verdicts" in inp), inp["id"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import whose line carries `# noqa: F401` is a deliberate re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__" \
+                    or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
