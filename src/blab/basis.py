@@ -1,11 +1,11 @@
 """Finite holomorphic basis families and their L2 Gram matrices.
 
-Planar terms are centered powers (z - p)^n; negative exponents are admitted
-only when the center lies in a bounded complement component of the domain, so
-the term stays square-integrable, and off every quadrature node.  Reinhardt
-terms are monomials z1^a z2^b evaluated through their radial moments;
-monomials of distinct bidegree are exactly orthogonal under the
-rotation-invariant weight, so the Gram matrix of a reinhardt basis is
+Planar terms are centered powers (z - p)^n; a negative exponent is admitted
+when its center's cell is not a domain cell (off the array counts as
+outside), so the term is bounded on the domain, and off every quadrature
+node.  Reinhardt terms are monomials z1^a z2^b evaluated through their
+radial moments; monomials of distinct bidegree are exactly orthogonal under
+the rotation-invariant weight, so the Gram matrix of a reinhardt basis is
 assembled as a diagonal.
 
 Planar Grams integrate by the domain's cell quadrature (`GridDomain.
@@ -35,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 import scipy.linalg as sla
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import ztrtrs
 
-from .geom import FOUR_CONN, GridDomain, PLANAR, REINHARDT
+from .geom import GridDomain, PLANAR, REINHARDT
 
 GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
 
@@ -56,7 +55,7 @@ class FactorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlanarTerm:
-    """(z - center)^n; n < 0 needs the center inside a bounded hole."""
+    """(z - center)^n; n < 0 needs the center off the domain's cells."""
 
     center: complex
     n: int
@@ -142,30 +141,18 @@ def reinhardt_window(a_min: int, a_max: int, b_max: int) -> BasisSpec:
 
 def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
     """Raise BasisError if any term is not square-integrable on U, or has
-    its pole on a node of U's quadrature."""
+    its pole on a node of U's quadrature.  A planar pole may sit on any cell
+    that is not a domain cell: in a hole, or anywhere off the domain."""
     if basis.kind == PLANAR:
         if U.kind != PLANAR:
             raise BasisError("planar basis on a non-planar domain")
-        hole_labels = None
-        unbounded: set[int] = set()
         for t in basis.terms:
             if t.n >= 0:
                 continue
-            ij = U.cell_of(t.center)
-            if ij is None or U.mask[ij]:
+            if U.values_at(U.mask, t.center):
                 raise BasisError(
                     f"negative power centered at {t.center} is not admissible: "
-                    "center must lie in a bounded complement component")
-            if hole_labels is None:
-                hole_labels, _ = ndimage.label(~U.mask, structure=FOUR_CONN)
-                border = np.zeros_like(U.mask)
-                border[0, :] = border[-1, :] = True
-                border[:, 0] = border[:, -1] = True
-                unbounded = set(np.unique(hole_labels[border & ~U.mask]))
-            if int(hole_labels[ij]) in unbounded:
-                raise BasisError(
-                    f"negative power centered at {t.center} sits in the unbounded "
-                    "complement component")
+                    "center must lie outside the domain's cells")
             if (U.quadrature[0] == t.center).any():
                 raise BasisError(
                     f"negative power centered at {t.center} has a quadrature "

@@ -262,16 +262,13 @@ class DomainSequence:
 # ---------------------------------------------------------------------------
 
 def disc(center: complex, r: float) -> dict:
-    if r <= 0:
-        raise GeomError("disc radius must be positive")
-    return {"shape": "disc", "center": [center.real, center.imag], "r": float(r)}
+    return check_spec({"shape": "disc", "center": [center.real, center.imag],
+                       "r": float(r)})
 
 
 def annulus(center: complex, rho: float, R: float) -> dict:
-    if not 0 < rho < R:
-        raise GeomError(f"annulus radii must satisfy 0 < rho < R, got {rho}, {R}")
-    return {"shape": "annulus", "center": [center.real, center.imag],
-            "rho": float(rho), "R": float(R)}
+    return check_spec({"shape": "annulus", "center": [center.real, center.imag],
+                       "rho": float(rho), "R": float(R)})
 
 
 def rectangle(corner_a: tuple[float, float], corner_b: tuple[float, float]) -> dict:
@@ -293,15 +290,18 @@ def reinhardt_profile(region: dict) -> dict:
     return {"shape": "reinhardt-profile", "region": region}
 
 
-def check_spec(spec) -> None:
-    """Raise GeomError unless spec is a shape spec holding every key that
-    `_spec_bbox` and `_spec_predicate` read, in the form `forms` gives."""
+def check_spec(spec) -> dict:
+    """Return spec if it is a shape spec holding every key that `_spec_bbox`
+    and `_spec_predicate` read, in the form `forms` gives, with finite
+    numbers, a positive disc radius and annulus radii 0 < rho < R; raise
+    GeomError otherwise."""
     if not isinstance(spec, dict):
         raise GeomError(f"a shape spec is an object, got {spec!r}")
-    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    number = lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v))
     pair = lambda each: lambda v: (isinstance(v, (list, tuple))
                                    and len(v) == 2 and all(map(each, v)))
-    shape = lambda v: check_spec(v) is None     # raises on a malformed spec
+    shape = lambda v: check_spec(v) is v        # raises on a malformed spec
     forms = {"disc": {"center": pair(number), "r": number},
              "annulus": {"center": pair(number), "rho": number, "R": number},
              "rectangle": {"corners": pair(pair(number))},
@@ -318,6 +318,12 @@ def check_spec(spec) -> None:
         if not ok(spec[key]):
             raise GeomError(f"{kind} spec key {key!r} is malformed: "
                             f"{spec[key]!r}")
+    if kind == "disc" and not spec["r"] > 0:
+        raise GeomError(f"disc radius must be positive, got {spec['r']!r}")
+    if kind == "annulus" and not 0 < spec["rho"] < spec["R"]:
+        raise GeomError("annulus radii must satisfy 0 < rho < R, got "
+                        f"{spec['rho']!r}, {spec['R']!r}")
+    return spec
 
 
 def _spec_bbox(spec: dict) -> tuple[float, float, float, float]:
@@ -353,8 +359,6 @@ def _spec_predicate(spec: dict, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if kind == "annulus":
         cx, cy = spec["center"]
         rho, R = spec["rho"], spec["R"]
-        if not 0 < rho < R:
-            raise GeomError(f"annulus radii must satisfy 0 < rho < R, got {rho}, {R}")
         r2 = (X - cx) ** 2 + (Y - cy) ** 2
         return (r2 > rho ** 2) & (r2 < R ** 2)
     if kind == "rectangle":
@@ -416,6 +420,7 @@ def make_domain(spec: dict, h: float,
     """
     if h <= 0:
         raise GeomError("spacing h must be positive")
+    check_spec(spec)
     kind = REINHARDT if spec["shape"] == "reinhardt-profile" else PLANAR
     if bounds is None:
         bounds = _spec_bbox(spec)

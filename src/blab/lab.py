@@ -274,18 +274,15 @@ def _json_default(v):
 # ---------------------------------------------------------------------------
 
 def default_basis_for(spec: dict, window: tuple[int, int]) -> bs.BasisSpec:
-    """Window basis adapted to a shape: monomials at the natural center, plus
-    principal parts at an annulus center (the hole is a bounded complement
-    component)."""
+    """Window basis adapted to a shape: monomials at a disc's or annulus's
+    center, else the bounding-box center, plus principal parts at an annulus
+    center, a pole off the domain's cells."""
     n_neg, n_pos = window
     kind = spec["shape"]
     if kind == "disc":
         return bs.monomials(complex(*spec["center"]), n_pos)
     if kind == "annulus":
         return bs.laurent(complex(*spec["center"]), n_neg, n_pos)
-    if kind == "rectangle":
-        (x0, y0), (x1, y1) = spec["corners"]
-        return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
     x0, y0, x1, y1 = _spec_bbox(spec)
     return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
 
@@ -320,8 +317,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     margin = 1.5 * max(config.depths)
 
     if spec["shape"] in ("disc", "annulus"):
-        reference = kn.closed_form(spec, truncation=max(window[1], window[0]),
-                                   h=config.h)
+        reference = kn.closed_form(spec, truncation=max(window[1], window[0]))
     else:
         reference = kn.fit_kernel(target, default_basis_for(spec, window))
 
@@ -408,7 +404,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
 
     ring_width = right_spec["R"] - right_spec["rho"]
     margin = 0.2 * ring_width
-    reference = kn.closed_form(right_spec, truncation=max(n_pos, n_neg), h=h)
+    reference = kn.closed_form(right_spec, truncation=max(n_pos, n_neg))
     c_right = complex(*right_spec["center"])
 
     probes = lobe_probe_points(D, n_random=4, seed=config.seed)
@@ -447,20 +443,16 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     # (w0, contour) pair evaluated on every member, thick to thin
     anchor = next((v.certificate for v in reversed(verdicts) if v.certified),
                   None)
+    tracks = (None,) * len(models)
     if anchor is not None:
         report.metadata["anchor_zero"] = [anchor.z_star.real, anchor.z_star.imag]
         report.metadata["anchor_w0"] = [anchor.w0.real, anchor.w0.imag]
+        tracks = zr.hurwitz_track(models, anchor.w0,
+                                  np.asarray(anchor.contour)).counts
 
     errors = kn.kernel_error(models, reference, margin, domain=D)
-    for k, (width, member, model, verdict, err) in enumerate(
-            zip(seq.params, seq.members, models, verdicts, errors)):
-        track_winding = None
-        if anchor is not None:
-            try:
-                track_winding = zr.winding_count(model, anchor.w0,
-                                                 np.asarray(anchor.contour))
-            except zr.ContourError:
-                track_winding = None  # indeterminate for this member only
+    for k, (width, member, verdict, err, track_winding) in enumerate(
+            zip(seq.params, seq.members, verdicts, errors, tracks)):
         report.add_row(stage=k, width=width,
                        rho2_to_union=rho2(member, target),
                        rho1_to_left=rho1(member, G),

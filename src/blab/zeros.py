@@ -385,8 +385,7 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
     return probes
 
 
-def certify_zero(model, w0: complex, z_star: complex,
-                 depth: np.ndarray | None = None) -> ZeroCertificate | None:
+def certify_zero(model, w0: complex, z_star: complex) -> ZeroCertificate | None:
     """Try to certify a zero of K(., w0) near the candidate z_star.
 
     The contour is a circle of CONTOUR_POINTS samples and radius
@@ -395,15 +394,14 @@ def certify_zero(model, w0: complex, z_star: complex,
     admissibility rule are rejected outright (boundary-hugging truncation
     artifacts).  Each contour is evaluated once: the winding pass also gives
     the floor, the least modulus over its unrefined samples, and the error
-    estimate is computed once per call.  depth defaults to the domain's
+    estimate is computed once per call.  Depths come from the domain's
     `distance_field`.  Returns None when no valid certificate arises.
     """
     dom = model.domain
-    if depth is None:
-        depth = distance_field(dom)
     cell = dom.cell_of(z_star)
     if cell is None or not dom.mask[cell]:
         return None
+    depth = distance_field(dom)
     d_here = float(depth[cell])
     if d_here < LOBE_GAMMA * _lobe_scale(depth, cell):
         return None
@@ -439,7 +437,6 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
     dom = model.domain
     if dom is None:
         raise ZeroSearchError("model carries no grid domain")
-    depth = distance_field(dom)
     w0s = list(cfg.w0_points) if cfg.w0_points is not None \
         else default_probes(dom, cfg)
     floor = math.inf
@@ -449,7 +446,7 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
         floor = min(floor, scan.min_modulus)
         for z0, _ in scan.candidates[:MAX_CANDIDATES]:
             z_star = refine_minimum(model, w0, z0, dom.h)
-            cert = certify_zero(model, w0, z_star, depth)
+            cert = certify_zero(model, w0, z_star)
             if cert is not None:
                 return Verdict(status="zero-certified", certificate=cert,
                                floor=float(floor), resolution=resolution)

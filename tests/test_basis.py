@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.linalg.blas import zherk
 
 from blab import basis as bs
+from blab import kernel as kn
 from blab.geom import (annulus, difference, disc, interior_exhaustion, make_domain,
                        rectangle, reinhardt_profile, union)
 
@@ -308,12 +309,25 @@ def test_off_diagonal_decays_with_h():
     assert errs[1] <= errs[0] / 4
 
 
-def test_negative_power_needs_bounded_hole():
+def test_negative_power_rejected_with_center_inside_the_domain():
     U = make_domain(disc(0, 1), h=0.02)
     with pytest.raises(bs.BasisError):
-        bs.gram_matrix(bs.laurent(0, 1, 1), U)          # center inside the domain
-    with pytest.raises(bs.BasisError):
-        bs.gram_matrix(bs.laurent(5 + 0j, 1, 1), U)     # unbounded complement
+        bs.gram_matrix(bs.laurent(0, 1, 1), U)
+
+
+@pytest.mark.parametrize("degree, pole, n_neg", [(6, 1.3 + 0j, 2), (4, 5 + 0j, 1)],
+                         ids=["on-the-array", "off-the-array"])
+def test_negative_power_admissible_in_the_unbounded_complement(degree, pole,
+                                                               n_neg):
+    # a pole outside the disc gives a term bounded on it, whether the pole's
+    # cell is on the domain's array or not; the far pole's term is nearly a
+    # polynomial on the disc, so it takes fewer monomials to stay well
+    # conditioned
+    U = make_domain(disc(0, 1), h=0.02)
+    model = kn.fit_kernel(U, bs.merged(bs.monomials(0, degree),
+                                       bs.principal_parts(pole, n_neg)))
+    assert all(kn.reproducing_residual(model, i) <= 1e-10
+               for i in range(model.n_terms))
 
 
 def test_negative_power_rejected_with_pole_on_a_node():

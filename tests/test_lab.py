@@ -96,6 +96,17 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
      "'parts' is malformed"),
     ({"depths": []}, "depths must not be empty"),
     ({"seed": -1}, "seed must be nonnegative"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0], "r": -1}}},
+     "disc radius must be positive"),
+    ({"shapes": {"target": {"shape": "annulus", "center": [0, 0],
+                            "rho": 2, "R": 1}}}, "0 < rho < R"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0],
+                            "r": float("inf")}}}, "'r' is malformed"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0],
+                            "r": float("nan")}}}, "'r' is malformed"),
+    ({"shapes": {"target": {"shape": "rectangle",
+                            "corners": [[0, 0], [float("inf"), 1]]}}},
+     "'corners' is malformed"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)

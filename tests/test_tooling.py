@@ -10,8 +10,9 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so one more test parses every module of
-`src/blab` with `ast` and fails on an imported name the module never reads.
+No linter ships with the project, so two more tests parse every module of
+`src/blab` with `ast`: one fails on an imported name the module never reads,
+the other on a module-level private helper that nothing in `src/blab` uses.
 """
 
 import ast
@@ -99,3 +100,49 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private functions, classes and constants, with the node
+    that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree: ast.AST, skip: set) -> set:
+    """Names a tree reads, as plain names, attributes or imported names,
+    outside the nodes in skip."""
+    refs = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_helper_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(name in _references(t, inside) for t in trees.values()):
+                dead.append(f"{module}:{node.lineno} {name}")
+    assert not dead, dead
