@@ -1,11 +1,11 @@
 """Finite holomorphic basis families and their L2 Gram matrices.
 
 Planar terms are centered powers (z - p)^n; a negative exponent is admitted
-when its center's cell is not a domain cell (off the array counts as
-outside), so the term is bounded on the domain, and off every quadrature
-node.  Reinhardt terms are monomials z1^a z2^b evaluated through their
-radial moments; monomials of distinct bidegree are exactly orthogonal under
-the rotation-invariant weight, so the Gram matrix of a reinhardt basis is
+when its center's cell holds no quadrature node (off the array counts as
+such), so the pole lies off the shape and the term is bounded on it.
+Reinhardt terms are monomials z1^a z2^b evaluated through their radial
+moments; monomials of distinct bidegree are exactly orthogonal under the
+rotation-invariant weight, so the Gram matrix of a reinhardt basis is
 assembled as a diagonal.
 
 Planar Grams integrate by the domain's cell quadrature (`GridDomain.
@@ -55,7 +55,7 @@ class FactorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlanarTerm:
-    """(z - center)^n; n < 0 needs the center off the domain's cells."""
+    """(z - center)^n; n < 0 needs no quadrature node in the center's cell."""
 
     center: complex
     n: int
@@ -140,23 +140,23 @@ def reinhardt_window(a_min: int, a_max: int, b_max: int) -> BasisSpec:
 # ---------------------------------------------------------------------------
 
 def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
-    """Raise BasisError if any term is not square-integrable on U, or has
-    its pole on a node of U's quadrature.  A planar pole may sit on any cell
-    that is not a domain cell: in a hole, or anywhere off the domain."""
+    """Raise BasisError if any term is not square-integrable on U.  A
+    planar pole is admitted when its cell holds no node of U's quadrature
+    (off the array counts as such): in a hole, or anywhere in the unbounded
+    complement clear of the cut cells, which hold every point of the
+    shape."""
     if basis.kind == PLANAR:
         if U.kind != PLANAR:
             raise BasisError("planar basis on a non-planar domain")
         for t in basis.terms:
             if t.n >= 0:
                 continue
-            if U.values_at(U.mask, t.center):
+            cell = U.cell_of(t.center)
+            if cell is not None and (U.quadrature[0] == U.centers_x[cell[0]]
+                                     + 1j * U.centers_y[cell[1]]).any():
                 raise BasisError(
                     f"negative power centered at {t.center} is not admissible: "
-                    "center must lie outside the domain's cells")
-            if (U.quadrature[0] == t.center).any():
-                raise BasisError(
-                    f"negative power centered at {t.center} has a quadrature "
-                    "node at its pole: the hole is narrower than a cell")
+                    "its pole's cell holds a quadrature node")
         return
     if U.kind != REINHARDT:
         raise BasisError("reinhardt basis on a non-reinhardt domain")

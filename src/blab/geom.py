@@ -33,6 +33,7 @@ Neither metric runs a transform of its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -297,8 +298,9 @@ def check_spec(spec) -> dict:
     GeomError otherwise."""
     if not isinstance(spec, dict):
         raise GeomError(f"a shape spec is an object, got {spec!r}")
+    # finite as a float: false on nan and inf, and on an int past the range
     number = lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v))
+                        and abs(v) <= sys.float_info.max)
     pair = lambda each: lambda v: (isinstance(v, (list, tuple))
                                    and len(v) == 2 and all(map(each, v)))
     shape = lambda v: check_spec(v) is v        # raises on a malformed spec

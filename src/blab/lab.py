@@ -276,7 +276,7 @@ def _json_default(v):
 def default_basis_for(spec: dict, window: tuple[int, int]) -> bs.BasisSpec:
     """Window basis adapted to a shape: monomials at a disc's or annulus's
     center, else the bounding-box center, plus principal parts at an annulus
-    center, a pole off the domain's cells."""
+    center, a pole whose cell holds no quadrature node."""
     n_neg, n_pos = window
     kind = spec["shape"]
     if kind == "disc":

@@ -309,21 +309,28 @@ def test_off_diagonal_decays_with_h():
     assert errs[1] <= errs[0] / 4
 
 
-def test_negative_power_rejected_with_center_inside_the_domain():
+@pytest.mark.parametrize("pole", [0j, -0.98209 - 0.14880j],
+                         ids=["center", "cut-cell"])
+def test_negative_power_rejected_with_center_inside_the_domain(pole):
+    # the cut-cell pole lies inside the disc (|p| = 0.9933) in a cut cell
+    # whose center lies outside it: the cell still holds a quadrature node
     U = make_domain(disc(0, 1), h=0.02)
     with pytest.raises(bs.BasisError):
-        bs.gram_matrix(bs.laurent(0, 1, 1), U)
+        bs.gram_matrix(bs.principal_parts(pole, 1), U)
 
 
-@pytest.mark.parametrize("degree, pole, n_neg", [(6, 1.3 + 0j, 2), (4, 5 + 0j, 1)],
+@pytest.mark.parametrize("degree, pole, n_neg, on_array",
+                         [(6, 0.9 + 0.9j, 2, True), (4, 5 + 0j, 1, False)],
                          ids=["on-the-array", "off-the-array"])
 def test_negative_power_admissible_in_the_unbounded_complement(degree, pole,
-                                                               n_neg):
-    # a pole outside the disc gives a term bounded on it, whether the pole's
-    # cell is on the domain's array or not; the far pole's term is nearly a
+                                                               n_neg, on_array):
+    # a pole outside the disc and clear of its cut cells gives a term
+    # bounded on it, whether the pole's cell is on the domain's array (the
+    # bounding-box corner) or not; the far pole's term is nearly a
     # polynomial on the disc, so it takes fewer monomials to stay well
     # conditioned
     U = make_domain(disc(0, 1), h=0.02)
+    assert (U.cell_of(pole) is not None) == on_array
     model = kn.fit_kernel(U, bs.merged(bs.monomials(0, degree),
                                        bs.principal_parts(pole, n_neg)))
     assert all(kn.reproducing_residual(model, i) <= 1e-10

@@ -107,6 +107,8 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
     ({"shapes": {"target": {"shape": "rectangle",
                             "corners": [[0, 0], [float("inf"), 1]]}}},
      "'corners' is malformed"),
+    ({"shapes": {"target": {"shape": "disc", "center": [0, 0],
+                            "r": 10 ** 400}}}, "'r' is malformed"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)
