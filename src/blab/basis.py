@@ -148,14 +148,14 @@ def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
     if basis.kind == PLANAR:
         if U.kind != PLANAR:
             raise BasisError("planar basis on a non-planar domain")
-        for t in basis.terms:
-            if t.n >= 0:
-                continue
-            cell = U.cell_of(t.center)
+        # each pole once, in first-appearance order, so the error names the
+        # pole of the first offending term
+        for center in dict.fromkeys(t.center for t in basis.terms if t.n < 0):
+            cell = U.cell_of(center)
             if cell is not None and (U.quadrature[0] == U.centers_x[cell[0]]
                                      + 1j * U.centers_y[cell[1]]).any():
                 raise BasisError(
-                    f"negative power centered at {t.center} is not admissible: "
+                    f"negative power centered at {center} is not admissible: "
                     "its pole's cell holds a quadrature node")
         return
     if U.kind != REINHARDT:

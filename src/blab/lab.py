@@ -17,6 +17,7 @@ The four experiments:
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,7 +53,10 @@ from .geom import (
 )
 
 EXPERIMENTS = ("exhaustion", "barbell", "nowhere-density", "metric-demo")
-LADDER_SAMPLES = 16     # degrees sampled for the nowhere-density ladder
+# nowhere-density lobe-side poles: angles (degrees) from the +x axis at the
+# lobe center, which faces away from the neck, and radius in lobe radii
+LOBE_POLE_ANGLES = (-100, -60, -20, 20, 60, 100)
+LOBE_POLE_RADIUS = 1.3
 
 CONFIG_KEYS = {
     "experiment": str,
@@ -340,7 +344,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
         certified = None
         winding = None
         if certify:
-            cfg = zr.ProbeConfig(w0_points=probe_points, seed=config.seed)
+            cfg = zr.ProbeConfig(w0_points=probe_points)
             verdict = zr.lu_qi_keng_verdict(model, cfg)
             certified = verdict.certified
             if verdict.certified:
@@ -431,8 +435,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     for k, (width, member) in enumerate(zip(seq.params, seq.members)):
         model = kn.fit_kernel(member, basis)
         models.append(model)
-        cfg = zr.ProbeConfig(w0_points=probes, seed=config.seed,
-                             scan_bbox=d_bbox)
+        cfg = zr.ProbeConfig(w0_points=probes, scan_bbox=d_bbox)
         verdict = zr.lu_qi_keng_verdict(model, cfg)
         verdicts.append(verdict)
         if verdict.certified:
@@ -489,29 +492,6 @@ def _rightmost_boundary_point(U: GridDomain) -> complex:
     pts = U.centers_at(U.boundary.cells)
     order = np.lexsort((np.abs(pts.imag), -pts.real))
     return complex(pts[order[0]])
-
-
-def _localized_high_degrees(member: GridDomain, D: GridDomain,
-                            center: complex) -> tuple[list, float]:
-    """Monomial degrees whose mass concentrates on the small far lobe D.
-
-    D is placed beyond the member's circumcircle around `center`, so the
-    norm of (z - center)^k is D-dominated once suppression^k is small:
-    suppression = (member circumradius) / (distance from center to D).
-    Returns the degree ladder and the suppression base (a base at or above
-    one means no polynomial degree can localize and certification will be
-    reported as failed).  Boundary cells suffice: a farthest cell, and a
-    nearest one from more than a cell away, has a false 4-neighbour.
-    """
-    r_mem = float(np.abs(extract_sets(member).boundary - center).max())
-    r_d = float(np.abs(extract_sets(D).boundary - center).min())
-    base = r_mem / r_d
-    if base >= 0.98:
-        return [], base
-    k2 = math.ceil(math.log(100.0) / -math.log(base))
-    lo, hi = math.ceil(0.8 * k2), math.ceil(1.8 * k2)
-    degrees = sorted({int(round(v)) for v in np.linspace(lo, hi, LADDER_SAMPLES)})
-    return degrees, base
 
 
 def _nearest_boundary_point(U: GridDomain, to: complex) -> complex:
@@ -602,15 +582,14 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
 
     # stage 4: certify a kernel zero on the annulus lobe.  The window basis
     # alone cannot carry positive local frequencies on a lobe 16x smaller
-    # than the member; a ladder of high monomial degrees localizes there
-    # because the placement puts D beyond the member's circumcircle.
+    # than the member; poles clustered just outside the lobe's outer circle
+    # do (lightning-solver style), on the side away from the neck: the lobe
+    # lies right of the target's rightmost boundary point.
     q = complex(member.true_centers.mean())
-    degrees, suppression = _localized_high_degrees(member, D, q)
-    basis = bs.merged(bs.monomials(q, n_pos),
-                      bs.BasisSpec(tuple(bs.PlanarTerm(q, n) for n in degrees
-                                         if n > n_pos)),
-                      bs.principal_parts(c_d, n_neg)) if degrees else \
-        bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg))
+    poles = (c_d + cmath.rect(LOBE_POLE_RADIUS * R_d, math.radians(t))
+             for t in LOBE_POLE_ANGLES)
+    basis = bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg),
+                      *(bs.principal_parts(p, 2) for p in poles))
     probes = lobe_probe_points(D, n_random=6, seed=config.seed)
     pad = 2 * h
     bbox = (c_d.real - R_d - pad, c_d.imag - R_d - pad,
@@ -620,22 +599,21 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     except (bs.BasisError, bs.FactorizationError) as e:
         certified = False
         detail = (f"certification failed; the fit raised "
-                  f"{type(e).__name__}: {e} (basis window {window}, "
-                  f"localization base {suppression:.3g})")
+                  f"{type(e).__name__}: {e} (basis window {window})")
     else:
         verdict = zr.lu_qi_keng_verdict(
-            model, zr.ProbeConfig(w0_points=probes, seed=config.seed,
-                                  stride=1, scan_bbox=bbox))
+            model, zr.ProbeConfig(w0_points=probes, stride=1, scan_bbox=bbox))
         certified = verdict.certified
+        health = (f"{model.n_terms} terms, conditioning "
+                  f"{model.gram.conditioning:.3g}")
         if certified:
             report.attach_certificate("final", verdict.certificate)
             detail = (f"z* = {verdict.certificate.z_star:.6g}, "
-                      f"winding {verdict.certificate.winding}")
+                      f"winding {verdict.certificate.winding} ({health})")
         else:
             detail = (f"certification failed; floor {verdict.floor:.6g} at "
                       f"resolution {verdict.resolution:.6g} (basis window "
-                      f"{window}, localization base {suppression:.3g}, "
-                      f"no automatic growth)")
+                      f"{window}, {health}, no automatic growth)")
     report.add_row(stage=3, step="certify", rho1_to_target=r1_result,
                    rho2_to_target=None, detail=detail)
     report.check("zero_certified", certified, detail)
@@ -687,7 +665,7 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
     sl = model.slice_fixed_last(z2)
     w0 = complex(Dprof.centers_x[i0])
     verdict = zr.lu_qi_keng_verdict(
-        sl, zr.ProbeConfig(w0_points=(w0,), seed=config.seed))
+        sl, zr.ProbeConfig(w0_points=(w0,)))
     if verdict.certified:
         report.attach_certificate("final", verdict.certificate)
         detail = (f"slice z2 = {z2:.6g}: z* = {verdict.certificate.z_star:.6g}")

@@ -90,9 +90,10 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     Returns the local minima below the component median, sorted ascending.
     Scanning a component other than w0's hits the cross-component zero rule
     and is reported distinctly instead of producing candidates.  An optional
-    bbox (x0, y0, x1, y1) restricts the scanned region; the scan then works
-    on the array window of the bbox alone, started on the stride lattice,
-    so its cost follows the bbox and not the grid.
+    bbox (x0, y0, x1, y1) restricts the scanned region (without one it is
+    the whole array); the scan works on the array window of the bbox alone,
+    started on the stride lattice, so its cost follows the bbox and not the
+    grid.
     """
     dom = model.domain
     if dom is None:
@@ -102,22 +103,18 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
         raise ZeroSearchError(f"w0 = {w0} is outside the domain")
     target = w_comp if component is None else component
     cx, cy = dom.centers_x, dom.centers_y
-    if bbox is None:
-        i0, j0 = 0, 0
-        sub = dom.component_labels == target
-    else:
-        x0, y0, x1, y1 = bbox
-        ix = np.nonzero((cx >= x0) & (cx <= x1))[0]
-        iy = np.nonzero((cy >= y0) & (cy <= y1))[0]
-        if not (ix.size and iy.size):
-            raise ZeroSearchError(f"scan bbox {bbox} misses the component")
-        i0 = ix[0] - ix[0] % stride
-        j0 = iy[0] - iy[0] % stride
-        sub = dom.component_labels[i0:ix[-1] + 1, j0:iy[-1] + 1] == target
-        sub[:ix[0] - i0] = False
-        sub[:, :iy[0] - j0] = False
-        if not sub.any():
-            raise ZeroSearchError(f"scan bbox {bbox} misses the component")
+    x0, y0, x1, y1 = (cx[0], cy[0], cx[-1], cy[-1]) if bbox is None else bbox
+    ix = np.nonzero((cx >= x0) & (cx <= x1))[0]
+    iy = np.nonzero((cy >= y0) & (cy <= y1))[0]
+    if not (ix.size and iy.size):
+        raise ZeroSearchError(f"scan bbox {bbox} misses the component")
+    i0 = ix[0] - ix[0] % stride
+    j0 = iy[0] - iy[0] % stride
+    sub = dom.component_labels[i0:ix[-1] + 1, j0:iy[-1] + 1] == target
+    sub[:ix[0] - i0] = False
+    sub[:, :iy[0] - j0] = False
+    if not sub.any():
+        raise ZeroSearchError(f"scan bbox {bbox} misses the component")
     lattice = sub[::stride, ::stride]
     if not lattice.any():
         raise ZeroSearchError(f"component {target} has no cells at stride {stride}")

@@ -1,6 +1,7 @@
 """Gram assembly against one-dimensional radial quadrature oracles."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,16 @@ def test_negative_power_rejected_with_center_inside_the_domain(pole):
     U = make_domain(disc(0, 1), h=0.02)
     with pytest.raises(bs.BasisError):
         bs.gram_matrix(bs.principal_parts(pole, 1), U)
+
+
+def test_first_inadmissible_pole_names_the_error():
+    # poles are tested in first-appearance order, so of two poles inside
+    # the disc the one whose term comes first is named
+    U = make_domain(disc(0, 1), h=0.02)
+    basis = bs.merged(bs.principal_parts(5, 2), bs.principal_parts(0.1, 2),
+                      bs.principal_parts(0, 1), bs.principal_parts(0.1 + 3j, 1))
+    with pytest.raises(bs.BasisError, match=re.escape(f"at {0.1 + 0j} is")):
+        bs.check_admissible(basis, U)
 
 
 @pytest.mark.parametrize("degree, pole, n_neg, on_array",

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blab import basis as bs
 from blab import cli, lab
 from blab import kernel as kn
 from blab.geom import annulus, disc, make_domain, rectangle, reinhardt_profile
@@ -298,15 +299,56 @@ def test_nowhere_density_disconnected_mode():
     cert.validate()
 
 
-def test_nowhere_density_failed_fit_writes_a_report(tmp_path):
-    # on this L the localizing ladder makes the result's Gram numerically
-    # singular; the run reports a failed certification instead of raising
-    L = {"shape": "union", "parts": [rectangle((0, 0), (2, 1)),
-                                      rectangle((0, 0), (1, 2))]}
+L_TARGET = {"shape": "union", "parts": [rectangle((0, 0), (2, 1)),
+                                        rectangle((0, 0), (1, 2))]}
+
+
+def _fit_conditionings(monkeypatch):
+    """Record the Gram conditioning of every kernel fit."""
+    conds = []
+
+    def spy(U, basis, real=kn.fit_kernel):
+        model = real(U, basis)
+        conds.append(model.gram.conditioning)
+        return model
+    monkeypatch.setattr(kn, "fit_kernel", spy)
+    return conds
+
+
+@pytest.mark.parametrize("target, h, delta", [
+    (L_TARGET, 0.004, 0.5),
+    (rectangle((0, 0), (1, 1)), 0.004, 0.5),
+    (rectangle((-1, -0.5), (1, 0.5)), 0.004, 0.5),
+    pytest.param(disc(0, 1), 0.001, 0.125, marks=pytest.mark.slow),
+], ids=["L", "square", "rectangle", "disc-delta-0.125"])
+def test_nowhere_density_certifies_at_bounded_conditioning(monkeypatch, target,
+                                                           h, delta):
+    # the lobe-side poles fit and certify each input at a bounded
+    # conditioning (the degree ladder they replace failed all four)
+    conds = _fit_conditionings(monkeypatch)
+    cfg = lab.config_from_dict({
+        "experiment": "nowhere-density", "h": h,
+        "shapes": {"target": target},
+        "basis_window": [8, 10], "delta": delta})
+    report = lab.run_nowhere_density(cfg)
+    assert report.passed, report.assertions
+    assert len(conds) == 1 and conds[0] < 1e6
+    report.certificates["final"].validate()
+    assert f"31 terms, conditioning {conds[0]:.3g}" in report.rows[-1]["detail"]
+
+
+def test_nowhere_density_failed_fit_writes_a_report(tmp_path, monkeypatch):
+    # a numerically dependent basis (every Gram entry made equal, so the
+    # Gram has rank one) fails the stage-4 fit; the run reports a failed
+    # certification instead of raising
+    def rank_one(gram, real=bs.factorize):
+        return real(bs.GramMatrix(matrix=np.ones_like(gram.matrix),
+                                  conditioning=math.inf))
+    monkeypatch.setattr(bs, "factorize", rank_one)
     path = tmp_path / "l.json"
     path.write_text(json.dumps({
         "experiment": "nowhere-density", "h": 0.004,
-        "shapes": {"target": L}, "basis_window": [8, 10], "delta": 0.5,
+        "shapes": {"target": L_TARGET}, "basis_window": [8, 10], "delta": 0.5,
         "connected": True, "seed": 3}))
     out = tmp_path / "out"
     assert cli.main(["zeros", str(path), "--out", str(out)]) == 2
@@ -316,6 +358,7 @@ def test_nowhere_density_failed_fit_writes_a_report(tmp_path):
     assert "FactorizationError" in checks["zero_certified"]["detail"]
     assert "numerically dependent on the domain" in \
         checks["zero_certified"]["detail"]
+    assert "basis window (8, 10)" in checks["zero_certified"]["detail"]
     assert all(a["passed"] for name, a in checks.items()
                if name != "zero_certified")
     assert summary["certificates"] == {}
@@ -333,30 +376,17 @@ def _fit_heavy_nowhere_density(seed):
             for raw in inp["configs"] if raw["experiment"] == "nowhere-density"]
 
 
-class _LadderBuilt(Exception):
-    pass
-
-
-def test_localized_degrees_equal_all_cells_formula(monkeypatch):
-    # boundary cells give the circumradius and the lobe distance of the
-    # all-cells formula to the bit, on the benchmark's own shapes; each run
-    # stops once its ladder is built
-    calls = []
-
-    def spy(member, D, center, real=lab._localized_high_degrees):
-        calls.append((member, D, center, real(member, D, center)))
-        raise _LadderBuilt
-    monkeypatch.setattr(lab, "_localized_high_degrees", spy)
-    configs = _fit_heavy_nowhere_density(seed=1)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_heavy_nowhere_density_inputs_certify(monkeypatch, seed):
+    # every nowhere-density input of a benchmark fit-heavy cycle certifies,
+    # each from one fit at a bounded conditioning
+    conds = _fit_conditionings(monkeypatch)
+    configs = _fit_heavy_nowhere_density(seed)
     assert configs
     for raw in configs:
-        with pytest.raises(_LadderBuilt):
-            lab.run_nowhere_density(lab.config_from_dict(raw))
-    for member, D, center, (degrees, base) in calls:
-        r_mem = float(np.abs(member.true_centers - center).max())
-        r_d = float(np.abs(D.true_centers - center).min())
-        assert base == r_mem / r_d
-        assert degrees
+        report = lab.run_nowhere_density(lab.config_from_dict(raw))
+        assert report.passed, report.assertions
+    assert len(conds) == len(configs) and max(conds) < 1e6
 
 
 def test_nowhere_density_under_resolved_delta():
