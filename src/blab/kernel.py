@@ -8,7 +8,15 @@ the reproducing identity an algebraic identity at the quadrature level.
 
 Closed forms cover discs (rational or truncated series), annuli (Laurent
 series with a recorded geometric tail bound), balls, and products of planar
-factors for the C^2 experiments.
+factors for the C^2 experiments.  A truncated disc or annulus series is a
+finite-rank kernel too, K(z, w) = conj(F(w))^T F(z) for a feature matrix F
+of scaled powers, and evaluates as that product.
+
+A scalar-w call is a matrix-vector product and an array-w call one matrix
+product, so a row of an array-w call agrees with the scalar-w call to
+rounding, not bit for bit (a fitted model's scalar-w call keeps its own
+single-column triangular solve).  Every value is reproducible run to run
+and at any BLAS thread count.
 
 Every kernel object answers one protocol (`Kernel`): `eval_many(zs, w)` for
 a batch of z at one w, or one row per w of a 1-D array of w;
@@ -36,8 +44,7 @@ from .geom import (
 )
 
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
-PROBE_CHUNK = 64            # w probes per eval_many call in kernel_error
-SERIES_BLOCK = 4096         # elements per Horner pass of a closed-form series
+PROBE_PAIRS = 1 << 17       # probe pairs per eval_many call in kernel_error
 Z_STRIDE = 4                # z probe lattice of kernel_error(_c2), in cells
 W_STRIDE = 16               # w probe lattice of kernel_error, in cells
 C2_W_PROBES = 12            # seeded w draws of kernel_error_c2
@@ -103,22 +110,25 @@ class KernelModel(Kernel):
         """K(z, w) for a batch of z at one w, shape (len(zs),), or at each
         w of a 1-D array, shape (len(w), len(zs)) with one row per w.
 
-        The zs are whitened once per call and each w once; every row is the
-        product conj(v(w)) @ V.  Each w goes through its own single-column
-        triangular solve, because a multi-column solve rounds differently,
-        so a row is bit-identical to the scalar-w call.  Pairs whose
-        component labels differ evaluate to exactly zero, set by one mask
-        over all rows, and only on a domain of several components.
+        The zs are whitened in one call.  A scalar w takes its own
+        single-column solve and the row is the product conj(v(w)) @ V, so
+        every scan, winding and certificate reads the same bits whatever
+        else is evaluated.  An array of w is whitened in one multi-column
+        solve and all rows come from one matrix product conj(W)^T V; such a
+        row agrees with the scalar-w call to rounding, not bit for bit.
+        Pairs whose component labels differ evaluate to exactly zero, set by
+        one mask over all rows, and only on a domain of several components.
         """
         zs = np.asarray(zs, dtype=complex).ravel()
         ws = np.asarray(w, dtype=complex)
         z_labels = _require_inside(self.domain, zs)
         w_labels = _require_inside(self.domain, ws.ravel())
         V = self.whitened(zs)
-        Bw = bs.term_matrix(self.basis, ws)
-        out = np.empty((ws.size, zs.size), dtype=complex)
-        for k in range(ws.size):
-            out[k] = np.conj(self.factor.whiten(Bw[k])) @ V
+        if ws.ndim:
+            out = np.conj(self.whitened(ws)).T @ V
+        else:
+            Bw = bs.term_matrix(self.basis, ws)
+            out = (np.conj(self.factor.whiten(Bw[0])) @ V)[None, :]
         if self.domain.n_components > 1:
             out[w_labels[:, None] != z_labels[None, :]] = 0.0
         return out if ws.ndim else out[0]
@@ -213,28 +223,11 @@ def reproducing_residual(model: KernelModel, i: int,
 # ---------------------------------------------------------------------------
 
 def _horner(coefs, x):
-    """sum_k coefs[k] x^(n-k), highest power first.  The products stay out
-    of place: numpy rounds an in-place complex multiply of a 1-element
-    array differently, and values must not depend on the block size."""
+    """sum_k coefs[k] x^(n-k), highest power first."""
     out = np.full_like(x, coefs[0])
     for c in coefs[1:]:
         out = out * x + c
     return out
-
-
-def _blockwise(series, s):
-    """An elementwise series at s, evaluated SERIES_BLOCK elements at a time
-    so that the temporaries of its Horner loops stay in cache.  Bit-identical
-    to one pass for any block size.  A scalar or a single block goes through
-    in one call, as given: numpy scalar arithmetic rounds differently from
-    array arithmetic."""
-    if np.size(s) <= SERIES_BLOCK:
-        return series(s)
-    flat = np.ravel(s)
-    out = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, SERIES_BLOCK):
-        out[start:start + SERIES_BLOCK] = series(flat[start:start + SERIES_BLOCK])
-    return out.reshape(np.shape(s))
 
 
 def _centered_product(z, w, center: complex):
@@ -246,13 +239,39 @@ def _centered_product(z, w, center: complex):
     return zc * wc
 
 
+def _power_rows(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows weights[n] x^n of a 1-D array x, n = 0, 1, ...: shape
+    (len(weights), x.size), by the ladder 1, x, x^2, ... held in one running
+    array."""
+    rows = np.empty((len(weights), x.size), dtype=complex)
+    cur = np.ones_like(x)
+    for n, wt in enumerate(weights):
+        if n:
+            cur = cur * x
+        rows[n] = wt * cur
+    return rows
+
+
+def _feature_product(features, zs, w) -> np.ndarray:
+    """K(z, w) = conj(F(w))^T F(z) of a finite-rank kernel whose feature
+    map takes a 1-D array of points to one column per point.  Each z and
+    each w is featurized once; the rows come from one matrix product (a
+    matrix-vector product at a scalar w).  Shape of zs at a scalar w,
+    (len(w), zs.size) at a 1-D array of w."""
+    zs = np.asarray(zs, dtype=complex)
+    ws = np.asarray(w, dtype=complex)
+    out = np.conj(features(ws.ravel())).T @ features(zs.ravel())
+    return out.reshape((ws.size, zs.size) if ws.ndim else zs.shape)
+
+
 @dataclass(frozen=True)
 class DiscKernel(Kernel):
     """Disc kernel r^2 / (pi (r^2 - s)^2), s = (z-c) conj(w-c).
 
     With a truncation M the kernel of the degree-M monomial span is evaluated
-    instead: sum_{n<=M} (n+1) s^n / (pi r^(2n+2)), by a Horner loop over
-    SERIES_BLOCK elements at a time (bit-identical to one pass).
+    instead: sum_{n<=M} (n+1) s^n / (pi r^(2n+2)), as the finite-rank
+    product conj(F(w))^T F(z) whose features are the orthonormal monomials
+    sqrt((n+1)/pi) / r ((z-c)/r)^n.
     """
 
     center: complex
@@ -261,12 +280,16 @@ class DiscKernel(Kernel):
     domain: GridDomain | None = None
 
     def eval_many(self, zs, w):
+        if self.truncation is not None:
+            return _feature_product(self._features, zs, w)
         s = _centered_product(zs, w, self.center)
         r2 = self.r * self.r
-        if self.truncation is None:
-            return r2 / (np.pi * (r2 - s) ** 2)
-        coef = np.arange(self.truncation + 1, 0, -1, dtype=float)
-        return _blockwise(lambda b: _horner(coef, b / r2) / (np.pi * r2), s)
+        return r2 / (np.pi * (r2 - s) ** 2)
+
+    def _features(self, points: np.ndarray) -> np.ndarray:
+        n = np.arange(self.truncation + 1, dtype=float)
+        return _power_rows((points - self.center) / self.r,
+                           np.sqrt((n + 1) / np.pi) / self.r)
 
     def eval_error_estimate(self, w: complex) -> float:
         """Floating-point evaluation error of this (possibly truncated)
@@ -282,11 +305,12 @@ class AnnulusKernel(Kernel):
 
     Coefficients are c_n = 1/||z^n||^2 with
     ||z^n||^2 = pi (R^(2n+2) - rho^(2n+2)) / (n+1) for n != -1 and
-    2 pi log(R/rho) for n = -1.  Evaluation is carried out on the scaled
-    variables s/R^2 and rho^2/s so that scaled copies of the annulus stay in
-    floating range, by Horner loops over SERIES_BLOCK elements at a time
-    (bit-identical to one pass); the truncated tail is bounded by recorded
-    geometric sums.
+    2 pi log(R/rho) for n = -1.  The series is the finite-rank product
+    conj(F(w))^T F(z) whose features are the scaled Laurent powers
+    ((z-c)/R)^n and (rho/(z-c))^m times the square roots of the
+    coefficients of u = s/R^2 and v = rho^2/s, so that scaled copies of the
+    annulus stay in floating range; the truncated tail is bounded by
+    recorded geometric sums.
     """
 
     center: complex
@@ -319,28 +343,38 @@ class AnnulusKernel(Kernel):
         return np.concatenate([[first], rest])
 
     def eval_many(self, zs, w):
-        s = _centered_product(zs, w, self.center)
-        mod = np.abs(s)
-        if np.any(mod <= self.rho ** 2) or np.any(mod >= self.R ** 2):
-            bad = s.ravel()[np.argmax((mod <= self.rho ** 2)
-                                      | (mod >= self.R ** 2))]
-            raise KernelError(
-                f"series argument s = {bad:.6g} lies outside the annulus of "
-                f"convergence ({self.rho ** 2:.6g}, {self.R ** 2:.6g})")
-        return self._series(s)
+        """The truncated series at every pair, as conj(F(w))^T F(z).  Raises
+        KernelError when some pair has |s| <= rho^2 or |s| >= R^2, read from
+        the extreme moduli of z - c and w - c."""
+        zc = np.asarray(zs, dtype=complex).ravel() - self.center
+        wc = np.asarray(w, dtype=complex).ravel() - self.center
+        if zc.size and wc.size:
+            za, wa = np.abs(zc), np.abs(wc)
+            for s in (zc[za.argmin()] * np.conj(wc[wa.argmin()]),
+                      zc[za.argmax()] * np.conj(wc[wa.argmax()])):
+                if not self.rho ** 2 < abs(s) < self.R ** 2:
+                    raise KernelError(
+                        f"series argument s = {s:.6g} lies outside the annulus "
+                        f"of convergence ({self.rho ** 2:.6g}, "
+                        f"{self.R ** 2:.6g})")
+        return _feature_product(self._features, zs, w)
+
+    def _features(self, points: np.ndarray) -> np.ndarray:
+        zc = points - self.center
+        v = self.rho / zc
+        return np.concatenate([
+            _power_rows(zc / self.R, np.sqrt(self._pos_coefs())),
+            _power_rows(v, np.sqrt(self._neg_coefs())) * v])
 
     def _series(self, s):
-        """The truncated series at s (array or scalar) by two Horner loops,
-        one in u = s/R^2 and one in v = rho^2/s, over SERIES_BLOCK elements
-        at a time."""
-        pos = self._pos_coefs()[::-1]
-        neg = self._neg_coefs()[::-1]
-        R2, rho2 = self.R ** 2, self.rho ** 2
-
-        def block(b):
-            v = rho2 / b
-            return _horner(pos, b / R2) + _horner(neg, v) * v
-        return _blockwise(block, s)
+        """The truncated series as a function of s alone (array or scalar),
+        by two Horner loops, one in u = s/R^2 and one in v = rho^2/s: the
+        form `diagonal_sign_changes` scans along the real s axis.
+        `eval_many` takes the feature product instead, whose array-w rows
+        agree with its scalar-w calls to rounding, not bit for bit."""
+        v = self.rho ** 2 / s
+        return (_horner(self._pos_coefs()[::-1], s / self.R ** 2)
+                + _horner(self._neg_coefs()[::-1], v) * v)
 
     def tail_bound(self, s_abs: float) -> float:
         """Upper bound on the modulus of the truncated series tail at |s|."""
@@ -669,12 +703,16 @@ def kernel_error(models, reference, margin: float,
     z runs over every Z_STRIDE-th cell of the compact set along each axis, w
     over every W_STRIDE-th; every model and the reference are evaluated on
     exactly the same pairs.  When the compact set is too small for a stride
-    lattice the stride halves until probes exist.  Each PROBE_CHUNK w probes
-    make one `eval_many` call (an array of w, one row per w) on the
-    reference, whose rows every model is then compared with, so the
+    lattice the stride halves until probes exist.  The z lattice is walked
+    in blocks of about PROBE_PAIRS / (number of w) probes, and each block
+    makes one `eval_many` call with all w probes (an array of w, one row
+    per w) on the reference, whose rows every model is then compared with.
+    So each z probe is featurized or whitened once per kernel, the
     reference is evaluated once per run of a domain sequence, and memory
-    holds one reference chunk and one model chunk whatever the number of
-    models.  Returns one float per model, each equal to a one-model call.
+    holds one reference block and one model block whatever the number of
+    models.  Returns one float per model, each equal to a one-model call
+    bit for bit and to one w per call to rounding; the values are
+    reproducible run to run and at any BLAS thread count.
     """
     models = tuple(models)
     if domain is None:
@@ -682,12 +720,13 @@ def kernel_error(models, reference, margin: float,
     cells = compact_cells(domain, margin)
     z_probes = _probe_centers_dense_enough(domain, cells, Z_STRIDE)
     w_probes = _probe_centers_dense_enough(domain, cells, W_STRIDE)
+    block = max(1, PROBE_PAIRS // w_probes.size)
     worst = [0.0] * len(models)
-    for start in range(0, w_probes.size, PROBE_CHUNK):
-        ws = w_probes[start:start + PROBE_CHUNK]
-        ref = reference.eval_many(z_probes, ws)
+    for start in range(0, z_probes.size, block):
+        zs = z_probes[start:start + block]
+        ref = reference.eval_many(zs, w_probes)
         for k, model in enumerate(models):
-            diff = np.abs(model.eval_many(z_probes, ws) - ref)
+            diff = np.abs(model.eval_many(zs, w_probes) - ref)
             worst[k] = max(worst[k], float(np.max(diff)))
     return tuple(worst)
 

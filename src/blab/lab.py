@@ -334,7 +334,8 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
         metadata={"h": config.h, "seed": config.seed, "basis_window": list(window),
                   "target": spec, "compact_margin": margin},
         columns=["stage", "depth", "rho1_to_target", "rho2_to_target",
-                 "kernel_error", "n_terms", "certified", "winding"])
+                 "kernel_error", "n_terms", "conditioning", "certified",
+                 "winding"])
 
     basis = default_basis_for(spec, window)
     models = [kn.fit_kernel(member, basis) for member in seq.members]
@@ -354,6 +355,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
                        rho1_to_target=rho1(member, target),
                        rho2_to_target=rho2(member, target),
                        kernel_error=err, n_terms=model.n_terms,
+                       conditioning=model.gram.conditioning,
                        certified=certified, winding=winding)
 
     tail = errors[-3:]
@@ -424,8 +426,8 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
                   "segment": [[segment[0].real, segment[0].imag],
                               [segment[1].real, segment[1].imag]]},
         columns=["stage", "width", "rho2_to_union", "rho1_to_left",
-                 "kernel_error_on_right", "certified", "winding",
-                 "track_winding", "floor"])
+                 "kernel_error_on_right", "n_terms", "conditioning",
+                 "certified", "winding", "track_winding", "floor"])
 
     basis = bs.merged(default_basis_for(left_spec, (0, n_pos)),
                       bs.principal_parts(c_right, n_neg))
@@ -454,12 +456,13 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
                                   np.asarray(anchor.contour)).counts
 
     errors = kn.kernel_error(models, reference, margin, domain=D)
-    for k, (width, member, verdict, err, track_winding) in enumerate(
-            zip(seq.params, seq.members, verdicts, errors, tracks)):
+    for k, (width, member, model, verdict, err, track_winding) in enumerate(
+            zip(seq.params, seq.members, models, verdicts, errors, tracks)):
         report.add_row(stage=k, width=width,
                        rho2_to_union=rho2(member, target),
                        rho1_to_left=rho1(member, G),
-                       kernel_error_on_right=err,
+                       kernel_error_on_right=err, n_terms=model.n_terms,
+                       conditioning=model.gram.conditioning,
                        certified=verdict.certified,
                        winding=verdict.certificate.winding
                        if verdict.certified else None,

@@ -260,9 +260,14 @@ errs = kn.kernel_error([model, kn.fit_kernel(D, bs.monomials(0, 10))], ref,
                        margin=0.1, domain=D)
 # the z probe lattice of that kernel_error, whitened in one LAPACK call
 V = model.whitened(kn._probe_centers(D, kn.compact_cells(D, 0.1), 4))
-print(U.quadrature[0].size, G.n, V.shape[1])
+# an annulus closed form at an array of w: one product of feature matrices
+A = kn.closed_form(annulus(0.9, 0.06, 0.12), truncation=13)
+ring = make_domain(annulus(0.9, 0.06, 0.12), h).true_centers
+rows = A.eval_many(ring, ring[::10])
+print(U.quadrature[0].size, G.n, V.shape[1], rows.size)
 print(hashlib.sha256(G.matrix.tobytes()).hexdigest())
 print(hashlib.sha256(V.tobytes()).hexdigest())
+print(hashlib.sha256(rows.tobytes()).hexdigest())
 print(*(float(e).hex() for e in errs))
 """
 
@@ -277,10 +282,11 @@ def test_gram_and_kernel_error_bytes_independent_of_blas_threads():
                              env=env, capture_output=True, timeout=300)
         assert run.returncode == 0, run.stderr.decode()
         outs.append(run.stdout)
-    n_nodes, n_terms, n_whitened = map(int, outs[0].split()[:3])
+    n_nodes, n_terms, n_whitened, n_rows = map(int, outs[0].split()[:4])
     assert n_nodes >= 2 * bs.GRAM_BLOCK
     assert n_terms >= 35
     assert n_whitened >= 1000
+    assert n_rows >= 100_000
     assert outs[0] == outs[1]
 
 

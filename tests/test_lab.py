@@ -204,9 +204,9 @@ def test_exhaustion_annulus_certifies_each_stage():
 
 @pytest.fixture
 def reference_calls(monkeypatch):
-    """The closed forms whose eval_many ran, one entry per call; probe
-    chunks of 3 w make every run take several."""
-    monkeypatch.setattr(kn, "PROBE_CHUNK", 3)
+    """The closed forms whose eval_many ran, one entry per call; blocks of
+    at most 64 probe pairs make every run take several."""
+    monkeypatch.setattr(kn, "PROBE_PAIRS", 64)
     calls = []
     for cls in (kn.DiscKernel, kn.AnnulusKernel):
         def counted(self, zs, w, real=cls.eval_many):
@@ -217,9 +217,11 @@ def reference_calls(monkeypatch):
 
 
 def _reference_chunks(domain, margin):
+    """z blocks of one kernel_error call: one reference call each."""
     cells = kn.compact_cells(domain, margin)
+    n_z = kn._probe_centers_dense_enough(domain, cells, kn.Z_STRIDE).size
     n_w = kn._probe_centers_dense_enough(domain, cells, kn.W_STRIDE).size
-    return math.ceil(n_w / kn.PROBE_CHUNK)
+    return math.ceil(n_z / max(1, kn.PROBE_PAIRS // n_w))
 
 
 @pytest.mark.parametrize("depths", [[0.2], [0.2, 0.15, 0.1]])
@@ -249,6 +251,27 @@ def test_barbell_run_evaluates_reference_once(reference_calls, widths):
     assert chunks > 1
     assert len(reference_calls) == chunks
     assert len({id(k) for k in reference_calls}) == 1
+
+
+@pytest.mark.parametrize("experiment", ["exhaustion", "barbell"])
+def test_kernel_rows_report_terms_and_conditioning(monkeypatch, experiment):
+    # each row names its fit's term count and Gram conditioning, in fit order
+    conds = _fit_conditionings(monkeypatch)
+    if experiment == "exhaustion":
+        cfg = lab.config_from_dict({
+            "experiment": "exhaustion", "h": 0.04,
+            "shapes": {"target": annulus(0, 0.3, 1.2)},
+            "basis_window": [8, 8], "depths": [0.2, 0.1]})
+        report = lab.run_exhaustion(cfg)
+    else:
+        cfg = lab.config_from_dict({
+            "experiment": "barbell", "h": 0.02,
+            "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
+            "basis_window": [8, 8], "widths": [0.4, 0.2]})
+        report = lab.run_barbell(cfg)
+    assert [r["conditioning"] for r in report.rows] == conds
+    assert all(r["n_terms"] == 17 for r in report.rows)
+    assert all(c >= 1 for c in conds)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +425,8 @@ def test_nowhere_density_under_resolved_delta():
 # report invariants
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["disc_exhaustion", "nowhere_density"])
+@pytest.mark.parametrize("name", ["disc_exhaustion", "annulus_exhaustion",
+                                  "barbell", "nowhere_density"])
 def test_shipped_report_bytes_reproduce_across_runs_and_threads(tmp_path,
                                                                 name):
     # two runs in this process and one in a fresh process on two BLAS

@@ -10,9 +10,10 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so two more tests parse every module of
+No linter ships with the project, so three more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
-the other on a module-level private helper that nothing in `src/blab` uses.
+one on a module-level private helper that nothing in `src/blab` uses, and
+one on a module-level UPPERCASE constant that nothing in `src/blab` reads.
 """
 
 import ast
@@ -102,8 +103,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
-def _private_definitions(tree: ast.Module):
-    """Module-level private functions, classes and constants, with the node
+def _module_definitions(tree: ast.Module):
+    """Module-level functions, classes and assigned names, with the node
     that defines each."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -116,8 +117,7 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _references(tree: ast.AST, skip: set) -> set:
@@ -136,13 +136,33 @@ def _references(tree: ast.AST, skip: set) -> set:
     return refs
 
 
-def test_every_private_helper_is_used():
+def _unread(kind) -> tuple[list, int]:
+    """Module-level definitions of src/blab for which kind(name, node)
+    holds and that nothing in src/blab reads outside the definition, and
+    how many such definitions there are."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    dead = []
+    dead, count = [], 0
     for module, tree in trees.items():
-        for name, node in _private_definitions(tree):
+        for name, node in _module_definitions(tree):
+            if not kind(name, node):
+                continue
+            count += 1
             inside = {id(n) for n in ast.walk(node)}
             if not any(name in _references(t, inside) for t in trees.values()):
                 dead.append(f"{module}:{node.lineno} {name}")
+    return dead, count
+
+
+def test_every_private_helper_is_used():
+    dead, _ = _unread(lambda name, node: name.startswith("_")
+                      and not name.startswith("__"))
+    assert not dead, dead
+
+
+def test_every_module_constant_is_read():
+    # a policy constant that no code reads is a setting that does nothing
+    dead, count = _unread(lambda name, node: name.isupper()
+                          and isinstance(node, (ast.Assign, ast.AnnAssign)))
+    assert count >= 30
     assert not dead, dead
