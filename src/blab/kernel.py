@@ -12,11 +12,11 @@ factors for the C^2 experiments.  A truncated disc or annulus series is a
 finite-rank kernel too, K(z, w) = conj(F(w))^T F(z) for a feature matrix F
 of scaled powers, and evaluates as that product.
 
-A scalar-w call is a matrix-vector product and an array-w call one matrix
-product, so a row of an array-w call agrees with the scalar-w call to
-rounding, not bit for bit (a fitted model's scalar-w call keeps its own
-single-column triangular solve).  Every value is reproducible run to run
-and at any BLAS thread count.
+Fitted models and truncated closed forms share one evaluator,
+`_feature_product`.  A scalar-w call is a matrix-vector product and an
+array-w call one matrix product, so a row of an array-w call agrees with
+the scalar-w call to rounding, not bit for bit.  Every value is
+reproducible run to run and at any BLAS thread count.
 
 Every kernel object answers one protocol (`Kernel`): `eval_many(zs, w)` for
 a batch of z at one w, or one row per w of a 1-D array of w;
@@ -64,11 +64,16 @@ class OutsideDomainError(KernelError):
 
 
 class Kernel:
-    """The evaluator protocol; subclasses define eval_many and
-    eval_error_estimate."""
+    """The evaluator protocol; subclasses define eval_many, and
+    eval_error_estimate where the closed-form model below does not fit."""
 
     def eval(self, z, w) -> complex:
         return complex(self.eval_many(np.array([z]), w)[0])
+
+    def eval_error_estimate(self, w) -> float:
+        """Evaluation error of a closed form, machine level on |K(w, w)|; a
+        truncation's gap to the ideal kernel is not an evaluation error."""
+        return EVAL_ERROR_COEFF * (1.0 + abs(self.eval(w, w)))
 
 
 def _require_inside(domain: GridDomain, points) -> np.ndarray:
@@ -107,31 +112,20 @@ class KernelModel(Kernel):
         return self.factor.whiten(B)
 
     def eval_many(self, zs: np.ndarray, w) -> np.ndarray:
-        """K(z, w) for a batch of z at one w, shape (len(zs),), or at each
-        w of a 1-D array, shape (len(w), len(zs)) with one row per w.
+        """K(z, w) for a 1-D batch of z at one w, shape (len(zs),), or at
+        each w of a 1-D array, shape (len(w), len(zs)) with one row per w.
 
-        The zs are whitened in one call.  A scalar w takes its own
-        single-column solve and the row is the product conj(v(w)) @ V, so
-        every scan, winding and certificate reads the same bits whatever
-        else is evaluated.  An array of w is whitened in one multi-column
-        solve and all rows come from one matrix product conj(W)^T V; such a
-        row agrees with the scalar-w call to rounding, not bit for bit.
-        Pairs whose component labels differ evaluate to exactly zero, set by
-        one mask over all rows, and only on a domain of several components.
+        Both point sets are checked against the domain and go to
+        `_feature_product` with whitening as the feature map.  A scalar w is
+        a one-column solve and a matrix-vector product, so every scan,
+        winding and certificate reads the same bits whatever else is
+        evaluated.  Pairs across components evaluate to exactly zero.
         """
-        zs = np.asarray(zs, dtype=complex).ravel()
-        ws = np.asarray(w, dtype=complex)
-        z_labels = _require_inside(self.domain, zs)
-        w_labels = _require_inside(self.domain, ws.ravel())
-        V = self.whitened(zs)
-        if ws.ndim:
-            out = np.conj(self.whitened(ws)).T @ V
-        else:
-            Bw = bs.term_matrix(self.basis, ws)
-            out = (np.conj(self.factor.whiten(Bw[0])) @ V)[None, :]
-        if self.domain.n_components > 1:
-            out[w_labels[:, None] != z_labels[None, :]] = 0.0
-        return out if ws.ndim else out[0]
+        labels = (_require_inside(self.domain, np.ravel(zs)),
+                  _require_inside(self.domain, np.ravel(w)))
+        return _feature_product(
+            self.whitened, zs, w,
+            labels if self.domain.n_components > 1 else None)
 
     def diagonal(self, zs: np.ndarray) -> np.ndarray:
         """K(z, z) >= 0, exact: sum of squared moduli of whitened coords."""
@@ -241,27 +235,29 @@ def _centered_product(z, w, center: complex):
 
 def _power_rows(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Rows weights[n] x^n of a 1-D array x, n = 0, 1, ...: shape
-    (len(weights), x.size), by the ladder 1, x, x^2, ... held in one running
-    array."""
+    (len(weights), x.size), by the basis power ladder."""
     rows = np.empty((len(weights), x.size), dtype=complex)
-    cur = np.ones_like(x)
-    for n, wt in enumerate(weights):
-        if n:
-            cur = cur * x
-        rows[n] = wt * cur
-    return rows
+    bs._write_powers(rows, x, {n: n for n in range(len(weights))})
+    return rows * weights[:, None]
 
 
-def _feature_product(features, zs, w) -> np.ndarray:
+def _feature_product(features, zs, w, labels=None) -> np.ndarray:
     """K(z, w) = conj(F(w))^T F(z) of a finite-rank kernel whose feature
-    map takes a 1-D array of points to one column per point.  Each z and
-    each w is featurized once; the rows come from one matrix product (a
-    matrix-vector product at a scalar w).  Shape of zs at a scalar w,
-    (len(w), zs.size) at a 1-D array of w."""
+    map takes a 1-D array of points to one column per point: the one
+    evaluator of fitted models and truncated closed forms.  Each z and each
+    w is featurized once; the rows come from one matrix product (a
+    matrix-vector product at a scalar w).  labels, the (z, w) component
+    labels from `_require_inside` on a domain of several components, zero
+    the pairs whose labels differ.  Shape of zs at a scalar w; at a 1-D
+    array of w the (len(w), zs.size) product itself, never a view, so that
+    `kernel_error`'s difference reuses its buffer."""
     zs = np.asarray(zs, dtype=complex)
     ws = np.asarray(w, dtype=complex)
     out = np.conj(features(ws.ravel())).T @ features(zs.ravel())
-    return out.reshape((ws.size, zs.size) if ws.ndim else zs.shape)
+    if labels is not None:
+        z_labels, w_labels = labels
+        out[w_labels[:, None] != z_labels[None, :]] = 0.0
+    return out if ws.ndim else out.reshape(zs.shape)
 
 
 @dataclass(frozen=True)
@@ -281,22 +277,16 @@ class DiscKernel(Kernel):
 
     def eval_many(self, zs, w):
         if self.truncation is not None:
-            return _feature_product(self._features, zs, w)
+            return _feature_product(
+                self._features, np.asarray(zs, dtype=complex) - self.center,
+                np.asarray(w, dtype=complex) - self.center)
         s = _centered_product(zs, w, self.center)
         r2 = self.r * self.r
         return r2 / (np.pi * (r2 - s) ** 2)
 
-    def _features(self, points: np.ndarray) -> np.ndarray:
+    def _features(self, zc: np.ndarray) -> np.ndarray:
         n = np.arange(self.truncation + 1, dtype=float)
-        return _power_rows((points - self.center) / self.r,
-                           np.sqrt((n + 1) / np.pi) / self.r)
-
-    def eval_error_estimate(self, w: complex) -> float:
-        """Floating-point evaluation error of this (possibly truncated)
-        kernel.  The truncation gap to the ideal disc kernel is a modeling
-        property of the truncation, not an evaluation error."""
-        kww = abs(self.eval(w, w))
-        return EVAL_ERROR_COEFF * (1.0 + kww)
+        return _power_rows(zc / self.r, np.sqrt((n + 1) / np.pi) / self.r)
 
 
 @dataclass(frozen=True)
@@ -346,21 +336,20 @@ class AnnulusKernel(Kernel):
         """The truncated series at every pair, as conj(F(w))^T F(z).  Raises
         KernelError when some pair has |s| <= rho^2 or |s| >= R^2, read from
         the extreme moduli of z - c and w - c."""
-        zc = np.asarray(zs, dtype=complex).ravel() - self.center
-        wc = np.asarray(w, dtype=complex).ravel() - self.center
-        if zc.size and wc.size:
-            za, wa = np.abs(zc), np.abs(wc)
-            for s in (zc[za.argmin()] * np.conj(wc[wa.argmin()]),
-                      zc[za.argmax()] * np.conj(wc[wa.argmax()])):
+        zc = np.asarray(zs, dtype=complex) - self.center
+        wc = np.asarray(w, dtype=complex) - self.center
+        za, wa = np.abs(zc).ravel(), np.abs(wc).ravel()
+        if za.size and wa.size:
+            for s in (zc.flat[za.argmin()] * np.conj(wc.flat[wa.argmin()]),
+                      zc.flat[za.argmax()] * np.conj(wc.flat[wa.argmax()])):
                 if not self.rho ** 2 < abs(s) < self.R ** 2:
                     raise KernelError(
                         f"series argument s = {s:.6g} lies outside the annulus "
                         f"of convergence ({self.rho ** 2:.6g}, "
                         f"{self.R ** 2:.6g})")
-        return _feature_product(self._features, zs, w)
+        return _feature_product(self._features, zc, wc)
 
-    def _features(self, points: np.ndarray) -> np.ndarray:
-        zc = points - self.center
+    def _features(self, zc: np.ndarray) -> np.ndarray:
         v = self.rho / zc
         return np.concatenate([
             _power_rows(zc / self.R, np.sqrt(self._pos_coefs())),
@@ -369,9 +358,11 @@ class AnnulusKernel(Kernel):
     def _series(self, s):
         """The truncated series as a function of s alone (array or scalar),
         by two Horner loops, one in u = s/R^2 and one in v = rho^2/s: the
-        form `diagonal_sign_changes` scans along the real s axis.
-        `eval_many` takes the feature product instead, whose array-w rows
-        agree with its scalar-w calls to rounding, not bit for bit."""
+        form `diagonal_sign_changes` scans along the real s axis.  The scan
+        stays off the feature product, whose (2M + 1, SIGN_SCAN_SAMPLES)
+        complex feature matrices (46 MB each at rho/R = 0.1, M = 356) would
+        triple the scan's peak memory; Horner holds a few arrays of the
+        samples' length."""
         v = self.rho ** 2 / s
         return (_horner(self._pos_coefs()[::-1], s / self.R ** 2)
                 + _horner(self._neg_coefs()[::-1], v) * v)
@@ -393,20 +384,14 @@ class AnnulusKernel(Kernel):
 
     def eval_error_estimate(self, w: complex) -> float:
         """Floating-point evaluation error: machine epsilon on the absolute
-        term sum (the summation condition).  The truncation gap to the ideal
-        annulus kernel is reported by tail_bound, not here."""
+        term sum (the summation condition) at |s| = |w - c| rho and
+        |w - c| R, the squared column norms of the feature map at centered
+        points of moduli sqrt(|s|).  The truncation gap to the ideal annulus
+        kernel is reported by tail_bound, not here."""
         wr = abs(complex(w) - self.center)
-        cond_sum = max(self._abs_series_at(wr * self.rho),
-                       self._abs_series_at(wr * self.R))
+        F = self._features(np.sqrt(wr * np.array([self.rho, self.R])))
+        cond_sum = float(np.max(np.sum(F.real ** 2 + F.imag ** 2, axis=0)))
         return EVAL_ERROR_COEFF * (1.0 + cond_sum)
-
-    def _abs_series_at(self, s_abs: float) -> float:
-        u = s_abs / self.R ** 2
-        v = self.rho ** 2 / s_abs
-        n = np.arange(self.truncation + 1, dtype=float)
-        m = np.arange(1, self.truncation + 1, dtype=float)
-        return float((self._pos_coefs() * u ** n).sum()
-                     + (self._neg_coefs() * v ** m).sum())
 
     def diagonal_sign_changes(self) -> list[float]:
         """Real zeros of the truncated series on the negative axis of the
@@ -508,9 +493,6 @@ class BallKernel(Kernel):
         return math.factorial(self.n) / (np.pi ** self.n
                                          * (1 - inner) ** (self.n + 1))
 
-    def eval_error_estimate(self, w) -> float:
-        return EVAL_ERROR_COEFF * (1.0 + abs(self.eval(w, w)))
-
 
 def closed_form(spec: dict, truncation: int | None = None,
                 h: float | None = None):
@@ -600,8 +582,8 @@ class ReinhardtKernelModel(Kernel):
                                     domain=slice_domain(self.profile, abs(z2)))
 
     def eval_error_estimate(self, w) -> float:
-        kww = abs(self.eval(w, w))
-        return EVAL_ERROR_COEFF * (1.0 + kww) * len(self.basis)
+        """The closed-form error model scaled by the term count."""
+        return super().eval_error_estimate(w) * len(self.basis)
 
 
 def _with_last(points: np.ndarray, z2: complex) -> np.ndarray:
@@ -640,8 +622,8 @@ class ReinhardtSliceKernel(Kernel):
         return out
 
     def eval_error_estimate(self, w: complex) -> float:
-        kww = abs(self.eval(w, w))
-        return EVAL_ERROR_COEFF * (1.0 + kww) * len(self.model.basis)
+        """The closed-form error model scaled by the model's term count."""
+        return super().eval_error_estimate(w) * len(self.model.basis)
 
 
 def slice_domain(profile: GridDomain, r2: float) -> GridDomain:

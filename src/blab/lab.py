@@ -80,6 +80,11 @@ REQUIRED = {
     "metric-demo": ("h",),
 }
 
+# keys an experiment reads beyond REQUIRED, experiment, seed and out_dir; a
+# config holding any other is rejected
+OPTIONAL = {"exhaustion": ("certify",), "barbell": ("segment",),
+            "nowhere-density": ("connected",), "metric-demo": ()}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -133,7 +138,8 @@ def _real(key: str, v) -> float:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a JSON config dict: unknown keys, values of the wrong type
-    (a JSON true is not a number here) and malformed shapes are rejected."""
+    (a JSON true is not a number here), malformed shapes, and keys or
+    shapes the experiment does not read are rejected."""
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -173,8 +179,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs["h"] = float(kwargs["h"])
     if "delta" in kwargs:
         kwargs["delta"] = float(kwargs["delta"])
+    shape_names = ("left", "right") if exp == "barbell" else ("target",)
     if "shapes" in REQUIRED[exp]:
-        for name in ("left", "right") if exp == "barbell" else ("target",):
+        for name in shape_names:
             if name not in raw["shapes"]:
                 raise ConfigError(f"experiment {exp!r} requires shape {name!r}")
             try:
@@ -183,7 +190,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"shape {name!r}: {e}") from e
     if not kwargs.get("out_dir"):
         kwargs["out_dir"] = f"runs/{exp}"
-    return ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**kwargs)
+    # last, so every check above names its own fault first
+    unread = sorted(set(raw) - {"experiment", "seed", "out_dir",
+                                *REQUIRED[exp], *OPTIONAL[exp]})
+    unread += sorted(f"shape {n!r}" for n in set(raw.get("shapes", ()))
+                     - set(shape_names))
+    if unread:
+        raise ConfigError(f"experiment {exp!r} does not read "
+                          f"{', '.join(unread)}")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

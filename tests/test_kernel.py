@@ -53,6 +53,32 @@ def test_cross_component_pairs_evaluate_to_exact_zero(two_disc_model):
     assert two_disc_model.eval(-2.1, -1.8) != 0.0
 
 
+def _scalar_w_oracle(model, zs, w):
+    """A scalar-w row by its own single-column whitening and one
+    matrix-vector product, zero across components."""
+    bw = bs.term_matrix(model.basis, np.array([w]))[0]
+    row = np.conj(model.factor.whiten(bw)) @ model.whitened(zs)
+    labels = model.domain.labels_at(zs)
+    row[labels != model.domain.labels_at(np.array([w]))[0]] = 0.0
+    return row
+
+
+@pytest.mark.parametrize("fixture_name",
+                         ["disc_model", "annulus_model", "two_disc_model"])
+def test_scalar_w_row_equals_single_column_oracle(fixture_name, request):
+    # every scan, winding and certificate reads scalar-w rows: they keep
+    # the bits of a one-column solve and a matrix-vector product
+    model = request.getfixturevalue(fixture_name)
+    zs = interior_points(model.domain, 257, seed=23)
+    for w in interior_points(model.domain, 12, seed=24):
+        want = _scalar_w_oracle(model, zs, w)
+        got = model.eval_many(zs, w)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if model.domain.n_components > 1:
+        assert (got == 0).any() and (got != 0).any()
+
+
 def test_eval_outside_domain_raises(disc_model):
     with pytest.raises(kn.OutsideDomainError):
         disc_model.eval(1.5, 0)
@@ -151,6 +177,31 @@ def test_annulus_tail_bound_is_a_bound():
         z = np.sqrt(s_abs)
         actual_tail = abs(K.eval(z, z) - K_big.eval(z, z))
         assert actual_tail <= K.tail_bound(s_abs)
+
+
+def _abs_series_at(K, s_abs):
+    """sum_n |c_n| |s|^n over the truncated Laurent series, term by term,
+    as the oracle of the annulus error estimate."""
+    u = s_abs / K.R ** 2
+    v = K.rho ** 2 / s_abs
+    n = np.arange(K.truncation + 1, dtype=float)
+    m = np.arange(1, K.truncation + 1, dtype=float)
+    return float((K._pos_coefs() * u ** n).sum()
+                 + (K._neg_coefs() * v ** m).sum())
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.1, 0.001])
+@pytest.mark.parametrize("truncation", [None, 12, 64])
+def test_annulus_error_estimate_is_the_absolute_term_sum(rho, truncation):
+    c = 0.2 - 0.3j
+    K = kn.closed_form(annulus(c, rho, 1.0), truncation=truncation)
+    for w in c + np.geomspace(rho, 1.0, 27)[1:-1] * np.exp(0.7j):
+        wr = abs(w - c)
+        want = kn.EVAL_ERROR_COEFF * (1.0 + max(_abs_series_at(K, wr * rho),
+                                                _abs_series_at(K, wr)))
+        got = K.eval_error_estimate(w)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_annulus_auto_truncation_meets_tolerance():
@@ -466,6 +517,8 @@ def _rows_match_scalar_calls(K, zs, ws):
     calls, and exactly zero where the scalar call is."""
     rows = K.eval_many(zs, ws)
     assert rows.shape == (len(ws), len(zs))
+    # an owning product lets kernel_error's difference reuse its buffer
+    assert rows.flags.owndata
     scalar = np.array([K.eval_many(zs, w) for w in ws])
     if isinstance(K, EXACT_ROWS):
         assert rows.tobytes() == scalar.tobytes()

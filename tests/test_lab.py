@@ -110,6 +110,18 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
      "'corners' is malformed"),
     ({"shapes": {"target": {"shape": "disc", "center": [0, 0],
                             "r": 10 ** 400}}}, "'r' is malformed"),
+    # keys and shapes the experiment never reads
+    ({"experiment": "barbell", "widths": [0.4], "delta": 0.5,
+      "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)}},
+     "does not read delta, depths$"),
+    ({"experiment": "metric-demo", "widths": [0.4],
+      "shapes": {"target": {"shape": "disc", "center": [0, 0], "r": -1}}},
+     "does not read basis_window, depths, shapes, widths$"),
+    ({"segment": [[0, 0], [1, 0]], "connected": False,
+      "shapes": {"target": disc(0, 1), "extra": {"shape": "nonsense"}}},
+     "does not read connected, segment, shape 'extra'$"),
+    ({"shapes": {"target": disc(0, 1), "extra": {"shape": "nonsense"}}},
+     "does not read shape 'extra'$"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)
@@ -426,7 +438,8 @@ def test_nowhere_density_under_resolved_delta():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["disc_exhaustion", "annulus_exhaustion",
-                                  "barbell", "nowhere_density"])
+                                  "barbell", "nowhere_density",
+                                  "nowhere_density_c2", "metric_demo"])
 def test_shipped_report_bytes_reproduce_across_runs_and_threads(tmp_path,
                                                                 name):
     # two runs in this process and one in a fresh process on two BLAS
