@@ -17,6 +17,13 @@ BLAS update (zherk).  Only the term values of one block are held at a
 time, and every Gram entry is bit reproducible run to run and at any BLAS
 thread count.
 
+Nested members of one sequence on one lattice (an exhaustion's interior
+approximants, a barbell's necks) are fitted shell by shell: given the fit
+of the member inside it, a member's Gram starts from that fit's sum and
+adds only its own cells outside it, so a sequence's cells are integrated
+once in all.  The chained sum differs from a member's own sum only in its
+order, at rounding level.
+
 Term values are held term-major (`term_matrix`): each term's values are
 one contiguous row, so a block goes to zherk (trans='C') without a copy.
 Whitening (`GramFactor.whiten`) calls LAPACK's triangular solve ztrtrs
@@ -39,7 +46,7 @@ import scipy.linalg as sla
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import ztrtrs
 
-from .geom import GridDomain, PLANAR, REINHARDT
+from .geom import GeomError, GridDomain, PLANAR, REINHARDT, shell_mask
 
 GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
 
@@ -144,7 +151,8 @@ def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
     planar pole is admitted when its cell holds no node of U's quadrature
     (off the array counts as such): in a hole, or anywhere in the unbounded
     complement clear of the cut cells, which hold every point of the
-    shape."""
+    shape.  The pole's cell alone decides (`GridDomain.is_quadrature_cell`);
+    no node array is built."""
     if basis.kind == PLANAR:
         if U.kind != PLANAR:
             raise BasisError("planar basis on a non-planar domain")
@@ -152,8 +160,7 @@ def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
         # pole of the first offending term
         for center in dict.fromkeys(t.center for t in basis.terms if t.n < 0):
             cell = U.cell_of(center)
-            if cell is not None and (U.quadrature[0] == U.centers_x[cell[0]]
-                                     + 1j * U.centers_y[cell[1]]).any():
+            if cell is not None and U.is_quadrature_cell(cell):
                 raise BasisError(
                     f"negative power centered at {center} is not admissible: "
                     "its pole's cell holds a quadrature node")
@@ -237,7 +244,7 @@ def _normalized_cond(G: np.ndarray) -> float:
     return float(eig[-1]) / lo
 
 
-def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
+def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     """Assemble the Gram matrix of the basis over U by its cell quadrature.
 
     Planar terms are evaluated on GRAM_BLOCK quadrature nodes at a time,
@@ -253,6 +260,15 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
     Reinhardt cross terms between distinct bidegrees vanish analytically
     and are set to zero.
 
+    inner, a fit of the same basis on a mask-built domain nested in a
+    mask-built U on U's lattice (a `kernel.KernelModel`), chains the
+    assembly: the sum starts from the inner fit's accumulator, the conj of
+    its matrix, and adds only U's cells outside the inner domain, in their
+    row-major order.  Without inner the sum starts from zero over all of
+    U's nodes.  Either way a mask-built U's nodes are built for the call
+    and not cached on the domain.  An inner fit that breaks this rule
+    raises BasisError.
+
     A term whose diagonal entry, its squared norm on U, is not a finite
     positive normal float carries no usable signal (a norm that underflows
     on a small domain, say): it raises BasisError, naming the first such
@@ -261,13 +277,11 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
     check_admissible(basis, U)
     N = len(basis)
     if basis.kind == PLANAR:
-        nodes, frac = U.quadrature
-        weighted = bool((frac != 1.0).any())
-        Gc = np.zeros((N, N), dtype=complex, order="F")
+        Gc, nodes, frac = _gram_start(basis, U, inner)
         for start in range(0, nodes.size, GRAM_BLOCK):
             block = slice(start, start + GRAM_BLOCK)
             B = term_matrix(basis, nodes[block])
-            if weighted:
+            if frac is not None:
                 B *= np.sqrt(frac[block])[:, None]
             # B is the Fortran-ordered k x N operand of C += a A^H A
             Gc = zherk(U.h * U.h, B, beta=1.0, c=Gc, trans=2, overwrite_c=1)
@@ -277,6 +291,8 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
         lower = np.tril_indices(N, -1)
         G[lower] = G.T[lower].conj()
     else:
+        if inner is not None:
+            raise BasisError("a chained Gram needs a planar basis")
         ii, jj = np.nonzero(U.mask)
         r1 = U.centers_x[ii]
         r2 = U.centers_y[jj]
@@ -299,6 +315,30 @@ def gram_matrix(basis: BasisSpec, U: GridDomain) -> GramMatrix:
             f"Gram matrix is not positive to quadrature tolerance "
             f"(min eigenvalue {eig_min:.3e} vs trace {trace:.3e})")
     return GramMatrix(matrix=G, conditioning=_normalized_cond(G))
+
+
+def _gram_start(basis: BasisSpec, U: GridDomain, inner):
+    """The accumulator a planar Gram starts from, and the nodes still to
+    add with their area fractions (None where every fraction is 1)."""
+    N = len(basis)
+    if inner is None:
+        Gc = np.zeros((N, N), dtype=complex, order="F")
+        if U.spec is None:
+            return Gc, U.centers_of(U.mask), None
+        nodes, frac = U.quadrature
+        return Gc, nodes, frac if (frac != 1.0).any() else None
+    if inner.basis != basis:
+        raise BasisError("the inner fit has another basis")
+    V = inner.domain
+    if U.spec is not None or V.spec is not None:
+        raise BasisError("a chained Gram needs mask-built domains: the cut "
+                         "cells of a spec-built one do not split into shells")
+    try:
+        shell = shell_mask(U, V)
+    except GeomError as e:
+        raise BasisError(f"the inner fit's domain does not chain: {e}") from None
+    Gc = np.array(np.conj(inner.gram.matrix), order="F")
+    return Gc, U.centers_of(shell), None
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,21 @@ class GridDomain:
         cells = frac > 0
         return self.centers_of(cells), frac[cells]
 
+    def is_quadrature_cell(self, cell: tuple[int, int]) -> bool:
+        """Whether the cell holds a node of `quadrature`, decided from the
+        cell alone: a true cell, or on a planar domain rasterized from a
+        spec a cell of positive area fraction.  A cell's fraction depends
+        only on its 3 x 3 neighbourhood and its global center, so it is
+        computed on that window and equals the whole array's bit for bit."""
+        i, j = cell
+        if self.spec is None or self.kind != PLANAR:
+            return bool(self.mask[i, j])
+        wi = slice(max(i - 1, 0), i + 2)
+        wj = slice(max(j - 1, 0), j + 2)
+        frac = _area_fractions(self.spec, self.mask[wi, wj], self.centers_x[wi],
+                               self.centers_y[wj], self.h)
+        return bool(frac[i - wi.start, j - wj.start] > 0)
+
     @cached_property
     def component_labels(self) -> np.ndarray:
         """4-connected component label per cell (0 outside the domain)."""
@@ -489,6 +504,17 @@ def _aligned_masks(U: GridDomain, V: GridDomain) -> tuple[np.ndarray, np.ndarray
 def domain_union(U: GridDomain, V: GridDomain) -> GridDomain:
     mU, mV, origin = _aligned_masks(U, V)
     return GridDomain(origin=origin, h=U.h, mask=mU | mV, kind=U.kind)
+
+
+def shell_mask(U: GridDomain, V: GridDomain) -> np.ndarray:
+    """The true cells of U outside V, as a mask of U's shape, for V nested
+    in U on U's lattice; raises LatticeMismatchError off the lattice and
+    GeomError when V has a cell outside U."""
+    _, shape, iU, iV = _frame(U, V)
+    mV = _embed(V.mask, shape, iV)[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny]
+    if int(np.count_nonzero(mV & U.mask)) != V.cell_count:
+        raise GeomError("domain is not nested in the other")
+    return U.mask & ~mV
 
 
 # ---------------------------------------------------------------------------

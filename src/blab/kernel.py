@@ -44,7 +44,7 @@ from .geom import (
 )
 
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
-PROBE_PAIRS = 1 << 17       # probe pairs per eval_many call in kernel_error
+PROBE_PAIRS = 1 << 15       # probe pairs per eval_many call in kernel_error
 Z_STRIDE = 4                # z probe lattice of kernel_error(_c2), in cells
 W_STRIDE = 16               # w probe lattice of kernel_error, in cells
 C2_W_PROBES = 12            # seeded w draws of kernel_error_c2
@@ -146,7 +146,7 @@ class KernelModel(Kernel):
         return EVAL_ERROR_COEFF * amp * (1.0 + kww)
 
 
-def fit_kernel(U: GridDomain, basis: bs.BasisSpec):
+def fit_kernel(U: GridDomain, basis: bs.BasisSpec, inner=None):
     """Fit the finite-rank kernel of the basis span on U, keeping every term.
 
     Well-scaled terms fit regardless of the spread between diagonal
@@ -154,9 +154,11 @@ def fit_kernel(U: GridDomain, basis: bs.BasisSpec):
     solve scale-free.  A term whose norm underflows on U raises BasisError
     (from `gram_matrix`), and a numerically dependent basis raises
     FactorizationError (from `factorize`).  Reinhardt profiles get a
-    diagonal model.
+    diagonal model.  inner, the fit of the same basis on a mask-built
+    domain nested in U, goes to `gram_matrix`, which then adds only U's
+    cells outside it.
     """
-    gram = bs.gram_matrix(basis, U)
+    gram = bs.gram_matrix(basis, U, inner=inner)
     if U.kind == REINHARDT:
         return ReinhardtKernelModel(
             basis=basis, norms=np.diag(gram.matrix).real.copy(), profile=U)
@@ -692,8 +694,11 @@ def kernel_error(models, reference, margin: float,
     So each z probe is featurized or whitened once per kernel, the
     reference is evaluated once per run of a domain sequence, and memory
     holds one reference block and one model block whatever the number of
-    models.  Returns one float per model, each equal to a one-model call
-    bit for bit and to one w per call to rounding; the values are
+    models: at PROBE_PAIRS = 2^15 pairs, 0.5 MB of complex values each and
+    the moduli of their difference.  Much smaller blocks cost more in
+    calls than they save in memory.  Returns one float per model, each
+    equal to a one-model call bit for bit and to one w per call to
+    rounding; the values do not depend on the block size and are
     reproducible run to run and at any BLAS thread count.
     """
     models = tuple(models)

@@ -315,6 +315,16 @@ def lobe_probe_points(D: GridDomain, n_random: int,
     return tuple(zr.default_probes(D, cfg))
 
 
+def _fit_nested(members, basis: bs.BasisSpec) -> list:
+    """Fits of nested members listed innermost first, each Gram adding
+    only the member's cells outside the one before."""
+    models = []
+    for member in members:
+        models.append(kn.fit_kernel(member, basis,
+                                    inner=models[-1] if models else None))
+    return models
+
+
 # ---------------------------------------------------------------------------
 # exhaustion experiment
 # ---------------------------------------------------------------------------
@@ -326,9 +336,10 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     The compact comparison set is {depth > 1.5 * largest depth} of the
     target; disc and annulus targets are compared against their matched-
     truncation closed forms, anything else against the fitted target model.
-    Every stage is fitted first and all are compared in one `kernel_error`
-    call, so the reference is evaluated once per run.  Kernel errors must be
-    non-increasing across the final three stages.
+    Every stage is fitted first, each member's Gram adding only its shell
+    outside the previous member's, and all are compared in one
+    `kernel_error` call, so the reference is evaluated once per run.
+    Kernel errors must be non-increasing across the final three stages.
     """
     spec = config.shapes["target"]
     target = make_domain(spec, config.h)
@@ -354,7 +365,8 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
                  "winding"])
 
     basis = default_basis_for(spec, window)
-    models = [kn.fit_kernel(member, basis) for member in seq.members]
+    # depths strictly decrease, so each member holds the one before it
+    models = _fit_nested(seq.members, basis)
     errors = kn.kernel_error(models, reference, margin, domain=target)
     for k, (depth, member, model, err) in enumerate(
             zip(seq.params, seq.members, models, errors)):
@@ -447,12 +459,11 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
 
     basis = bs.merged(default_basis_for(left_spec, (0, n_pos)),
                       bs.principal_parts(c_right, n_neg))
-    models = []
+    # widths strictly decrease, so each member holds the one after it
+    models = _fit_nested(seq.members[::-1], basis)[::-1]
     verdicts = []
     first_certified = None
-    for k, (width, member) in enumerate(zip(seq.params, seq.members)):
-        model = kn.fit_kernel(member, basis)
-        models.append(model)
+    for k, model in enumerate(models):
         cfg = zr.ProbeConfig(w0_points=probes, scan_bbox=d_bbox)
         verdict = zr.lu_qi_keng_verdict(model, cfg)
         verdicts.append(verdict)

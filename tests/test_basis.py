@@ -14,8 +14,11 @@ from scipy.linalg.blas import zherk
 
 from blab import basis as bs
 from blab import kernel as kn
-from blab.geom import (annulus, difference, disc, interior_exhaustion, make_domain,
+from blab.geom import (GridDomain, annulus, barbell_sequence, difference, disc,
+                       domain_union, interior_exhaustion, make_domain,
                        rectangle, reinhardt_profile, union)
+
+L_SHAPE = union(rectangle((0, 0), (2, 1)), rectangle((0, 0), (1, 2)))
 
 
 def radial_norm_disc(n, r_outer):
@@ -161,6 +164,15 @@ def _gram_parity_case(name):
     if name == "exhaustion-member":
         target = make_domain(disc(c, 0.9), h=0.01)
         return interior_exhaustion(target, [0.1]).members[0], bs.monomials(c, 10)
+    if name == "annulus-member":
+        target = make_domain(annulus(c, 0.4, 1), h=0.01)
+        return interior_exhaustion(target, [0.05]).members[0], bs.laurent(c, 4, 8)
+    if name == "two-disc":
+        return (domain_union(make_domain(disc(-0.6, 0.5), h=0.01),
+                             make_domain(disc(0.6, 0.5), h=0.01)),
+                bs.monomials(0, 10))
+    if name == "L":
+        return (make_domain(L_SHAPE, h=0.01), bs.monomials(0.5 + 0.5j, 10))
     # mirror symmetric about the real axis: some off-diagonal entries come
     # out exactly real, with signed zero imaginary parts
     ladder = bs.BasisSpec(tuple(bs.PlanarTerm(0j, n) for n in range(12, 60, 3)))
@@ -177,15 +189,23 @@ def test_term_matrix_is_term_major():
     assert V.tobytes() == _point_major_term_matrix(B, pts).tobytes()
 
 
+# unit fractions: the mask-built domains, and the spec-built L, whose edges
+# lie on cell edges
+UNIT_FRACTION_CASES = ("exhaustion-member", "annulus-member", "two-disc", "L")
+
+
 @pytest.mark.parametrize("name", ["annulus", "disc-minus-disc", "rectangle",
-                                  "exhaustion-member", "real-symmetric-union"])
+                                  "exhaustion-member", "real-symmetric-union",
+                                  "annulus-member", "two-disc", "L"])
 def test_gram_bytes_equal_point_major_assembly(name):
+    # the unchained Gram (no inner fit) is the point-major oracle's to the bit
     U, basis = _gram_parity_case(name)
     frac = U.quadrature[1]
-    # the unit-weight skip on the mask-built member, cut cells elsewhere
-    assert (frac == 1.0).all() == (name == "exhaustion-member")
+    # the unit-weight skip on unit fractions, cut cells elsewhere
+    assert (frac == 1.0).all() == (name in UNIT_FRACTION_CASES)
+    assert (U.spec is None) == (name in UNIT_FRACTION_CASES[:3])
     assert U.quadrature[0].size > 2 * bs.GRAM_BLOCK
-    G = bs.gram_matrix(basis, U).matrix
+    G = bs.gram_matrix(basis, U, inner=None).matrix
     oracle = _point_major_gram(basis, U)
     # tobytes compares signed zeros too: +0.0 on the diagonal's imaginary
     # parts and on the upper triangle's exactly real entries, -0.0 on
@@ -194,6 +214,83 @@ def test_gram_bytes_equal_point_major_assembly(name):
     assert G.flags.f_contiguous
     if name == "real-symmetric-union":
         assert (G[np.triu_indices(G.shape[0], 1)].imag == 0).any()
+
+
+def _nested_sequence(name):
+    """Members of a nested sequence, innermost first, and a basis."""
+    c = 0.1 + 0.05j
+    if name == "disc-exhaustion":
+        target = make_domain(disc(c, 0.9), h=0.01)
+        return (interior_exhaustion(target, [0.2, 0.1, 0.05]).members,
+                bs.monomials(c, 10))
+    if name == "annulus-exhaustion":
+        target = make_domain(annulus(c, 0.4, 1), h=0.01)
+        return (interior_exhaustion(target, [0.1, 0.05, 0.02]).members,
+                bs.laurent(c, 4, 8))
+    # a barbell's members shrink with the neck width
+    G = make_domain(disc(-2, 1), h=0.02)
+    D = make_domain(annulus(2, 0.5, 1), h=0.02)
+    seq = barbell_sequence(G, D, (-1 + 0j, 1 + 0j), [0.4, 0.2, 0.1])
+    return (seq.members[::-1],
+            bs.merged(bs.monomials(-2, 10), bs.principal_parts(2, 10)))
+
+
+@pytest.mark.parametrize("name", ["disc-exhaustion", "annulus-exhaustion",
+                                  "barbell"])
+def test_chained_gram_matches_each_members_own(name):
+    # each member's own Gram is the oracle: the innermost is its to the
+    # bit, and each outer one, summed in another order, to rounding
+    members, basis = _nested_sequence(name)
+    inner = None
+    for k, member in enumerate(members):
+        oracle = bs.gram_matrix(basis, member).matrix
+        model = kn.fit_kernel(member, basis, inner=inner)
+        G = model.gram.matrix
+        if k == 0:
+            assert G.tobytes() == oracle.tobytes()
+        else:
+            assert member.cell_count > inner.domain.cell_count
+            assert np.abs(G - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        assert (G == G.conj().T).all()
+        inner = model
+
+
+def _chain_error_case(name):
+    """U, basis and an inner fit that does not chain onto U."""
+    c = 0.1 + 0.05j
+    h = 0.02
+    target = make_domain(disc(c, 0.9), h=h)
+    small, big = interior_exhaustion(target, [0.2, 0.1]).members
+    basis = bs.monomials(c, 6)
+    if name == "not-nested":
+        return small, basis, kn.fit_kernel(big, basis)
+    if name == "other-lattice":
+        shifted = GridDomain(origin=(small.origin[0] + h / 2, small.origin[1]),
+                             h=h, mask=small.mask)
+        return big, basis, kn.fit_kernel(shifted, basis)
+    if name == "other-basis":
+        return big, basis, kn.fit_kernel(small, bs.monomials(c, 5))
+    if name == "spec-built-U":
+        return target, basis, kn.fit_kernel(small, basis)
+    if name == "spec-built-inner":
+        return big, basis, kn.fit_kernel(make_domain(disc(c, 0.5), h=h), basis)
+    profile = make_domain(reinhardt_profile(rectangle((0, 0), (1, 1))), h=0.05)
+    window = bs.reinhardt_window(0, 2, 2)
+    return profile, window, kn.fit_kernel(profile, window)
+
+
+@pytest.mark.parametrize("name, match", [
+    ("not-nested", "not nested"),
+    ("other-lattice", "share a lattice"),
+    ("other-basis", "another basis"),
+    ("spec-built-U", "mask-built"),
+    ("spec-built-inner", "mask-built"),
+    ("reinhardt-basis", "planar basis"),
+])
+def test_gram_rejects_an_inner_fit_that_does_not_chain(name, match):
+    U, basis, inner = _chain_error_case(name)
+    with pytest.raises(bs.BasisError, match=match):
+        bs.gram_matrix(basis, U, inner=inner)
 
 
 def _random_factor(n=9, seed=5):

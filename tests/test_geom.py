@@ -397,6 +397,26 @@ def test_exhaustion_of_disc_is_offset_disc():
     assert sym_area <= 0.05
 
 
+@pytest.mark.parametrize("spec", [
+    disc(0.1, 0.5),
+    annulus(0, 0.1, 0.5),
+    difference(rectangle((0.01, 0.02), (0.63, 0.41)), disc(0.3, 0.2)),
+])
+def test_quadrature_cell_decides_like_the_node_array(spec):
+    # every cell of the array is decided from its own window exactly as the
+    # whole array's quadrature decides it, on the spec-built domain and on
+    # a mask-built member of it
+    U = make_domain(spec, h=0.03)
+    member = interior_exhaustion(U, [0.05]).members[0]
+    for dom in (U, member):
+        nodes = set(dom.quadrature[0].tolist())
+        cells = np.argwhere(np.ones(dom.mask.shape, dtype=bool))
+        want = [c in nodes for c in dom.centers_at(cells).tolist()]
+        got = [dom.is_quadrature_cell((i, j)) for i, j in cells]
+        assert got == want
+        assert sum(got) == len(nodes)
+
+
 def test_exhaustion_of_annulus():
     h = 0.01
     G = make_domain(annulus(0, 0.5, 1), h=h)

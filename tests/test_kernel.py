@@ -422,6 +422,32 @@ def test_kernel_error_sequence_equals_per_model_barbell(monkeypatch):
     assert len(errors) == 3 and min(errors) > 0
 
 
+def _block_size_case(name, request):
+    """A model, a reference and a margin for kernel_error."""
+    model = request.getfixturevalue(name)
+    if name == "disc_model":
+        return model, kn.closed_form(disc(0, 1), truncation=8), 0.2
+    if name == "annulus_model":
+        return model, kn.closed_form(annulus(0, 0.5, 1), truncation=12), 0.1
+    # a lower-degree fit on the same two discs: pairs across them are zero
+    # in both
+    return model, kn.fit_kernel(model.domain, bs.monomials(0, 6)), 0.1
+
+
+@pytest.mark.parametrize("name", ["disc_model", "annulus_model",
+                                  "two_disc_model"])
+def test_kernel_error_independent_of_block_size(name, request, monkeypatch):
+    model, ref, margin = _block_size_case(name, request)
+    errors, blocks = [], []
+    for pairs in (1 << 12, 1 << 15, 1 << 17):
+        monkeypatch.setattr(kn, "PROBE_PAIRS", pairs)
+        blocks.append(_z_blocks(model.domain, margin))
+        errors.append(kn.kernel_error([model], ref, margin,
+                                      domain=model.domain))
+    assert blocks[0] > blocks[2] and errors[0][0] > 0
+    assert errors[0] == errors[1] == errors[2]
+
+
 # ---------------------------------------------------------------------------
 # closed-form series as feature products
 # ---------------------------------------------------------------------------

@@ -265,25 +265,56 @@ def test_barbell_run_evaluates_reference_once(reference_calls, widths):
     assert len({id(k) for k in reference_calls}) == 1
 
 
+SEQUENCE_RUNS = {
+    "exhaustion": {
+        "experiment": "exhaustion", "h": 0.04,
+        "shapes": {"target": annulus(0, 0.3, 1.2)},
+        "basis_window": [8, 8], "depths": [0.2, 0.1]},
+    "barbell": {
+        "experiment": "barbell", "h": 0.02,
+        "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
+        "basis_window": [8, 8], "widths": [0.4, 0.2]},
+}
+
+
+def _sequences(monkeypatch):
+    """Record the domain sequence of every exhaustion and barbell run."""
+    seqs = []
+    for name in ("interior_exhaustion", "barbell_sequence"):
+        def spy(*args, real=getattr(lab, name)):
+            seqs.append(real(*args))
+            return seqs[-1]
+        monkeypatch.setattr(lab, name, spy)
+    return seqs
+
+
 @pytest.mark.parametrize("experiment", ["exhaustion", "barbell"])
 def test_kernel_rows_report_terms_and_conditioning(monkeypatch, experiment):
-    # each row names its fit's term count and Gram conditioning, in fit order
-    conds = _fit_conditionings(monkeypatch)
-    if experiment == "exhaustion":
-        cfg = lab.config_from_dict({
-            "experiment": "exhaustion", "h": 0.04,
-            "shapes": {"target": annulus(0, 0.3, 1.2)},
-            "basis_window": [8, 8], "depths": [0.2, 0.1]})
-        report = lab.run_exhaustion(cfg)
-    else:
-        cfg = lab.config_from_dict({
-            "experiment": "barbell", "h": 0.02,
-            "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
-            "basis_window": [8, 8], "widths": [0.4, 0.2]})
-        report = lab.run_barbell(cfg)
-    assert [r["conditioning"] for r in report.rows] == conds
+    # each row names its member's term count and Gram conditioning; fits
+    # are matched to rows by member, since a barbell fits its thinnest
+    # member first
+    domains = []
+    conds = _fit_conditionings(monkeypatch, domains)
+    seqs = _sequences(monkeypatch)
+    report = lab.run_experiment(
+        lab.config_from_dict(SEQUENCE_RUNS[experiment]))
+    fitted = [id(U) for U in domains]
+    by_member = [conds[fitted.index(id(m))] for m in seqs[0].members]
+    assert len(conds) == len(report.rows)
+    assert [r["conditioning"] for r in report.rows] == by_member
     assert all(r["n_terms"] == 17 for r in report.rows)
     assert all(c >= 1 for c in conds)
+
+
+@pytest.mark.parametrize("experiment", ["exhaustion", "barbell"])
+def test_stage_members_cache_no_node_array(monkeypatch, experiment):
+    # a member's quadrature nodes are built for its fit and then dropped;
+    # none stays cached on the member
+    seqs = _sequences(monkeypatch)
+    lab.run_experiment(lab.config_from_dict(SEQUENCE_RUNS[experiment]))
+    assert len(seqs) == 1 and len(seqs[0]) == 2
+    for member in seqs[0].members:
+        assert not {"quadrature", "true_centers"} & vars(member).keys()
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +369,16 @@ L_TARGET = {"shape": "union", "parts": [rectangle((0, 0), (2, 1)),
                                         rectangle((0, 0), (1, 2))]}
 
 
-def _fit_conditionings(monkeypatch):
-    """Record the Gram conditioning of every kernel fit."""
+def _fit_conditionings(monkeypatch, domains=None):
+    """Record the Gram conditioning of every kernel fit, and its domain in
+    domains when given."""
     conds = []
 
-    def spy(U, basis, real=kn.fit_kernel):
-        model = real(U, basis)
+    def spy(U, basis, inner=None, real=kn.fit_kernel):
+        model = real(U, basis, inner=inner)
         conds.append(model.gram.conditioning)
+        if domains is not None:
+            domains.append(U)
         return model
     monkeypatch.setattr(kn, "fit_kernel", spy)
     return conds

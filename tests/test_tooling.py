@@ -55,9 +55,17 @@ def test_layer_targets_install_and_restore(bench):
         U = geom.make_domain(geom.disc(0, 1), h=0.05)
         model = kernel.fit_kernel(U, basis.monomials(0, 4))
         model.eval(0.1, 0.2)
+        # a chained fit, as an exhaustion run makes, passes the tracer too
+        inner, outer = geom.interior_exhaustion(U, [0.2, 0.1]).members
+        B = basis.monomials(0, 4)
+        first = kernel.fit_kernel(inner, B)
+        n_before = len(rec.spans)
+        chained = kernel.fit_kernel(outer, B, inner=first)
     names = {s.name for s in rec.spans}
     assert {"geom.make_domain", "kernel.fit", "basis.gram",
             "kernel.eval_many", "kernel.whiten"} <= names
+    assert "basis.gram" in {s.name for s in rec.spans[n_before:]}
+    assert chained.gram.conditioning <= rec.maxima["basis.cond_max"]
     # the tracer reads the fitted Gram's conditioning
     assert math.isfinite(rec.maxima["basis.cond_max"])
     for owner, saved in before.items():
