@@ -8,8 +8,8 @@ describes the circular domain {(z1, z2): (|z1|, |z2|) in profile} in C^2.
 A planar domain rasterized from a shape spec keeps the spec, and integrates
 by cut-cell quadrature: every cell the shape meets is a node at the cell
 center, weighted by the area fraction it covers.  A domain built from a mask
-alone (cellwise operations, exhaustions, necks, loaded grids) integrates
-with unit weights over its true cells.
+alone (cellwise operations, exhaustions, necks) integrates with unit
+weights over its true cells.
 
 Each domain computes its exact distance-to-complement field once, on first
 use (`GridDomain.distance`), as a read-only array of the mask's shape; every
@@ -142,11 +142,6 @@ class GridDomain:
         return out
 
     @cached_property
-    def true_centers(self) -> np.ndarray:
-        """Complex centers of true cells in row-major order."""
-        return self.centers_of(self.mask)
-
-    @cached_property
     def distance(self) -> np.ndarray:
         """The domain's exact distance field, computed on first use: a
         read-only array of the mask's shape, zero exactly off the mask."""
@@ -174,7 +169,8 @@ class GridDomain:
         computed on first use.
         """
         if self.spec is None or self.kind != PLANAR:
-            return self.true_centers, np.ones(self.true_centers.size)
+            nodes = self.centers_of(self.mask)
+            return nodes, np.ones(nodes.size)
         frac = _area_fractions(self.spec, self.mask, self.centers_x,
                                self.centers_y, self.h)
         cells = frac > 0
@@ -426,9 +422,7 @@ def _area_fractions(spec: dict, mask: np.ndarray, cx: np.ndarray,
     return frac
 
 
-def make_domain(spec: dict, h: float,
-                bounds: tuple[float, float, float, float] | None = None
-                ) -> GridDomain:
+def make_domain(spec: dict, h: float) -> GridDomain:
     """Rasterize a shape spec: mask true exactly where cell centers satisfy it.
 
     The lattice origin is snapped to an integer multiple of h so that domains
@@ -439,9 +433,7 @@ def make_domain(spec: dict, h: float,
         raise GeomError("spacing h must be positive")
     check_spec(spec)
     kind = REINHARDT if spec["shape"] == "reinhardt-profile" else PLANAR
-    if bounds is None:
-        bounds = _spec_bbox(spec)
-    x0, y0, x1, y1 = bounds
+    x0, y0, x1, y1 = _spec_bbox(spec)
     ox = (math.floor(x0 / h) - PAD_CELLS) * h
     oy = (math.floor(y0 / h) - PAD_CELLS) * h
     if kind == REINHARDT:
@@ -568,8 +560,9 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
 
 def extract_sets(U: GridDomain) -> PointSet:
     """Discretize the closure and the boundary of U as cell-center points,
-    in row-major order, read from the domain's cached cells."""
-    return PointSet(closure=U.true_centers,
+    in row-major order: the closure built for the call, the boundary from
+    the domain's cached boundary cells."""
+    return PointSet(closure=U.centers_of(U.mask),
                     boundary=U.centers_at(U.boundary.cells))
 
 
@@ -910,69 +903,3 @@ def _gap_on_line(pts: np.ndarray, fpts: np.ndarray, ftol: np.ndarray) -> bool:
     on_line = perp <= ftol.max(axis=1)
     inside = (ft > t.min() + ftol_line) & (ft < t.max() - ftol_line)
     return bool((on_line & inside).any())
-
-
-# ---------------------------------------------------------------------------
-# serialization: run-length-encoded mask files
-# ---------------------------------------------------------------------------
-
-def save_grid(U: GridDomain, path) -> None:
-    """Write the portable RLE mask format.
-
-    Header: ``grid v1 <h> <origin-x> <origin-y> <rows> <cols> <kind>``.
-    Each following line holds one mask row as run lengths of alternating
-    false/true cells, starting with false.
-    """
-    lines = [f"grid v1 {float(U.h)!r} {float(U.origin[0])!r} "
-             f"{float(U.origin[1])!r} {U.nx} {U.ny} {U.kind}"]
-    # each row padded with a false cell in front: a run starts wherever a
-    # cell differs from its predecessor (a first run of 0 if the row starts
-    # true), and the last run ends at the row's end
-    padded = np.zeros((U.nx, U.ny + 1), dtype=bool)
-    padded[:, 1:] = U.mask
-    starts = np.diff(padded, axis=1)
-    for row in starts:
-        cuts = np.concatenate(([0], np.flatnonzero(row), [U.ny]))
-        lines.append(" ".join(map(str, np.diff(cuts).tolist())))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_grid(path) -> GridDomain:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 8 or header[0] != "grid" or header[1] != "v1":
-            raise GeomError(f"not a grid v1 file: {path}")
-        try:
-            h = float(header[2])
-            origin = (float(header[3]), float(header[4]))
-            nx, ny = int(header[5]), int(header[6])
-        except ValueError:
-            raise GeomError(f"malformed grid header in {path}: "
-                            f"{' '.join(header)!r}") from None
-        if nx < 0 or ny < 0:
-            raise GeomError(f"negative grid shape {nx} x {ny} in {path}")
-        kind = header[7]
-        mask = np.zeros((nx, ny), dtype=bool)
-        for i in range(nx):
-            tokens = f.readline().split()
-            try:
-                runs = [int(t) for t in tokens]
-            except ValueError:
-                raise GeomError(f"row {i} of {path} has a non-integer run: "
-                                f"{' '.join(tokens)!r}") from None
-            if any(run < 0 for run in runs):
-                raise GeomError(f"row {i} of {path} has a negative run: "
-                                f"{' '.join(tokens)!r}")
-            j = 0
-            value = False
-            for run in runs:
-                if value:
-                    mask[i, j:j + run] = True
-                j += run
-                value = not value
-            if j != ny:
-                raise GeomError(f"row {i} of {path} has {j} cells, expected {ny}")
-        if f.read().strip():
-            raise GeomError(f"{path} has more than the {nx} rows its header gives")
-    return GridDomain(origin=origin, h=h, mask=mask, kind=kind)

@@ -7,7 +7,7 @@ Hermitian symmetry and diagonal nonnegativity exact in floating point, and
 the reproducing identity an algebraic identity at the quadrature level.
 
 Closed forms cover discs (rational or truncated series), annuli (Laurent
-series with a recorded geometric tail bound), balls, and products of planar
+series with a recorded geometric tail bound), and products of planar
 factors for the C^2 experiments.  A truncated disc or annulus series is a
 finite-rank kernel too, K(z, w) = conj(F(w))^T F(z) for a feature matrix F
 of scaled powers, and evaluates as that product.
@@ -480,22 +480,6 @@ class ScaledPlanarKernel(Kernel):
         return abs(self.scale) * self.base.eval_error_estimate(w)
 
 
-@dataclass(frozen=True)
-class BallKernel(Kernel):
-    """Unit-ball kernel in C^n: n! / (pi^n (1 - <z, w>)^(n+1))."""
-
-    n: int
-
-    def eval_many(self, zs, w) -> np.ndarray:
-        """K(z, w) for rows z of zs (shape (P, n)) at one w, shape (P,), or
-        at each row of a (k, n) array of w, shape (k, P)."""
-        zs = np.asarray(zs, dtype=complex)
-        wc = np.conj(np.asarray(w, dtype=complex))[..., None, :]
-        inner = (zs * wc).sum(axis=-1)
-        return math.factorial(self.n) / (np.pi ** self.n
-                                         * (1 - inner) ** (self.n + 1))
-
-
 def closed_form(spec: dict, truncation: int | None = None,
                 h: float | None = None):
     """Closed-form kernel for a shape spec.
@@ -504,8 +488,8 @@ def closed_form(spec: dict, truncation: int | None = None,
     truncation is given (for matched comparison against a fitted model).
     annulus: Laurent series; `truncation` defaults to the smallest order
     whose recorded tail bound is below TAIL_TOL on the probe band.
-    product: factors built recursively.  ball: {"shape": "ball", "n": k}.
-    Passing h attaches a rasterized grid for scanning.
+    product: {"shape": "product", "factors": [...]}, factors built
+    recursively.  Passing h attaches a rasterized grid for scanning.
     """
     kind = spec["shape"]
     if kind == "disc":
@@ -518,12 +502,9 @@ def closed_form(spec: dict, truncation: int | None = None,
         M = truncation if truncation is not None else annulus_auto_truncation(rho, R)
         grid = make_domain(spec, h) if h else None
         return AnnulusKernel(center=c, rho=rho, R=R, truncation=M, domain=grid)
-    if kind in ("product", "polydisc"):
-        parts = spec["factors" if kind == "product" else "discs"]
+    if kind == "product":
         return ProductKernel(factors=tuple(
-            closed_form(f, truncation=truncation, h=h) for f in parts))
-    if kind == "ball":
-        return BallKernel(n=spec["n"])
+            closed_form(f, truncation=truncation, h=h) for f in spec["factors"]))
     raise KernelError(f"no closed form for shape {kind!r}")
 
 

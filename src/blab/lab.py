@@ -315,6 +315,14 @@ def lobe_probe_points(D: GridDomain, n_random: int,
     return tuple(zr.default_probes(D, cfg))
 
 
+def _lobe_scan_window(spec: dict, h: float) -> tuple:
+    """The scan bbox of a lobe's zero search: the lobe's bounding box
+    padded by 2h on every side."""
+    x0, y0, x1, y1 = _spec_bbox(spec)
+    pad = 2 * h
+    return x0 - pad, y0 - pad, x1 + pad, y1 + pad
+
+
 def _fit_nested(members, basis: bs.BasisSpec) -> list:
     """Fits of nested members listed innermost first, each Gram adding
     only the member's cells outside the one before."""
@@ -442,10 +450,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     c_right = complex(*right_spec["center"])
 
     probes = lobe_probe_points(D, n_random=4, seed=config.seed)
-    R_right = right_spec["R"]
-    pad = 2 * h
-    d_bbox = (c_right.real - R_right - pad, c_right.imag - R_right - pad,
-              c_right.real + R_right + pad, c_right.imag + R_right + pad)
+    d_bbox = _lobe_scan_window(right_spec, h)
 
     report = ExperimentReport(
         experiment="barbell",
@@ -525,7 +530,7 @@ def _rightmost_boundary_point(U: GridDomain) -> complex:
 
 
 def _nearest_boundary_point(U: GridDomain, to: complex) -> complex:
-    bd = extract_sets(U).boundary
+    bd = U.centers_at(U.boundary.cells)
     return complex(bd[int(np.argmin(np.abs(bd - to)))])
 
 
@@ -615,15 +620,13 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     # than the member; poles clustered just outside the lobe's outer circle
     # do (lightning-solver style), on the side away from the neck: the lobe
     # lies right of the target's rightmost boundary point.
-    q = complex(member.true_centers.mean())
+    q = complex(member.centers_of(member.mask).mean())
     poles = (c_d + cmath.rect(LOBE_POLE_RADIUS * R_d, math.radians(t))
              for t in LOBE_POLE_ANGLES)
     basis = bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg),
                       *(bs.principal_parts(p, 2) for p in poles))
     probes = lobe_probe_points(D, n_random=6, seed=config.seed)
-    pad = 2 * h
-    bbox = (c_d.real - R_d - pad, c_d.imag - R_d - pad,
-            c_d.real + R_d + pad, c_d.imag + R_d + pad)
+    bbox = _lobe_scan_window(d_spec, h)
     try:
         model = kn.fit_kernel(result, basis)
     except (bs.BasisError, bs.FactorizationError) as e:

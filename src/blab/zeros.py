@@ -67,11 +67,9 @@ def circle_contour(center: complex, radius: float,
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid scan of |K(., w0)| over one component.
+    """Grid scan of |K(., w0)| over w0's component.
 
     candidates: local minima below the component median, ascending by value.
-    cross_component: the scanned component differs from w0's, where the
-    kernel vanishes identically; no candidates are reported there.
     """
 
     candidates: tuple
@@ -79,29 +77,25 @@ class ScanResult:
     median_modulus: float
     n_scanned: int
     resolution: float
-    cross_component: bool = False
 
 
 def scan_min_modulus(model, w0: complex, stride: int = 4,
-                     component: int | None = None,
                      bbox: tuple | None = None) -> ScanResult:
-    """Evaluate |K(z, w0)| on every stride-th interior cell of a component.
+    """Evaluate |K(z, w0)| on every stride-th interior cell of w0's
+    component; elsewhere the kernel vanishes identically.
 
     Returns the local minima below the component median, sorted ascending.
-    Scanning a component other than w0's hits the cross-component zero rule
-    and is reported distinctly instead of producing candidates.  An optional
-    bbox (x0, y0, x1, y1) restricts the scanned region (without one it is
-    the whole array); the scan works on the array window of the bbox alone,
-    started on the stride lattice, so its cost follows the bbox and not the
-    grid.
+    An optional bbox (x0, y0, x1, y1) restricts the scanned region (without
+    one it is the whole array); the scan works on the array window of the
+    bbox alone, started on the stride lattice, so its cost follows the bbox
+    and not the grid.
     """
     dom = model.domain
     if dom is None:
         raise ZeroSearchError("model carries no grid domain to scan")
-    w_comp = int(dom.labels_at(w0))
-    if w_comp == 0:
+    target = int(dom.labels_at(w0))
+    if target == 0:
         raise ZeroSearchError(f"w0 = {w0} is outside the domain")
-    target = w_comp if component is None else component
     cx, cy = dom.centers_x, dom.centers_y
     x0, y0, x1, y1 = (cx[0], cy[0], cx[-1], cy[-1]) if bbox is None else bbox
     ix = np.nonzero((cx >= x0) & (cx <= x1))[0]
@@ -118,11 +112,6 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     lattice = sub[::stride, ::stride]
     if not lattice.any():
         raise ZeroSearchError(f"component {target} has no cells at stride {stride}")
-
-    if target != w_comp:
-        return ScanResult(candidates=(), min_modulus=0.0, median_modulus=0.0,
-                          n_scanned=int(lattice.sum()),
-                          resolution=stride * dom.h, cross_component=True)
 
     xs = cx[i0::stride][:lattice.shape[0]]
     ys = cy[j0::stride][:lattice.shape[1]]
@@ -424,7 +413,7 @@ def certify_zero(model, w0: complex, z_star: complex) -> ZeroCertificate | None:
 
 
 def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdict:
-    """Scan every component at the probe points and certify the best
+    """Scan w0's component at each probe point w0 and certify the best
     candidates; first valid certificate wins, otherwise report the floor.
 
     Certification failures fold into a no-zero-found verdict carrying the

@@ -340,7 +340,7 @@ def test_criterion_8_kernel_algebra():
         model = kn.fit_kernel(dom, basis_small)
         large = kn.fit_kernel(dom, basis_large)
         rng = np.random.default_rng(808)
-        cells = dom.true_centers
+        cells = dom.centers_of(dom.mask)
         zs = cells[rng.choice(cells.size, size=n_pairs)]
         ws = cells[rng.choice(cells.size, size=n_pairs)]
         total += n_pairs

@@ -25,13 +25,11 @@ from blab.geom import (
     extract_sets,
     interior_exhaustion,
     is_logconvex_profile,
-    load_grid,
     make_domain,
     rectangle,
     reinhardt_profile,
     rho1,
     rho2,
-    save_grid,
     union,
     volume,
 )
@@ -103,6 +101,13 @@ def test_annulus_radii_validated():
 def test_empty_mask_rejected():
     with pytest.raises(EmptyDomainError):
         make_domain(difference(disc(0, 1), disc(0, 2)), h=0.05)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -0.1, 0.0])
+def test_grid_domain_rejects_bad_spacing(h):
+    with pytest.raises(GeomError, match="positive and finite"):
+        geom.GridDomain(origin=(0.0, 0.0), h=h,
+                        mask=np.ones((1, 2), dtype=bool))
 
 
 def test_mismatched_lattices_rejected():
@@ -318,14 +323,24 @@ def test_rho2_thin_tail_versus_rho1():
     assert rho1(sq, tailed) >= 0.9
 
 
+def padded(U, widths):
+    """U in a larger array: widths ((before, after) per axis) false cells
+    around its mask, the origin moved back to keep every cell in place."""
+    (bx, _), (by, _) = widths
+    return geom.GridDomain(origin=(U.origin[0] - bx * U.h,
+                                   U.origin[1] - by * U.h),
+                           h=U.h, mask=np.pad(U.mask, widths), kind=U.kind,
+                           spec=U.spec)
+
+
 def test_rho2_sup_term_is_local():
     # padding the arrays by any margin must not change the value
     h = 0.05
     U = make_domain(disc(0, 1), h=h)
     V = make_domain(disc(0.2, 0.8), h=h)
     base = rho2(U, V)
-    Upad = make_domain(disc(0, 1), h=h, bounds=(-3, -3, 3, 3))
-    Vpad = make_domain(disc(0.2, 0.8), h=h, bounds=(-4, -2, 2, 4))
+    Upad = padded(U, ((40, 40), (40, 40)))
+    Vpad = padded(V, ((68, 20), (24, 64)))
     assert rho2(Upad, Vpad) == pytest.approx(base, abs=1e-12)
 
 
@@ -566,110 +581,6 @@ def test_planar_domain_rejected_by_logconvex_check():
     U = make_domain(disc(0, 1), h=0.05)
     with pytest.raises(GeomError):
         is_logconvex_profile(U)
-
-
-# ---------------------------------------------------------------------------
-# serialization round trip
-# ---------------------------------------------------------------------------
-
-def test_grid_file_round_trip(tmp_path):
-    U = make_domain(union(annulus(0, 0.5, 1), disc(2.2, 0.4)), h=0.04)
-    path = tmp_path / "domain.grid"
-    save_grid(U, path)
-    V = load_grid(path)
-    assert V.h == U.h
-    assert V.origin == U.origin
-    assert V.kind == U.kind
-    assert (V.mask == U.mask).all()
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("grid v1 ")
-
-
-def test_reinhardt_grid_round_trip(tmp_path):
-    U = make_domain(reinhardt_profile(rectangle((0.5, 0), (1, 1))), h=0.05)
-    path = tmp_path / "profile.grid"
-    save_grid(U, path)
-    V = load_grid(path)
-    assert V.kind == geom.REINHARDT
-    assert (V.mask == U.mask).all()
-
-
-def _save_grid_per_cell(U, path):
-    """Oracle: the per-cell run-length loop that save_grid replaced."""
-    lines = [f"grid v1 {float(U.h)!r} {float(U.origin[0])!r} "
-             f"{float(U.origin[1])!r} {U.nx} {U.ny} {U.kind}"]
-    for i in range(U.nx):
-        runs = []
-        current = False
-        count = 0
-        for v in U.mask[i]:
-            if bool(v) == current:
-                count += 1
-            else:
-                runs.append(count)
-                current = bool(v)
-                count = 1
-        runs.append(count)
-        lines.append(" ".join(str(r) for r in runs))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _full_and_empty_rows_mask():
-    mask = np.zeros((7, 9), dtype=bool)
-    mask[1] = True                       # all-true row
-    mask[2, 0] = mask[2, -1] = True      # true at both ends
-    mask[4, 3:5] = True
-    mask[5, :-1] = True                  # starts true, ends false
-    return geom.GridDomain(origin=(-0.35, 0.1), h=0.1, mask=mask)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: make_domain(disc(0.1 + 0.05j, 0.7), h=0.03),
-    lambda: make_domain(annulus(0, 0.5, 1), h=0.04),
-    lambda: make_domain(union(annulus(0, 0.5, 1), disc(2.2, 0.4)), h=0.04),
-    lambda: make_domain(reinhardt_profile(rectangle((0.5, 0), (1, 1))), h=0.05),
-    _full_and_empty_rows_mask,
-], ids=["disc", "annulus", "union", "reinhardt", "full-and-empty-rows"])
-def test_save_grid_bytes_equal_per_cell_loop(tmp_path, make):
-    U = make()
-    save_grid(U, tmp_path / "fast.grid")
-    _save_grid_per_cell(U, tmp_path / "oracle.grid")
-    assert (tmp_path / "fast.grid").read_bytes() == \
-        (tmp_path / "oracle.grid").read_bytes()
-    V = load_grid(tmp_path / "fast.grid")
-    assert (V.h, V.origin, V.kind) == (U.h, U.origin, U.kind)
-    assert (V.mask == U.mask).all()
-
-
-@pytest.mark.parametrize("header, row, match", [
-    ("1 10", "0 12 -2", "negative run"),
-    ("1 10", "2 3 -1 6", "negative run"),
-    ("1 10", "2 3.5 4.5", "non-integer run"),
-    ("1 ten", "0 10", "malformed grid header"),
-    ("1.5 10", "0 10", "malformed grid header"),
-    ("-1 10", "", "negative grid shape"),
-    ("1 10", "0 10\n0 10", "more than the 1 rows"),
-], ids=["overrun-then-negative", "negative-sum-matches", "non-integer-run",
-        "non-integer-columns", "non-integer-rows", "negative-rows", "extra-row"])
-def test_load_grid_rejects_malformed_rows(tmp_path, header, row, match):
-    path = tmp_path / "bad.grid"
-    path.write_text(f"grid v1 0.1 0.0 0.0 {header} planar\n{row}\n")
-    with pytest.raises(GeomError, match=match):
-        load_grid(path)
-
-
-@pytest.mark.parametrize("h, match", [
-    ("h", "malformed grid header"),
-    ("nan", "positive and finite"),
-    ("inf", "positive and finite"),
-    ("-0.1", "positive and finite"),
-])
-def test_load_grid_rejects_bad_spacing(tmp_path, h, match):
-    path = tmp_path / "bad.grid"
-    path.write_text(f"grid v1 {h} 0.0 0.0 1 2 planar\n0 2\n")
-    with pytest.raises(GeomError, match=match):
-        load_grid(path)
 
 
 def test_barbell_rejects_far_segment_endpoint(barbell_parts):

@@ -92,7 +92,7 @@ def test_eval_outside_domain_raises(disc_model):
 
 def interior_points(domain, n, seed):
     rng = np.random.default_rng(seed)
-    cells = domain.true_centers
+    cells = domain.centers_of(domain.mask)
     idx = rng.choice(cells.size, size=n, replace=True)
     return cells[idx]
 
@@ -241,13 +241,8 @@ def test_product_kernel_zero_follows_annulus_factor():
     assert abs(prod.eval((0.7, 0.3), (w1, 0.3))) > 1e-3
 
 
-def test_ball_kernel_center_value():
-    K = kn.closed_form({"shape": "ball", "n": 2})
-    assert K.eval((0, 0), (0, 0)).real == pytest.approx(2 / np.pi ** 2, rel=1e-12)
-
-
 def test_polydisc_closed_form():
-    K = kn.closed_form({"shape": "polydisc", "discs": [disc(0, 1), disc(0, 1)]})
+    K = kn.closed_form({"shape": "product", "factors": [disc(0, 1), disc(0, 1)]})
     assert K.eval((0, 0), (0, 0)).real == pytest.approx(1 / np.pi ** 2, rel=1e-12)
 
 
@@ -532,13 +527,13 @@ def test_annulus_array_call_rejects_any_pair_outside_convergence():
 # eval_many at an array of w
 # ---------------------------------------------------------------------------
 
-EXACT_ROWS = (kn.ReinhardtKernelModel, kn.ReinhardtSliceKernel, kn.BallKernel)
+EXACT_ROWS = (kn.ReinhardtKernelModel, kn.ReinhardtSliceKernel)
 
 
 def _rows_match_scalar_calls(K, zs, ws):
     """Rows of an array-w call against scalar-w calls: bit for bit for the
-    Reinhardt models, slices and the ball kernel; for fitted planar models,
-    planar closed forms and their products, within 8 ulps of the batch's
+    Reinhardt models and slices; for fitted planar models, planar closed
+    forms and their products, within 8 ulps of the batch's
     largest |K| (times `_amplification`), identical across two identical
     calls, and exactly zero where the scalar call is."""
     rows = K.eval_many(zs, ws)
@@ -607,9 +602,6 @@ def test_eval_many_rows_match_scalar_calls_c2(ring_times_disc_model):
                           truncation=16)
     for K in (ring_times_disc_model, prod):
         _rows_match_scalar_calls(K, zs, ws)
-    ball = kn.closed_form({"shape": "ball", "n": 2})
-    _rows_match_scalar_calls(ball, random_pairs(203, (0, 0.6), (0, 0.6), 17),
-                             random_pairs(9, (0, 0.6), (0, 0.6), 18))
 
 
 def test_c2_model_applies_the_domain_rules_in_every_call(ring_times_disc_model):
@@ -691,8 +683,7 @@ def test_every_kernel_answers_the_protocol(disc_model, ring_times_disc_model):
     planar = [disc_model, disc_cf, kn.closed_form(annulus(0, 0.5, 1)),
               kn.ScaledPlanarKernel(base=disc_cf, scale=2.0),
               ring_times_disc_model.slice_fixed_last(0.3)]
-    pairs = [ring_times_disc_model, prod, kn.closed_form({"shape": "ball",
-                                                          "n": 2})]
+    pairs = [ring_times_disc_model, prod]
     for K, w in [(K, 0.7 + 0.1j) for K in planar] + [(K, (0.7, 0.3j))
                                                      for K in pairs]:
         assert isinstance(K, kn.Kernel)

@@ -274,6 +274,11 @@ SEQUENCE_RUNS = {
         "experiment": "barbell", "h": 0.02,
         "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
         "basis_window": [8, 8], "widths": [0.4, 0.2]},
+    # the shipped connected run: one exhaustion member, one joined result
+    "nowhere-density": {
+        "experiment": "nowhere-density", "h": 0.004,
+        "shapes": {"target": disc(0, 1)},
+        "basis_window": [8, 10], "delta": 0.5, "connected": True},
 }
 
 
@@ -306,15 +311,19 @@ def test_kernel_rows_report_terms_and_conditioning(monkeypatch, experiment):
     assert all(c >= 1 for c in conds)
 
 
-@pytest.mark.parametrize("experiment", ["exhaustion", "barbell"])
+@pytest.mark.parametrize("experiment", ["exhaustion", "barbell",
+                                        "nowhere-density"])
 def test_stage_members_cache_no_node_array(monkeypatch, experiment):
     # a member's quadrature nodes are built for its fit and then dropped;
     # none stays cached on the member
     seqs = _sequences(monkeypatch)
     lab.run_experiment(lab.config_from_dict(SEQUENCE_RUNS[experiment]))
-    assert len(seqs) == 1 and len(seqs[0]) == 2
-    for member in seqs[0].members:
-        assert not {"quadrature", "true_centers"} & vars(member).keys()
+    members = [m for seq in seqs for m in seq.members]
+    assert len(members) == 2
+    for member in members:
+        assert not any(isinstance(v, np.ndarray) and v.dtype == complex
+                       for v in vars(member).values())
+        assert "quadrature" not in vars(member)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so three more tests parse every module of
+No linter ships with the project, so four more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
-one on a module-level private helper that nothing in `src/blab` uses, and
-one on a module-level UPPERCASE constant that nothing in `src/blab` reads.
+one on a module-level private helper that nothing in `src/blab` uses, one
+on a module-level public function or class that nothing in `src/blab` reads
+and `perfbench` does not name, and one on a module-level UPPERCASE constant
+that nothing in `src/blab` reads.
 """
 
 import ast
@@ -166,6 +168,38 @@ def test_every_private_helper_is_used():
     dead, _ = _unread(lambda name, node: name.startswith("_")
                       and not name.startswith("__"))
     assert not dead, dead
+
+
+# verification entry points that only the tests call
+TEST_ENTRY_POINTS = {"volume", "extremal_value", "reproducing_residual",
+                     "kernel_error_c2"}
+
+
+def _perfbench_names() -> set:
+    """Names that perfbench/*.py reads, and its strings that spell a name
+    (the attributes `layers.targets` rebinds)."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= _references(tree, set())
+        names |= {n.value for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and n.value.isidentifier()}
+    return names
+
+
+def test_every_public_helper_is_used():
+    # a public function or class that no program path and no benchmark
+    # reaches is dead code
+    named = _perfbench_names() | TEST_ENTRY_POINTS
+    dead, _ = _unread(lambda name, node: not name.startswith("_")
+                      and isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef, ast.ClassDef))
+                      and name not in named)
+    assert not dead, dead
+    defined = {name for path in SRC.glob("*.py") for name, _ in
+               _module_definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert TEST_ENTRY_POINTS <= defined
 
 
 def test_every_module_constant_is_read():

@@ -146,26 +146,15 @@ def test_scan_finds_annulus_zero_basin(annulus_cf):
     assert v0 < 0.05
 
 
-def test_scan_cross_component_reported_distinctly():
-    U = make_domain(union(disc(-2, 0.8), disc(2, 0.8)), h=0.02)
-    model = kn.fit_kernel(U, bs.monomials(0, 8))
-    other = int(U.labels_at(2 + 0j))
-    scan = zr.scan_min_modulus(model, -2 + 0j, stride=4, component=other)
-    assert scan.cross_component
-    assert scan.candidates == ()
-    assert scan.min_modulus == 0.0
-
-
 def test_scan_outside_w0_rejected(disc_cf):
     with pytest.raises(zr.ZeroSearchError):
         zr.scan_min_modulus(disc_cf, 2.0, stride=4)
 
 
-def _scan_full_grid(model, w0, stride=4, component=None, bbox=None):
+def _scan_full_grid(model, w0, stride=4, bbox=None):
     """The full-grid scan that the window-local one replaced, as the oracle."""
     dom = model.domain
-    w_comp = int(dom.labels_at(w0))
-    target = w_comp if component is None else component
+    target = int(dom.labels_at(w0))
     sub = dom.component_labels == target
     if bbox is not None:
         x0, y0, x1, y1 = bbox
@@ -178,10 +167,6 @@ def _scan_full_grid(model, w0, stride=4, component=None, bbox=None):
     scan_mask[::stride, ::stride] = sub[::stride, ::stride]
     if not scan_mask.any():
         raise zr.ZeroSearchError(f"component {target} has no cells at stride {stride}")
-    if target != w_comp:
-        return zr.ScanResult(candidates=(), min_modulus=0.0, median_modulus=0.0,
-                             n_scanned=int(scan_mask.sum()),
-                             resolution=stride * dom.h, cross_component=True)
     pts = dom.centers_of(scan_mask)
     mods = np.abs(model.eval_many(pts, w0))
     values = np.full(dom.mask.shape, np.inf)
@@ -220,25 +205,22 @@ def ring_and_disc_fit():
     (10.0, 10.0, 11.0, 11.0),       # off the array
     (0.645, 0.045, 0.655, 0.055),   # one ring cell, off the stride lattice
 ])
-@pytest.mark.parametrize("other_component", [False, True])
+@pytest.mark.parametrize("w0_in_disc", [False, True])
 def test_window_scan_equals_full_grid_scan(ring_and_disc_fit, stride, bbox,
-                                           other_component):
+                                           w0_in_disc):
+    # w0 in the ring, or in the disc: the scan covers w0's component alone
     model = ring_and_disc_fit
-    w0 = 0.8 + 0.02j
-    component = None
-    if other_component:
-        component = int(model.domain.labels_at(2.2 + 0j))
-        assert component != model.domain.labels_at(w0)
+    w0 = 2.3 + 0.05j if w0_in_disc else 0.8 + 0.02j
     try:
-        want = _scan_full_grid(model, w0, stride, component, bbox)
+        want = _scan_full_grid(model, w0, stride, bbox)
     except zr.ZeroSearchError as e:
         with pytest.raises(zr.ZeroSearchError) as got:
-            zr.scan_min_modulus(model, w0, stride, component, bbox)
+            zr.scan_min_modulus(model, w0, stride, bbox)
         assert str(got.value) == str(e)
         return
-    got = zr.scan_min_modulus(model, w0, stride, component, bbox)
+    got = zr.scan_min_modulus(model, w0, stride, bbox)
     assert got == want
-    if not other_component and bbox is None:
+    if bbox is None:
         assert got.candidates
 
 
