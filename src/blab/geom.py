@@ -11,9 +11,13 @@ center, weighted by the area fraction it covers.  A domain built from a mask
 alone (cellwise operations, exhaustions, necks) integrates with unit
 weights over its true cells.
 
-Each domain computes its exact distance-to-complement field once, on first
-use (`GridDomain.distance`), as a read-only array of the mask's shape; every
-reader of a field shares that transform.
+Distance-to-complement fields come from one exact transform, `_edt`, run
+on a window of a domain's array.  Readers that need the whole field (the
+exhaustion's level sets, compact sets, default probes) share one cached
+whole-array transform per domain (`GridDomain.distance`).  Readers of a few
+cells (rho2's sup term, zero certification) go through a `DistanceReader`,
+whose window around the cells read grows until every value read is exact,
+equal to the whole field's bit for bit.
 
 Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
@@ -22,8 +26,8 @@ functions).  rho1 is sensitive to slits and punctures; rho2 tolerates thin
 tails.  rho2 takes its sup term on the symmetric difference alone, by the
 lattice identity sup |d_U - d_V| = max(max over U \\ V of d_U, max over
 V \\ U of d_V), so it reads a domain's cached field only where that domain
-sticks out of the other: a domain nested in the other is never
-transformed for rho2.  rho1 measures
+sticks out of the other, through a window around that part: a domain
+nested in the other is never transformed for rho2.  rho1 measures
 each directed term with nearest-cell queries against the other domain's
 boundary cells, in a kd-tree each domain builds once (`GridDomain.boundary`);
 large query sets are first cut to the tiles that can hold the maximum.
@@ -51,6 +55,7 @@ SUBSAMPLES = 32     # per axis, for the area fraction of a cut cell
 TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
 PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
 PAD_CELLS = 2       # cells of array margin around a rasterized shape
+WINDOW_PAD = 4      # first pad, in cells, of a windowed distance read
 
 
 class GeomError(ValueError):
@@ -143,8 +148,9 @@ class GridDomain:
 
     @cached_property
     def distance(self) -> np.ndarray:
-        """The domain's exact distance field, computed on first use: a
-        read-only array of the mask's shape, zero exactly off the mask."""
+        """The domain's whole exact distance field, the whole-array window
+        of `_edt`, computed on first use: a read-only array of the mask's
+        shape, zero exactly off the mask."""
         d = _edt(self.mask, self.h, self.kind, self.origin)
         d.setflags(write=False)
         return d
@@ -429,8 +435,8 @@ def make_domain(spec: dict, h: float) -> GridDomain:
     built at the same h are always alignable for cellwise operations.  The
     spec is kept on the domain for its cut-cell quadrature.
     """
-    if h <= 0:
-        raise GeomError("spacing h must be positive")
+    if not 0 < h < math.inf:
+        raise GeomError(f"spacing must be positive and finite, got {h}")
     check_spec(spec)
     kind = REINHARDT if spec["shape"] == "reinhardt-profile" else PLANAR
     x0, y0, x1, y1 = _spec_bbox(spec)
@@ -513,42 +519,146 @@ def shell_mask(U: GridDomain, V: GridDomain) -> np.ndarray:
 # distance fields and discretized sets
 # ---------------------------------------------------------------------------
 
-def _edt(mask: np.ndarray, h: float, kind: str,
-         origin: tuple[float, float]) -> np.ndarray:
+def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
+         window: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Exact Euclidean distance from true cells to the nearest complement
-    cell center.  The infinite complement beyond the array is represented by
-    a false ring.  A reinhardt profile whose array starts at a radial axis is
-    mirror-padded across that axis: the quarter-plane has no complement
-    points at negative radii, and reflected cells never undercut the
-    distance to a real complement cell.  Returns a compact copy, so the
-    padded work array is freed."""
-    if kind != REINHARDT:
-        padded = np.pad(mask, 1, mode="constant", constant_values=False)
-        dist = ndimage.distance_transform_edt(padded, sampling=h)
-        return dist[1:-1, 1:-1].copy()
+    cell center (the separable transform of Maurer, Qi and Raghavan), on the
+    array window (i0, i1, j0, j1), by default the whole array.
+
+    The infinite complement beyond the array is represented by a false ring
+    on each side of the window at the array's edge; array cells outside the
+    window count as inside the domain, so a window with no complement cell
+    gives inf everywhere.  A reinhardt profile (whole array only) whose
+    array starts at a radial axis is mirror-padded across that axis: the
+    quarter-plane has no complement points at negative radii, and reflected
+    cells never undercut the distance to a real complement cell.  Returns a
+    compact copy of the window's shape, so the padded work array is freed."""
     nx, ny = mask.shape
-    mirror_x = origin[0] <= 0.5 * h
-    mirror_y = origin[1] <= 0.5 * h
-    px = nx if mirror_x else 1
-    py = ny if mirror_y else 1
-    big = np.zeros((px + nx + 1, py + ny + 1), dtype=bool)
-    big[px:px + nx, py:py + ny] = mask
-    if mirror_x:
-        big[:px, py:py + ny] = mask[::-1, :]
-    if mirror_y:
-        big[px:px + nx, :py] = mask[:, ::-1]
-    if mirror_x and mirror_y:
-        big[:px, :py] = mask[::-1, ::-1]
-    dist = ndimage.distance_transform_edt(big, sampling=h)
-    return dist[px:px + nx, py:py + ny].copy()
+    if kind == REINHARDT:
+        mirror_x = origin[0] <= 0.5 * h
+        mirror_y = origin[1] <= 0.5 * h
+        px = nx if mirror_x else 1
+        py = ny if mirror_y else 1
+        work = np.zeros((px + nx + 1, py + ny + 1), dtype=bool)
+        work[px:px + nx, py:py + ny] = mask
+        if mirror_x:
+            work[:px, py:py + ny] = mask[::-1, :]
+        if mirror_y:
+            work[px:px + nx, :py] = mask[:, ::-1]
+        if mirror_x and mirror_y:
+            work[:px, :py] = mask[::-1, ::-1]
+        at, shape = (px, py), (nx, ny)
+    else:
+        i0, i1, j0, j1 = window or (0, nx, 0, ny)
+        ring = ((int(i0 == 0), int(i1 == nx)), (int(j0 == 0), int(j1 == ny)))
+        work = np.pad(mask[i0:i1, j0:j1], ring, mode="constant",
+                      constant_values=False)
+        at, shape = (ring[0][0], ring[1][0]), (i1 - i0, j1 - j0)
+        if work.all():
+            return np.full(shape, np.inf)
+    dist = ndimage.distance_transform_edt(work, sampling=h)
+    return dist[at[0]:at[0] + shape[0], at[1]:at[1] + shape[1]].copy()
 
 
 def distance_field(U: GridDomain) -> np.ndarray:
-    """Exact Euclidean distance transform of the domain mask (0 off U).
+    """The whole exact distance field of the domain mask (0 off U).
 
     Computed once per domain and shared: this returns `U.distance`, a
-    read-only array of the mask's shape."""
+    read-only array of the mask's shape.  Readers of a few cells use a
+    `DistanceReader` instead."""
     return U.distance
+
+
+def _edge_cells(lo: int, hi: int, n: int) -> np.ndarray:
+    """For each index of [lo, hi), the index distance to the nearest index
+    of [0, n) outside it (inf when [lo, hi) is all of [0, n))."""
+    k = np.arange(lo, hi, dtype=float)
+    out = np.full(k.size, np.inf)
+    if lo > 0:
+        out = np.minimum(out, k - lo + 1)
+    if hi < n:
+        out = np.minimum(out, hi - k)
+    return out
+
+
+class DistanceReader:
+    """Exact reads of a domain's distance field through one window of its
+    array, grown until it certifies every read.
+
+    The window is the bounding box of the cells read so far, padded by
+    `pad` cells (first WINDOW_PAD) and clipped to the array.  Its values
+    bound the whole field's from above, and one is exact, equal to the
+    whole field's bit for bit, when it lies strictly below its distance to
+    the nearest array cell outside the window: the cell's nearest
+    complement cell then lies in the window.  The test compares the
+    lattice's integer squared distances, so a tie never counts.  A read
+    that meets an inexact value v grows the pad to max(2 pad,
+    ceil(v / h) + 1) and transforms again (v is inf in a window without
+    complement cells, and the pad doubles).  So a read whose cells all lie
+    in a window holding a complement cell is certified by the second pass,
+    and a walk such as a greedy ascent grows the window a logarithmic
+    number of times.  A window covering the array is the whole transform.
+    A domain whose whole field is cached, and every reinhardt profile
+    (whose transform mirrors the radial axes), reads `GridDomain.distance`
+    (`whole`).
+    """
+
+    def __init__(self, U: GridDomain):
+        self.U = U
+        self.pad = WINDOW_PAD
+        self._box = None        # bounding box of the cells read so far
+        self._window = None     # (i0, i1, j0, j1) of the last transform
+        self._values = self._exact = None
+
+    @property
+    def whole(self) -> bool:
+        """Whether reads come from the whole field `GridDomain.distance`."""
+        return self.U.kind == REINHARDT or "distance" in vars(self.U)
+
+    def read(self, i, j) -> np.ndarray:
+        """The field's exact values at the array cells (i, j), index arrays
+        of one shape (or ints), in that shape."""
+        U = self.U
+        if self.whole:
+            return U.distance[i, j]
+        i, j = np.asarray(i), np.asarray(j)
+        box = (int(i.min()), int(i.max()) + 1, int(j.min()), int(j.max()) + 1)
+        self._box = box if self._box is None else (
+            min(self._box[0], box[0]), max(self._box[1], box[1]),
+            min(self._box[2], box[2]), max(self._box[3], box[3]))
+        while True:
+            w = self._window
+            if w is not None and (w[0] <= box[0] and box[1] <= w[1]
+                                  and w[2] <= box[2] and box[3] <= w[3]):
+                at = (i - w[0], j - w[2])
+                values, inexact = self._values[at], ~self._exact[at]
+                if not inexact.any():
+                    return values
+                v = float(values[inexact].max())
+                self.pad = max(2 * self.pad,
+                               math.ceil(v / U.h) + 1 if v < math.inf else 1)
+            self._transform()
+
+    def _transform(self) -> None:
+        U, p = self.U, self.pad
+        i0, i1, j0, j1 = self._box
+        w = (max(i0 - p, 0), min(i1 + p, U.nx), max(j0 - p, 0), min(j1 + p, U.ny))
+        values = _edt(U.mask, U.h, U.kind, U.origin, w)
+        edge = np.minimum.outer(_edge_cells(w[0], w[1], U.nx),
+                                _edge_cells(w[2], w[3], U.ny))
+        self._window, self._values = w, values
+        self._exact = (values / U.h) ** 2 < edge * edge - 0.5
+
+
+def distance_at(U: GridDomain, points) -> np.ndarray:
+    """U's exact distance at the cell holding each point, 0 off the array:
+    `U.values_at(U.distance, points)` bit for bit, read through a window
+    around those cells (`DistanceReader`)."""
+    i, j, on = U._indices(points)
+    out = np.zeros(np.shape(on))
+    if on.any():
+        out[on] = DistanceReader(U).read(i[on], j[on])
+    return out
 
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
@@ -688,13 +798,17 @@ def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
 
 
 def _max_on(A: GridDomain, cells: np.ndarray, at: tuple[int, int]) -> float:
-    """Max of A's cached field over the true cells of a common-frame mask
-    that all lie in A (A's array sits at offset `at`); 0.0 for no cells,
-    in which case the field is not read."""
+    """Max of A's field over the true cells of a common-frame mask that all
+    lie in A (A's array sits at offset `at`), read through a window around
+    them (`DistanceReader`) unless A's whole field is cached; 0.0 for no
+    cells, in which case the field is not read."""
     sub = cells[at[0]:at[0] + A.nx, at[1]:at[1] + A.ny]
     if not sub.any():
         return 0.0
-    return float(A.distance[sub].max())
+    reader = DistanceReader(A)
+    if reader.whole:
+        return float(A.distance[sub].max())
+    return float(reader.read(*np.divmod(np.flatnonzero(sub), A.ny)).max())
 
 
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
@@ -707,10 +821,11 @@ def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     then d_U(x) <= |x - c| = d_V(x); otherwise c lies in U \\ V and
     d_U(x) <= d_V(x) + d_U(c).  By symmetry |d_U - d_V| on U n V never
     exceeds the two maxima; at a radial axis the same holds for the mirror
-    images of `_edt`.  A domain's cached field is read only when its own
-    part of the symmetric difference is non-empty, so a domain nested in
-    the other is never transformed here.  The result is the exact lattice
-    sup, with no cancellation from d_U - d_V."""
+    images of `_edt`.  A domain's field is read only on its own part of
+    the symmetric difference, through a window around that part
+    (`_max_on`), so a domain nested in the other is never transformed
+    here.  The result is the exact lattice sup, with no cancellation from
+    d_U - d_V."""
     origin, shape, iU, iV = _frame(U, V)
     mU, mV = _embed(U.mask, shape, iU), _embed(V.mask, shape, iV)
     sym = mU ^ mV

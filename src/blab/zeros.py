@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import GridDomain, distance_field
+from .geom import DistanceReader, GridDomain, distance_at, distance_field
 from .kernel import DEFAULT_SEED, KernelError, kernel_error
 
 ARG_STEP_LIMIT = np.pi / 2
@@ -328,23 +328,27 @@ class ProbeConfig:
     scan_bbox: tuple | None = None  # (x0, y0, x1, y1) restriction of the scan
 
 
-def _lobe_scale(v: np.ndarray, start: tuple[int, int]) -> float:
-    """Local maximum of a distance field reached by greedy 8-neighbor ascent."""
-    nx, ny = v.shape
+def _lobe_scale(depth: DistanceReader, start: tuple[int, int]) -> float:
+    """Local maximum of a distance field reached by greedy 8-neighbor ascent,
+    reading each step's neighborhood exactly through the reader's window,
+    which grows when the ascent reaches its edge."""
+    nx, ny = depth.U.nx, depth.U.ny
     i, j = start
     for _ in range(nx * ny):
-        best = v[i, j]
+        i0, j0 = max(i - 1, 0), max(j - 1, 0)
+        v = depth.read(*np.mgrid[i0:min(i + 2, nx), j0:min(j + 2, ny)])
+        best = v[i - i0, j - j0]
         step = None
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 ni, nj = i + di, j + dj
-                if 0 <= ni < nx and 0 <= nj < ny and v[ni, nj] > best:
-                    best = v[ni, nj]
+                if 0 <= ni < nx and 0 <= nj < ny and v[ni - i0, nj - j0] > best:
+                    best = v[ni - i0, nj - j0]
                     step = (ni, nj)
         if step is None:
-            return float(v[i, j])
+            return float(best)
         i, j = step
-    return float(v[i, j])
+    return float(best)
 
 
 def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
@@ -380,15 +384,17 @@ def certify_zero(model, w0: complex, z_star: complex) -> ZeroCertificate | None:
     admissibility rule are rejected outright (boundary-hugging truncation
     artifacts).  Each contour is evaluated once: the winding pass also gives
     the floor, the least modulus over its unrefined samples, and the error
-    estimate is computed once per call.  Depths come from the domain's
-    `distance_field`.  Returns None when no valid certificate arises.
+    estimate is computed once per call.  Depths are read exactly through a
+    window of the domain's array around the candidate (`DistanceReader`),
+    grown along the ascent; the whole field is read only when it is
+    already cached.  Returns None when no valid certificate arises.
     """
     dom = model.domain
     cell = dom.cell_of(z_star)
     if cell is None or not dom.mask[cell]:
         return None
-    depth = distance_field(dom)
-    d_here = float(depth[cell])
+    depth = DistanceReader(dom)
+    d_here = float(depth.read(*cell))
     if d_here < LOBE_GAMMA * _lobe_scale(depth, cell):
         return None
     err = float(model.eval_error_estimate(w0))
@@ -456,7 +462,8 @@ class HurwitzTrack:
 def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
                   reference=None, margin: float | None = None) -> HurwitzTrack:
     """Winding count per model on the same contour, plus reference errors
-    at margin (default: half the least reference depth on the contour)."""
+    at margin (default: half the least reference depth on the contour,
+    read through a window around the contour's cells)."""
     counts: list[int | None] = []
     for m in models:
         try:
@@ -467,8 +474,7 @@ def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
     if reference is not None:
         ref_dom = reference.domain
         if margin is None:
-            depth = distance_field(ref_dom)
-            margin = 0.5 * float(ref_dom.values_at(depth, contour).min())
+            margin = 0.5 * float(distance_at(ref_dom, contour).min())
         for m in models:
             try:
                 errors.append(kernel_error([m], reference, margin,

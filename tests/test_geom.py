@@ -110,6 +110,12 @@ def test_grid_domain_rejects_bad_spacing(h):
                         mask=np.ones((1, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_make_domain_rejects_bad_spacing(h):
+    with pytest.raises(GeomError, match="positive and finite"):
+        make_domain(disc(0, 1), h)
+
+
 def test_mismatched_lattices_rejected():
     U = make_domain(disc(0, 1), h=0.05)
     V = make_domain(disc(0, 1), h=0.04)
@@ -1004,40 +1010,102 @@ def edt_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("target", [disc(0, 1), annulus(0, 0.3, 1.2)])
-def test_exhaustion_run_makes_one_transform_per_domain(edt_calls, target):
-    # members lie in the target, so rho2 reads the target's field alone;
-    # an annulus run certifies each member, and certification reads its own
+@pytest.fixture
+def edt_windows(monkeypatch):
+    """Every transform as (mask bytes, mask shape, window cells)."""
+    windows = []
+    real = geom._edt
+
+    def recorded(mask, *args, **kwargs):
+        out = real(mask, *args, **kwargs)
+        windows.append((mask.tobytes(), mask.shape, out.size))
+        return out
+
+    monkeypatch.setattr(geom, "_edt", recorded)
+    return windows
+
+
+@pytest.fixture
+def lab_made(monkeypatch):
+    """The domains and sequences a lab run builds, by constructor name."""
     from blab import lab
 
-    depths = [0.2, 0.15, 0.1]
+    made = {}
+
+    def keep(name, real):
+        def wrapped(*args, **kwargs):
+            made.setdefault(name, []).append(real(*args, **kwargs))
+            return made[name][-1]
+        monkeypatch.setattr(lab, name, wrapped)
+
+    for name in ("make_domain", "interior_exhaustion", "barbell_sequence"):
+        keep(name, getattr(lab, name))
+    return made
+
+
+def assert_transformed_cells(windows, domains, whole):
+    """Count the cells each transform covers, per domain.  The domains
+    named in `whole` are transformed once, whole; every other domain is
+    read through windows only, covering under half of its array in all.
+    Returns the windowed cells per domain."""
+    key = lambda U: (U.mask.tobytes(), U.mask.shape)
+    names = {key(U): name for name, U in domains.items()}
+    cells = {name: [] for name in domains}
+    for data, shape, n in windows:
+        cells[names[(data, shape)]].append(n)
+    for name, U in domains.items():
+        if name in whole:
+            assert cells[name] == [U.nx * U.ny], name
+        else:
+            assert sum(cells[name]) < U.nx * U.ny / 2, (name, cells[name])
+    return {name: sum(n) for name, n in cells.items() if name not in whole}
+
+
+@pytest.mark.parametrize("target", [disc(0, 1), annulus(0, 0.3, 1.2)])
+def test_exhaustion_run_makes_one_transform_per_domain(edt_windows, lab_made,
+                                                       target):
+    # the target's whole field makes the members, and rho2 reads it alone
+    # (members lie in the target); an annulus run certifies each member
+    # through windows around its candidates
+    from blab import lab
+
     cfg = lab.config_from_dict({
         "experiment": "exhaustion", "h": 0.04, "seed": 3,
         "shapes": {"target": target}, "basis_window": [4, 8],
-        "depths": depths})
+        "depths": [0.2, 0.15, 0.1]})
     lab.run_exhaustion(cfg)
+    (G,), (seq,) = lab_made["make_domain"], lab_made["interior_exhaustion"]
+    domains = {"target": G, **dict(enumerate(seq.members))}
+    windowed = assert_transformed_cells(edt_windows, domains, {"target"})
     certified = target["shape"] == "annulus"
-    assert len(edt_calls) == 1 + (len(depths) if certified else 0)
+    assert all((n > 0) == certified for n in windowed.values())
 
 
-def test_barbell_run_transforms_the_right_lobe_and_each_member(edt_calls):
-    # the probes read the right lobe's field and each verdict its member's;
-    # the union lies in every member, so rho2 needs no other field
+def test_barbell_run_transforms_the_right_lobe_and_each_member(edt_windows,
+                                                               lab_made):
+    # the probes and the kernel errors read the right lobe's whole field;
+    # each verdict reads its member through windows, and rho2 reads each
+    # member on its neck alone (the union lies in every member)
     from blab import lab
 
-    widths = [0.4, 0.2, 0.1]
     cfg = lab.config_from_dict({
         "experiment": "barbell", "h": 0.02,
         "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
-        "basis_window": [8, 8], "widths": widths})
+        "basis_window": [8, 8], "widths": [0.4, 0.2, 0.1]})
     lab.run_barbell(cfg)
-    assert len(edt_calls) == 1 + len(widths)
+    (G, D), (seq,) = lab_made["make_domain"], lab_made["barbell_sequence"]
+    domains = {"left": G, "right": D, "union": seq.target,
+               **dict(enumerate(seq.members))}
+    windowed = assert_transformed_cells(edt_windows, domains, {"right"})
+    assert windowed["left"] == windowed["union"] == 0
+    assert all(windowed[k] > 0 for k in range(len(seq.members)))
 
 
-def test_nowhere_density_run_makes_three_transforms(edt_calls):
-    # the target (exhaustion), the placed lobe (probes) and the joined
-    # result (rho2 and the verdict); the exhaustion member lies in the
-    # target and is never transformed
+def test_nowhere_density_run_makes_three_transforms(edt_windows, lab_made):
+    # the target (exhaustion) and the placed lobe (probes) are transformed
+    # whole; the joined result is read through windows by rho2 (on the lobe
+    # and neck) and by the verdict (around its candidates); the exhaustion
+    # member lies in the target and is never transformed
     from blab import lab
 
     cfg = lab.config_from_dict({
@@ -1045,7 +1113,159 @@ def test_nowhere_density_run_makes_three_transforms(edt_calls):
         "shapes": {"target": disc(0, 0.7)},
         "basis_window": [8, 10], "delta": 0.5, "connected": True})
     lab.run_nowhere_density(cfg)
-    assert len(edt_calls) == 3
+    G, D = lab_made["make_domain"]
+    domains = {"target": G, "lobe": D,
+               "member": lab_made["interior_exhaustion"][0].members[0],
+               "result": lab_made["barbell_sequence"][0].members[0]}
+    windowed = assert_transformed_cells(edt_windows, domains,
+                                        {"target", "lobe"})
+    assert windowed["member"] == 0 and windowed["result"] > 0
+
+
+# ---------------------------------------------------------------------------
+# windowed distance reads against the whole field
+# ---------------------------------------------------------------------------
+
+# every spacing a shipped config, a benchmark input or a delta-ladder rung uses
+SHIPPED_H = (0.0005, 0.001, 0.002, 0.0025, 0.004, 0.005, 0.007, 0.01, 0.02)
+
+
+def whole_field(U):
+    """Oracle: the whole-array transform, computed afresh (not cached)."""
+    return geom._edt(U.mask, U.h, U.kind, U.origin)
+
+
+@st.composite
+def window_reads(draw):
+    """A planar domain at a shipped spacing, a box of its array (touching
+    the array's edge, and so the false ring, as often as not), a first pad
+    of 0-12 cells and the cells of the box to read, as index arrays."""
+    h = draw(st.sampled_from(SHIPPED_H))
+    shape = draw(lattice_domains(geom.PLANAR, reach=3))
+    U = geom.GridDomain(origin=(round(shape.origin[0] / shape.h) * h,
+                                round(shape.origin[1] / shape.h) * h),
+                        h=h, mask=shape.mask)
+    i0 = draw(st.integers(0, U.nx - 1))
+    i1 = draw(st.integers(i0 + 1, U.nx))
+    j0 = draw(st.integers(0, U.ny - 1))
+    j1 = draw(st.integers(j0 + 1, U.ny))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    read = rng.random((i1 - i0, j1 - j0)) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    read[rng.integers(i1 - i0), rng.integers(j1 - j0)] = True
+    i, j = np.nonzero(read)
+    return U, draw(st.integers(0, 12)), i + i0, j + j0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=window_reads())
+def test_windowed_values_bits_equal_the_whole_field(case):
+    U, pad, i, j = case
+    whole = whole_field(U)
+    reader = geom.DistanceReader(U)
+    reader.pad = pad
+    assert reader.read(i, j).tobytes() == whole[i, j].tobytes()
+    # every value the last window certified is the whole field's, and the
+    # window's values bound the whole field's from above
+    w0, w1, v0, v1 = reader._window
+    exact = reader._exact
+    assert (reader._values[exact].tobytes()
+            == whole[w0:w1, v0:v1][exact].tobytes())
+    assert (reader._values >= whole[w0:w1, v0:v1]).all()
+    assert "distance" not in vars(U)
+
+
+def lobe_and_neck():
+    """A nowhere-density result: a disc's exhaustion member joined by a
+    neck to a small annulus lobe beside the disc, and the disc."""
+    from blab import lab
+
+    h = 0.002
+    G = make_domain(disc(0, 0.7), h)
+    member = interior_exhaustion(G, [0.05 - 2 * h]).members[0]
+    R = 0.99 * 0.5 / 8
+    c = 0.7 + 0.5 / 16 + R
+    D = make_domain(annulus(c, R / 2, R), h)
+    a = lab._nearest_boundary_point(member, c)
+    b = lab._nearest_boundary_point(D, a)
+    return barbell_sequence(member, D, (a, b), [3 * h]).members[0], G, c, R
+
+
+def barbell_ring():
+    """A barbell member and its annulus lobe."""
+    L, D = make_domain(disc(-2, 1), 0.02), make_domain(annulus(2, 0.5, 1), 0.02)
+    return barbell_sequence(L, D, (-1 + 0j, 1 + 0j), [0.1]).members[0], D
+
+
+def whole_lobe_scale(v, start):
+    """Oracle: the greedy 8-neighbor ascent on a whole field."""
+    nx, ny = v.shape
+    i, j = start
+    while True:
+        nb = [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+              if 0 <= i + di < nx and 0 <= j + dj < ny]
+        best = max(nb, key=lambda c: (v[c], -nb.index(c)))
+        if v[best] <= v[i, j]:
+            return float(v[i, j])
+        i, j = best
+
+
+@pytest.mark.parametrize("case", ["lobe-and-neck", "barbell-ring"])
+def test_windowed_reads_on_named_cases(case):
+    from blab import zeros
+
+    if case == "lobe-and-neck":
+        U, G, c, R = lobe_and_neck()
+        # rho2 reads the result on its lobe and neck alone
+        assert geom.rho2_parts(U, G)[1] == edt_rho2_sups(U, G)[0]
+        whole = whole_field(U)
+        lobe = np.abs(U.centers_of(np.ones(U.mask.shape, dtype=bool))
+                      - c).reshape(U.mask.shape) < R
+    else:
+        U, D = barbell_ring()
+        whole = whole_field(U)
+        _, _, iU, iD = geom._frame(U, D)
+        lobe = geom._embed(D.mask, U.mask.shape, (iD[0] - iU[0], iD[1] - iU[1]))
+    i, j = np.nonzero(lobe & U.mask)
+    values = geom.DistanceReader(U).read(i, j)
+    assert values.tobytes() == whole[i, j].tobytes()
+    # certification's ascent from lobe cells follows the whole field's path
+    for start in zip(i[::37], j[::37]):
+        reader = geom.DistanceReader(U)
+        assert (zeros._lobe_scale(reader, start)
+                == whole_lobe_scale(whole, start))
+        assert reader._values.size < U.mask.size / 4
+    assert "distance" not in vars(U)
+
+
+def test_distance_at_equals_the_whole_field_read():
+    U = make_domain(annulus(0.1j, 0.3, 0.9), 0.01)
+    rng = np.random.default_rng(7)
+    # points in the ring, in the hole, beyond the ring and off the array
+    points = (rng.uniform(-1.2, 1.2, 200) + 1j * rng.uniform(-1.1, 1.3, 200))
+    read = geom.distance_at(U, points.reshape(10, 20))
+    assert "distance" not in vars(U)
+    assert read.shape == (10, 20)
+    expected = U.values_at(distance_field(U), points.reshape(10, 20))
+    assert read.tobytes() == expected.tobytes()
+
+
+def test_uncertified_first_pad_grows(edt_windows):
+    # the read cell's nearest complement cell (4, 4) cells away lies in the
+    # first window, 4 cells padded, but no nearer than that window's edge:
+    # the read grows the pad to max(2 * 4, ceil(sqrt(32)) + 1) = 8
+    mask = np.ones((41, 41), dtype=bool)
+    mask[24, 24] = False
+    U = geom.GridDomain(origin=(0.0, 0.0), h=0.01, mask=mask)
+    reader = geom.DistanceReader(U)
+    assert reader.read(20, 20) == whole_field(U)[20, 20]
+    assert reader.pad == 2 * geom.WINDOW_PAD
+    assert [n for _, _, n in edt_windows][:2] == [9 * 9, 17 * 17]
+    # a window without a complement cell doubles its pad until it has one
+    U = geom.GridDomain(origin=(0.0, 0.0), h=0.01,
+                        mask=np.ones((41, 41), dtype=bool))
+    reader = geom.DistanceReader(U)
+    assert reader.read(20, 20) == whole_field(U)[20, 20]
+    assert reader.pad == 8 * geom.WINDOW_PAD
 
 
 def test_distance_field_is_shared_and_read_only(edt_calls):

@@ -10,12 +10,14 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so four more tests parse every module of
+No linter ships with the project, so five more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
 one on a module-level private helper that nothing in `src/blab` uses, one
 on a module-level public function or class that nothing in `src/blab` reads
-and `perfbench` does not name, and one on a module-level UPPERCASE constant
-that nothing in `src/blab` reads.
+and `perfbench` does not name, one on a module-level UPPERCASE constant
+that nothing in `src/blab` reads, and one unless scipy's
+`distance_transform_edt` is called from exactly one place, the single
+transform routine every distance read goes through.
 """
 
 import ast
@@ -208,3 +210,15 @@ def test_every_module_constant_is_read():
                           and isinstance(node, (ast.Assign, ast.AnnAssign)))
     assert count >= 30
     assert not dead, dead
+
+
+def test_one_distance_transform_call_site():
+    # whole fields and windows come from one routine (`geom._edt`), so a
+    # window's exactness argument covers every distance value the lab reads
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "distance_transform_edt"]
+    assert len(sites) == 1, sites

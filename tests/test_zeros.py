@@ -431,6 +431,24 @@ def test_hurwitz_default_margin_on_annulus(annulus_cf, monkeypatch):
     assert margins[0] == pytest.approx(outer, abs=dom.h)
 
 
+def test_hurwitz_default_margin_equals_the_whole_field_read(monkeypatch):
+    # the default margin reads the reference's field at the contour's cells
+    # through a window: the whole field's bits, and no whole transform
+    ref = kn.closed_form(annulus(0, 0.5, 1), truncation=8, h=0.01)
+    dom = ref.domain
+    margins = []
+
+    def spy(models, reference, margin, domain=None):
+        margins.append(margin)
+        return (0.0,) * len(models)
+    monkeypatch.setattr(zr, "kernel_error", spy)
+    contour = zr.circle_contour(-0.75 + 0.1j, 0.05)
+    zr.hurwitz_track([ref], 0.8, contour, reference=ref)
+    assert "distance" not in vars(dom)
+    depth = zr.distance_field(dom)
+    assert margins == [0.5 * float(dom.values_at(depth, contour).min())]
+
+
 def _default_probes_full_grid(dom, cfg):
     """Oracle: default_probes reading its probes from the full complex
     center grid."""
