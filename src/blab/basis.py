@@ -13,9 +13,11 @@ quadrature`): cut-cell area fractions on a domain rasterized from a shape
 spec, the plain midpoint rule per true cell on a domain built from a mask.
 The nodes are taken in their fixed row-major order, in blocks of
 GRAM_BLOCK, and each block adds into the Gram with one Hermitian rank-k
-BLAS update (zherk).  Only the term values of one block are held at a
-time, and every Gram entry is bit reproducible run to run and at any BLAS
-thread count.
+BLAS update (zherk).  A mask-built domain's nodes are streamed: each
+block is read from the row slab of the mask (or shell) that holds it, so
+no node array of the whole domain is built.  Only one block's nodes and
+term values are held at a time, and every Gram entry is bit reproducible
+run to run and at any BLAS thread count.
 
 Nested members of one sequence on one lattice (an exhaustion's interior
 approximants, a barbell's necks) are fitted shell by shell: given the fit
@@ -265,9 +267,13 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     assembly: the sum starts from the inner fit's accumulator, the conj of
     its matrix, and adds only U's cells outside the inner domain, in their
     row-major order.  Without inner the sum starts from zero over all of
-    U's nodes.  Either way a mask-built U's nodes are built for the call
-    and not cached on the domain.  An inner fit that breaks this rule
-    raises BasisError.
+    U's nodes.  Either way a mask-built U's nodes are streamed: each block
+    is read from the row slab of the mask or shell that holds it, and
+    nothing is cached on the domain.  A spec-built U's blocks are slices of
+    its cached `quadrature`.  Each block's term values are freed before the
+    next block's are built, so the assembly holds one term block and one
+    block of nodes at a time.  An inner fit that breaks this rule raises
+    BasisError.
 
     A term whose diagonal entry, its squared norm on U, is not a finite
     positive normal float carries no usable signal (a norm that underflows
@@ -277,14 +283,14 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     check_admissible(basis, U)
     N = len(basis)
     if basis.kind == PLANAR:
-        Gc, nodes, frac = _gram_start(basis, U, inner)
-        for start in range(0, nodes.size, GRAM_BLOCK):
-            block = slice(start, start + GRAM_BLOCK)
-            B = term_matrix(basis, nodes[block])
+        Gc, blocks = _gram_start(basis, U, inner)
+        for nodes, frac in blocks:
+            B = term_matrix(basis, nodes)
             if frac is not None:
-                B *= np.sqrt(frac[block])[:, None]
+                B *= np.sqrt(frac)[:, None]
             # B is the Fortran-ordered k x N operand of C += a A^H A
             Gc = zherk(U.h * U.h, B, beta=1.0, c=Gc, trans=2, overwrite_c=1)
+            del B       # freed before the next block's values are built
         # Gc = conj(G); adding +0.0 turns the -0.0 that conj puts on every
         # exactly real entry, the diagonal included, back into +0.0
         G = np.conj(Gc) + 0.0
@@ -318,15 +324,22 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
 
 
 def _gram_start(basis: BasisSpec, U: GridDomain, inner):
-    """The accumulator a planar Gram starts from, and the nodes still to
-    add with their area fractions (None where every fraction is 1)."""
+    """The accumulator a planar Gram starts from, and the blocks of
+    GRAM_BLOCK nodes still to add, in row-major order, each with its area
+    fractions (None where every fraction is 1).  A spec-built U's blocks
+    are slices of its cached quadrature; a mask-built U's are read from its
+    mask, or from the shell outside the inner fit's domain, block by block
+    (`GridDomain.center_blocks`)."""
     N = len(basis)
     if inner is None:
         Gc = np.zeros((N, N), dtype=complex, order="F")
         if U.spec is None:
-            return Gc, U.centers_of(U.mask), None
+            return Gc, _unit_blocks(U, U.mask)
         nodes, frac = U.quadrature
-        return Gc, nodes, frac if (frac != 1.0).any() else None
+        unit = (frac == 1.0).all()
+        return Gc, ((nodes[k:k + GRAM_BLOCK],
+                     None if unit else frac[k:k + GRAM_BLOCK])
+                    for k in range(0, nodes.size, GRAM_BLOCK))
     if inner.basis != basis:
         raise BasisError("the inner fit has another basis")
     V = inner.domain
@@ -338,7 +351,13 @@ def _gram_start(basis: BasisSpec, U: GridDomain, inner):
     except GeomError as e:
         raise BasisError(f"the inner fit's domain does not chain: {e}") from None
     Gc = np.array(np.conj(inner.gram.matrix), order="F")
-    return Gc, U.centers_of(shell), None
+    return Gc, _unit_blocks(U, shell)
+
+
+def _unit_blocks(U: GridDomain, cells: np.ndarray):
+    """The centers of a mask's true cells, GRAM_BLOCK at a time, with unit
+    area fractions."""
+    return ((nodes, None) for nodes in U.center_blocks(cells, GRAM_BLOCK))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,22 @@ center, weighted by the area fraction it covers.  A domain built from a mask
 alone (cellwise operations, exhaustions, necks) integrates with unit
 weights over its true cells.
 
+Whole-grid steps hold at most the grid's own result array plus one slab of
+SLAB_CELLS cells of temporaries: `make_domain` rasterizes a row slab at a
+time by broadcasting a column of x centers against the row of y centers,
+`GridDomain.centers_of` fills its nodes a row slab at a time, and
+`GridDomain.center_blocks` reads consecutive node blocks (the Gram's) from
+the rows that hold them.
+
 Distance-to-complement fields come from one exact transform, `_edt`, run
-on a window of a domain's array.  Readers that need the whole field (the
-exhaustion's level sets, compact sets, default probes) share one cached
-whole-array transform per domain (`GridDomain.distance`).  Readers of a few
-cells (rho2's sup term, zero certification) go through a `DistanceReader`,
-whose window around the cells read grows until every value read is exact,
-equal to the whole field's bit for bit.
+on a window of a domain's array; it keeps only scipy's int32 feature
+transform and forms the distances from it slab by slab.  Readers that
+need the whole field (the exhaustion's level sets, compact sets, default
+probes) share one cached whole-array transform per domain
+(`GridDomain.distance`).  Readers of a few cells (rho2's sup term, zero
+certification) go through a `DistanceReader`, whose window around the
+cells read grows until every value read is exact, equal to the whole
+field's bit for bit.
 
 Two metrics on domains are provided: rho1 (Hausdorff distance between
 closures plus Hausdorff distance between boundaries) and rho2 (volume of the
@@ -56,6 +65,7 @@ TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
 PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
 PAD_CELLS = 2       # cells of array margin around a rasterized shape
 WINDOW_PAD = 4      # first pad, in cells, of a windowed distance read
+SLAB_CELLS = 2 ** 14    # cells of temporaries a whole-grid step holds at a time
 
 
 class GeomError(ValueError):
@@ -133,10 +143,39 @@ class GridDomain:
     def centers_of(self, cells: np.ndarray) -> np.ndarray:
         """Complex centers of the cells true in a mask of the array's shape,
         in row-major order; x is the real axis.  Each center is
-        centers_x[i] + 1j * centers_y[j], bit for bit."""
+        centers_x[i] + 1j * centers_y[j], bit for bit.  The result is
+        filled one row slab of about SLAB_CELLS cells at a time, so no index
+        array over the whole mask is built."""
         out = np.empty(int(np.count_nonzero(cells)), dtype=complex)
-        out.real = np.broadcast_to(self.centers_x[:, None], cells.shape)[cells]
-        out.imag = np.broadcast_to(self.centers_y[None, :], cells.shape)[cells]
+        at = 0
+        for r0, r1 in _row_slabs(*cells.shape):
+            part = self._row_centers(cells, r0, r1)
+            out[at:at + part.size] = part
+            at += part.size
+        return out
+
+    def center_blocks(self, cells: np.ndarray, size: int):
+        """The centers of `centers_of(cells)`, in that order, as consecutive
+        blocks of `size` (the last one shorter).  Each block is read from
+        the rows that hold it, found by a search of the cumulative per-row
+        counts, so a block holds at most its own nodes and two partial
+        rows."""
+        ends = np.cumsum(np.count_nonzero(cells, axis=1))
+        total = int(ends[-1])
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            r0 = int(np.searchsorted(ends, start, side="right"))
+            r1 = int(np.searchsorted(ends, stop, side="left")) + 1
+            skip = start - (int(ends[r0 - 1]) if r0 else 0)
+            yield self._row_centers(cells, r0, r1)[skip:skip + stop - start]
+
+    def _row_centers(self, cells: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Complex centers of the true cells of a mask's rows r0 .. r1 - 1,
+        in row-major order."""
+        slab = cells[r0:r1]
+        out = np.empty(int(np.count_nonzero(slab)), dtype=complex)
+        out.real = np.broadcast_to(self.centers_x[r0:r1, None], slab.shape)[slab]
+        out.imag = np.broadcast_to(self.centers_y[None, :], slab.shape)[slab]
         return out
 
     def centers_at(self, cells: np.ndarray) -> np.ndarray:
@@ -386,7 +425,7 @@ def _spec_predicate(spec: dict, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         y0, y1 = min(y0, y1), max(y0, y1)
         return (X > x0) & (X < x1) & (Y > y0) & (Y < y1)
     if kind == "union":
-        out = np.zeros_like(X, dtype=bool)
+        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape), dtype=bool)
         for p in spec["parts"]:
             out |= _spec_predicate(p, X, Y)
         return out
@@ -428,12 +467,22 @@ def _area_fractions(spec: dict, mask: np.ndarray, cx: np.ndarray,
     return frac
 
 
+def _row_slabs(nrows: int, ncols: int):
+    """Consecutive row ranges (r0, r1) of about SLAB_CELLS cells each (one
+    row at least) covering an array of nrows rows of ncols cells."""
+    step = max(1, SLAB_CELLS // max(ncols, 1))
+    return ((r, min(r + step, nrows)) for r in range(0, nrows, step))
+
+
 def make_domain(spec: dict, h: float) -> GridDomain:
     """Rasterize a shape spec: mask true exactly where cell centers satisfy it.
 
     The lattice origin is snapped to an integer multiple of h so that domains
     built at the same h are always alignable for cellwise operations.  The
-    spec is kept on the domain for its cut-cell quadrature.
+    spec is kept on the domain for its cut-cell quadrature.  The predicate
+    runs on one row slab at a time, on the slab's x centers as a column
+    broadcast against the y centers as a row, so beside the mask only one
+    slab of temporaries is held.
     """
     if not 0 < h < math.inf:
         raise GeomError(f"spacing must be positive and finite, got {h}")
@@ -448,8 +497,10 @@ def make_domain(spec: dict, h: float) -> GridDomain:
     ny = int(math.ceil((y1 - oy) / h)) + PAD_CELLS
     cx = _axis_centers(ox, nx, h)
     cy = _axis_centers(oy, ny, h)
-    X, Y = np.meshgrid(cx, cy, indexing="ij")
-    mask = _spec_predicate(spec, X, Y)
+    # a profile region at negative radii leaves no cells on an axis
+    mask = np.empty((cx.size, cy.size), dtype=bool)
+    for r0, r1 in _row_slabs(*mask.shape):
+        mask[r0:r1] = _spec_predicate(spec, cx[r0:r1, None], cy[None, :])
     if not mask.any():
         raise EmptyDomainError(f"shape spec rasterized to an empty mask at h={h}")
     return GridDomain(origin=(ox, oy), h=h, mask=mask, kind=kind, spec=spec)
@@ -531,8 +582,13 @@ def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
     gives inf everywhere.  A reinhardt profile (whole array only) whose
     array starts at a radial axis is mirror-padded across that axis: the
     quarter-plane has no complement points at negative radii, and reflected
-    cells never undercut the distance to a real complement cell.  Returns a
-    compact copy of the window's shape, so the padded work array is freed."""
+    cells never undercut the distance to a real complement cell.
+
+    scipy returns only the int32 feature transform, the nearest complement
+    cell of every work cell.  Each distance is formed from it, one row slab
+    of the window at a time, straight into the window-shaped result, with
+    scipy's own arithmetic: the integer offset to that cell cast to float64,
+    times h, squared, summed and rooted."""
     nx, ny = mask.shape
     if kind == REINHARDT:
         mirror_x = origin[0] <= 0.5 * h
@@ -556,8 +612,18 @@ def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
         at, shape = (ring[0][0], ring[1][0]), (i1 - i0, j1 - j0)
         if work.all():
             return np.full(shape, np.inf)
-    dist = ndimage.distance_transform_edt(work, sampling=h)
-    return dist[at[0]:at[0] + shape[0], at[1]:at[1] + shape[1]].copy()
+    ft = ndimage.distance_transform_edt(work, sampling=h, return_distances=False,
+                                        return_indices=True)
+    cols = slice(at[1], at[1] + shape[1])
+    j = np.arange(at[1], at[1] + shape[1], dtype=ft.dtype)
+    out = np.empty(shape)
+    for r0, r1 in _row_slabs(*shape):
+        rows = slice(at[0] + r0, at[0] + r1)
+        i = np.arange(rows.start, rows.stop, dtype=ft.dtype)[:, None]
+        di = (ft[0, rows, cols] - i).astype(float) * h
+        dj = (ft[1, rows, cols] - j).astype(float) * h
+        np.sqrt(di * di + dj * dj, out=out[r0:r1])
+    return out
 
 
 def distance_field(U: GridDomain) -> np.ndarray:
@@ -876,7 +942,8 @@ def interior_exhaustion(G: GridDomain, depths: Sequence[float]) -> DomainSequenc
 
 def _segment_distance(X: np.ndarray, Y: np.ndarray,
                       a: complex, b: complex) -> np.ndarray:
-    """Distance from grid points to the closed segment [a, b]."""
+    """Distance from the points (X, Y), coordinate arrays broadcast against
+    each other, to the closed segment [a, b]."""
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0:
@@ -927,8 +994,8 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
     reach = max(widths, default=0.0) / 2 + h
     window = tuple(slice(*np.searchsorted(c, [min(p, q) - reach, max(p, q) + reach]))
                    for c, p, q in ((cx, a.real, b.real), (cy, a.imag, b.imag)))
-    X, Y = np.meshgrid(cx[window[0]], cy[window[1]], indexing="ij")
-    seg_dist = _segment_distance(X, Y, a, b)
+    seg_dist = _segment_distance(cx[window[0]][:, None], cy[window[1]][None, :],
+                                 a, b)
     base = mG | mD
     target = GridDomain(origin=origin, h=h, mask=base, kind=PLANAR)
     members = []

@@ -360,18 +360,15 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
     for comp in range(1, dom.n_components + 1):
         in_comp = labels == comp
         d = np.where(in_comp, depth, -1.0)
-        sel = np.zeros(d.shape, dtype=bool)
         flat_best = int(np.argmax(d))
-        sel.flat[flat_best] = True
-        probes.append(complex(dom.centers_of(sel)[0]))
         dmax = d.max()
         deep = np.nonzero((d >= DEPTH_FRACTION * dmax).ravel())[0]
         take = min(cfg.n_random, deep.size)
         picks = rng.choice(deep, size=take, replace=False)
-        sel.flat[flat_best] = False
-        sel.flat[picks] = True
-        # centers_of reads in row-major order, that is by sorted flat index
-        probes.extend(complex(c) for c in dom.centers_of(sel))
+        # the draws are read in row-major order, that is by sorted flat index
+        flat = np.concatenate(([flat_best], np.sort(picks)))
+        cells = np.column_stack(np.unravel_index(flat, d.shape))
+        probes.extend(complex(c) for c in dom.centers_at(cells))
     return probes
 
 

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg.blas import zherk
 
 from blab import basis as bs
+from blab import geom
 from blab import kernel as kn
 from blab.geom import (GridDomain, annulus, barbell_sequence, difference, disc,
                        domain_union, interior_exhaustion, make_domain,
@@ -135,12 +136,34 @@ def _point_major_term_matrix(basis, points):
     return out
 
 
-def _point_major_gram(basis, U):
-    """Oracle: point-major blocks, each scaled by sqrt(frac) and added by
-    zherk with trans='N', then the lower triangle mirrored."""
-    nodes, frac = U.quadrature
+def _broadcast_centers(U, cells):
+    """Oracle: the centers of a mask's true cells by one boolean index of
+    the broadcast center axes over the whole mask."""
+    out = np.empty(int(np.count_nonzero(cells)), dtype=complex)
+    out.real = np.broadcast_to(U.centers_x[:, None], cells.shape)[cells]
+    out.imag = np.broadcast_to(U.centers_y[None, :], cells.shape)[cells]
+    return out
+
+
+def _point_major_gram(basis, U, inner=None):
+    """Oracle: point-major blocks of the whole node array, each scaled by
+    sqrt(frac) and added by zherk with trans='N' to zero or to an inner
+    fit's matrix, then the lower triangle mirrored.  The nodes are the
+    broadcast index of the cells with positive area fraction on a
+    spec-built U, of U's mask on a mask-built one, and of the shell outside
+    the inner fit's domain on a chained one."""
     N = len(basis)
-    G = np.zeros((N, N), dtype=complex, order="F")
+    if U.spec is not None:
+        frac = geom._area_fractions(U.spec, U.mask, U.centers_x, U.centers_y,
+                                    U.h)
+        cells = frac > 0
+        frac = frac[cells]
+    else:
+        cells = U.mask if inner is None else geom.shell_mask(U, inner.domain)
+        frac = np.ones(int(np.count_nonzero(cells)))
+    nodes = _broadcast_centers(U, cells)
+    G = (np.zeros((N, N), dtype=complex, order="F") if inner is None
+         else np.array(inner.gram.matrix, order="F"))
     for start in range(0, nodes.size, bs.GRAM_BLOCK):
         block = slice(start, start + bs.GRAM_BLOCK)
         B = _point_major_term_matrix(basis, nodes[block])
@@ -151,7 +174,35 @@ def _point_major_gram(basis, U):
     return G
 
 
+def _banded_domain(rows):
+    """A mask-built domain whose rows hold the given numbers of true cells,
+    flush left."""
+    mask = np.zeros((len(rows), max(rows) + 3), dtype=bool)
+    for i, n in enumerate(rows):
+        mask[i, 1:1 + n] = True
+    return GridDomain(origin=(-0.3, -0.2), h=0.01, mask=mask)
+
+
 def _gram_parity_case(name):
+    """U, a basis and the inner fit to chain onto (None for a whole Gram)."""
+    c = 0.1 + 0.05j
+    if name == "chained-shell":
+        target = make_domain(disc(c, 0.9), h=0.01)
+        inner, outer = interior_exhaustion(target, [0.3, 0.05]).members
+        basis = bs.monomials(c, 10)
+        return outer, basis, kn.fit_kernel(inner, basis)
+    if name == "mid-row-block":
+        # 4096 = 40 rows of 100 cells and 96 more: every block ends mid-row
+        return _banded_domain([100] * 130), bs.monomials(0.3 + 0.4j, 10), None
+    if name == "empty-rows":
+        # empty rows first, between and last; the first two blocks end
+        # exactly at the end of a row that empty rows follow
+        rows = [0] * 3 + [64] * 64 + [0] * 5 + [64] * 64 + [0] * 2 + [50] * 30 + [0]
+        return _banded_domain(rows), bs.monomials(0.3 + 0.4j, 10), None
+    return (*_whole_gram_case(name), None)
+
+
+def _whole_gram_case(name):
     c = 0.1 + 0.05j
     if name == "annulus":
         return make_domain(annulus(c, 0.4, 1), h=0.01), bs.laurent(c, 4, 8)
@@ -190,24 +241,38 @@ def test_term_matrix_is_term_major():
     assert V.tobytes() == _point_major_term_matrix(B, pts).tobytes()
 
 
+MASK_BUILT_CASES = ("exhaustion-member", "annulus-member", "two-disc",
+                    "chained-shell", "mid-row-block", "empty-rows")
 # unit fractions: the mask-built domains, and the spec-built L, whose edges
 # lie on cell edges
-UNIT_FRACTION_CASES = ("exhaustion-member", "annulus-member", "two-disc", "L")
+UNIT_FRACTION_CASES = MASK_BUILT_CASES + ("L",)
 
 
 @pytest.mark.parametrize("name", ["annulus", "disc-minus-disc", "rectangle",
                                   "exhaustion-member", "real-symmetric-union",
-                                  "annulus-member", "two-disc", "L"])
+                                  "annulus-member", "two-disc", "L",
+                                  "chained-shell", "mid-row-block",
+                                  "empty-rows"])
 def test_gram_bytes_equal_point_major_assembly(name):
-    # the unchained Gram (no inner fit) is the point-major oracle's to the bit
-    U, basis = _gram_parity_case(name)
+    # the Gram is the point-major oracle's to the bit, whole or chained
+    # onto an inner fit, whatever rows the streamed node blocks end in
+    U, basis, inner = _gram_parity_case(name)
     frac = U.quadrature[1]
     # the unit-weight skip on unit fractions, cut cells elsewhere
     assert (frac == 1.0).all() == (name in UNIT_FRACTION_CASES)
-    assert (U.spec is None) == (name in UNIT_FRACTION_CASES[:3])
-    assert U.quadrature[0].size > 2 * bs.GRAM_BLOCK
-    G = bs.gram_matrix(basis, U, inner=None).matrix
-    oracle = _point_major_gram(basis, U)
+    assert (U.spec is None) == (name in MASK_BUILT_CASES)
+    cells = U.mask if inner is None else geom.shell_mask(U, inner.domain)
+    ends = np.cumsum(np.count_nonzero(cells, axis=1))
+    assert ends[-1] > 2 * bs.GRAM_BLOCK
+    block_ends = np.arange(bs.GRAM_BLOCK, ends[-1], bs.GRAM_BLOCK)
+    if name == "mid-row-block":
+        assert not np.isin(block_ends, ends).any()
+    if name == "empty-rows":
+        at = np.searchsorted(ends, block_ends[:2])
+        assert (ends[at] == block_ends[:2]).all()
+        assert (ends[at + 1] == ends[at]).all()
+    G = bs.gram_matrix(basis, U, inner=inner).matrix
+    oracle = _point_major_gram(basis, U, inner)
     # tobytes compares signed zeros too: +0.0 on the diagonal's imaginary
     # parts and on the upper triangle's exactly real entries, -0.0 on
     # their lower mirrors
@@ -215,6 +280,21 @@ def test_gram_bytes_equal_point_major_assembly(name):
     assert G.flags.f_contiguous
     if name == "real-symmetric-union":
         assert (G[np.triu_indices(G.shape[0], 1)].imag == 0).any()
+
+
+def test_mask_built_gram_holds_one_term_block_at_a_time(traced_peak):
+    # one term block of GRAM_BLOCK x N values, plus one slab of SLAB_CELLS
+    # complex values: the block's nodes and term_matrix's three ladder
+    # vectors, GRAM_BLOCK each; 32 KB covers the accumulator, two partial
+    # rows of nodes and interpreter objects.  The whole node array and two
+    # term blocks held at once would exceed it.
+    target = make_domain(disc(0.1 + 0.05j, 0.9), h=0.01)
+    member = interior_exhaustion(target, [0.1]).members[0]
+    assert member.cell_count > 3 * bs.GRAM_BLOCK
+    basis = bs.monomials(0.1 + 0.05j, 10)
+    peak = traced_peak(lambda: bs.gram_matrix(basis, member))
+    term_block = bs.GRAM_BLOCK * len(basis) * 16
+    assert peak < term_block + geom.SLAB_CELLS * 16 + 32 * 1024
 
 
 def _nested_sequence(name):

@@ -1279,3 +1279,186 @@ def test_distance_field_is_shared_and_read_only(edt_calls):
     rho2(U, make_domain(disc(0, 0.9), h=0.05))
     interior_exhaustion(U, [0.2])
     assert len(edt_calls) == 1   # U; the 0.9 disc lies inside U
+
+
+# ---------------------------------------------------------------------------
+# whole-grid steps, one slab at a time
+# ---------------------------------------------------------------------------
+
+# slab sizes from one cell to the shipped one: small slabs put many slab
+# edges through the small arrays hypothesis draws
+SLABS = st.sampled_from([1, 7, 64, 1000, geom.SLAB_CELLS])
+
+
+def slab_cells(n):
+    return mock.patch.object(geom, "SLAB_CELLS", n)
+
+
+@st.composite
+def shape_specs(draw, depth=2):
+    """A shape spec of any planar kind, nested up to depth levels."""
+    kinds = ["disc", "annulus", "rectangle"]
+    if depth:
+        kinds += ["union", "difference"]
+    kind = draw(st.sampled_from(kinds))
+    point = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+    if kind == "disc":
+        return disc(complex(*draw(point)), draw(st.floats(0.05, 1)))
+    if kind == "annulus":
+        rho = draw(st.floats(0.05, 0.5))
+        return annulus(complex(*draw(point)), rho, rho + draw(st.floats(0.05, 0.6)))
+    if kind == "rectangle":
+        return rectangle(draw(point), draw(point))
+    if kind == "union":
+        return union(*draw(st.lists(shape_specs(depth - 1), min_size=1, max_size=3)))
+    return difference(draw(shape_specs(depth - 1)), draw(shape_specs(depth - 1)))
+
+
+def meshgrid_mask(U):
+    """Oracle: the spec's predicate on the whole meshgrid of U's centers."""
+    X, Y = np.meshgrid(U.centers_x, U.centers_y, indexing="ij")
+    return geom._spec_predicate(U.spec, X, Y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=shape_specs(), profile=st.booleans(),
+       h=st.sampled_from([0.01, 0.02, 0.05, 0.1]), slab=SLABS)
+def test_make_domain_bits_equal_meshgrid_oracle(spec, profile, h, slab):
+    if profile:
+        spec = reinhardt_profile(spec)
+    with slab_cells(slab):
+        try:
+            U = make_domain(spec, h)
+        except EmptyDomainError:
+            return
+    assert U.mask.tobytes() == meshgrid_mask(U).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    union(disc(-0.6, 0.5), annulus(0.7 + 0.2j, 0.2, 0.45)),
+    difference(rectangle((-1, -0.8), (1.1, 0.9)), disc(0.2, 0.3)),
+    reinhardt_profile(disc(0, 1)),
+])
+def test_make_domain_bits_equal_meshgrid_oracle_at_the_shipped_slab(spec):
+    U = make_domain(spec, 0.005)
+    assert U.mask.size > 2 * geom.SLAB_CELLS
+    assert U.mask.tobytes() == meshgrid_mask(U).tobytes()
+
+
+def padded_transform_edt(mask, h, kind, origin, window=None):
+    """Oracle: scipy's distance transform of the whole padded work array
+    (the axis mirror of a reinhardt profile, the false ring of a planar
+    window's array edges), sliced to the window."""
+    nx, ny = mask.shape
+    if kind == geom.REINHARDT:
+        px = nx if origin[0] <= 0.5 * h else 1
+        py = ny if origin[1] <= 0.5 * h else 1
+        work = np.zeros((px + nx + 1, py + ny + 1), dtype=bool)
+        work[px:px + nx, py:py + ny] = mask
+        if px == nx:
+            work[:px, py:py + ny] = mask[::-1, :]
+        if py == ny:
+            work[px:px + nx, :py] = mask[:, ::-1]
+        if px == nx and py == ny:
+            work[:px, :py] = mask[::-1, ::-1]
+        return ndimage.distance_transform_edt(work, sampling=h)[px:px + nx,
+                                                                py:py + ny]
+    i0, i1, j0, j1 = window or (0, nx, 0, ny)
+    ring = ((int(i0 == 0), int(i1 == nx)), (int(j0 == 0), int(j1 == ny)))
+    work = np.pad(mask[i0:i1, j0:j1], ring)
+    if work.all():
+        return np.full((i1 - i0, j1 - j0), np.inf)
+    dist = ndimage.distance_transform_edt(work, sampling=h)
+    return dist[ring[0][0]:ring[0][0] + i1 - i0, ring[1][0]:ring[1][0] + j1 - j0]
+
+
+@st.composite
+def transform_cases(draw):
+    """A planar or reinhardt domain at a shipped spacing and, on a planar
+    one, a window of its array (at the array's edge as often as not)."""
+    kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
+    shape = draw(lattice_domains(kind, reach=3))
+    h = draw(st.sampled_from(SHIPPED_H))
+    U = geom.GridDomain(origin=(round(shape.origin[0] / shape.h) * h,
+                                round(shape.origin[1] / shape.h) * h),
+                        h=h, mask=shape.mask, kind=kind)
+    if kind == geom.REINHARDT or draw(st.booleans()):
+        return U, None
+    i0 = draw(st.sampled_from([0, draw(st.integers(0, U.nx - 1))]))
+    i1 = draw(st.sampled_from([U.nx, draw(st.integers(i0 + 1, U.nx))]))
+    j0 = draw(st.sampled_from([0, draw(st.integers(0, U.ny - 1))]))
+    j1 = draw(st.sampled_from([U.ny, draw(st.integers(j0 + 1, U.ny))]))
+    return U, (i0, i1, j0, j1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=transform_cases(), slab=SLABS)
+def test_edt_bits_equal_the_padded_transform(case, slab):
+    U, window = case
+    with slab_cells(slab):
+        got = geom._edt(U.mask, U.h, U.kind, U.origin, window)
+    want = padded_transform_edt(U.mask, U.h, U.kind, U.origin, window)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec, window", [
+    (annulus(0.1, 0.3, 1), "whole"),
+    (annulus(0.1, 0.3, 1), "edges"),
+    (annulus(0.1, 0.3, 1), "inside"),
+    (reinhardt_profile(disc(0, 1)), "whole"),       # mirrored on both axes
+    (reinhardt_profile(rectangle((0.3, 0), (1.4, 1))), "whole"),
+])
+def test_edt_bits_equal_the_padded_transform_at_the_shipped_slab(spec, window):
+    U = make_domain(spec, 0.005)
+    box = {"whole": None, "edges": (0, 240, 70, U.ny),
+           "inside": (60, 340, 80, 360)}[window]
+    got = geom._edt(U.mask, U.h, U.kind, U.origin, box)
+    assert got.size > 2 * geom.SLAB_CELLS
+    want = padded_transform_edt(U.mask, U.h, U.kind, U.origin, box)
+    assert got.tobytes() == want.tobytes()
+
+
+def broadcast_centers(U, cells):
+    """Oracle: one boolean index of the broadcast center axes over the
+    whole mask."""
+    out = np.empty(int(np.count_nonzero(cells)), dtype=complex)
+    out.real = np.broadcast_to(U.centers_x[:, None], cells.shape)[cells]
+    out.imag = np.broadcast_to(U.centers_y[None, :], cells.shape)[cells]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(U=lattice_domains(geom.PLANAR), slab=SLABS, size=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_centers_of_and_blocks_bits_equal_the_broadcast_index(U, slab, size,
+                                                               seed):
+    # a cell mask with empty rows and empty rows at the array's edges
+    rng = np.random.default_rng(seed)
+    cells = U.mask & (rng.random(U.nx) < 0.7)[:, None]
+    want = broadcast_centers(U, cells)
+    with slab_cells(slab):
+        assert U.centers_of(cells).tobytes() == want.tobytes()
+        blocks = list(U.center_blocks(cells, size))
+    assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert len(blocks) == -(-want.size // size)
+    joined = np.concatenate(blocks) if blocks else np.empty(0, dtype=complex)
+    assert joined.tobytes() == want.tobytes()
+
+
+def test_make_domain_holds_the_mask_and_one_slab(traced_peak):
+    # a meshgrid of the whole grid alone holds 16 bytes a cell
+    spec, h = disc(0.1, 1), 0.002
+    peak = traced_peak(lambda: make_domain(spec, h))
+    cells = make_domain(spec, h).mask.size
+    assert cells > 60 * geom.SLAB_CELLS
+    assert peak < 2 * cells
+
+
+def test_whole_edt_holds_the_feature_transform_and_the_result(traced_peak):
+    # the int32 feature transform (8 bytes a cell), the float64 result (8)
+    # and scipy's int8 copy of the input (1); scipy's float64 offset pair
+    # and padded field would add 24 more
+    U = make_domain(disc(0.1, 1), 0.002)
+    peak = traced_peak(lambda: geom._edt(U.mask, U.h, U.kind, U.origin))
+    assert peak < 20 * U.mask.size

@@ -10,14 +10,15 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so five more tests parse every module of
+No linter ships with the project, so six more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
 one on a module-level private helper that nothing in `src/blab` uses, one
 on a module-level public function or class that nothing in `src/blab` reads
 and `perfbench` does not name, one on a module-level UPPERCASE constant
-that nothing in `src/blab` reads, and one unless scipy's
+that nothing in `src/blab` reads, one unless scipy's
 `distance_transform_edt` is called from exactly one place, the single
-transform routine every distance read goes through.
+transform routine every distance read goes through, and one on any call
+of `np.meshgrid`, which builds two float arrays of a whole grid.
 """
 
 import ast
@@ -222,3 +223,15 @@ def test_one_distance_transform_call_site():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "distance_transform_edt"]
     assert len(sites) == 1, sites
+
+
+def test_no_meshgrid_call():
+    # whole-grid steps broadcast a column of x centers against a row of y
+    # centers, one row slab at a time, instead of two whole float grids
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "meshgrid"]
+    assert not sites, sites
