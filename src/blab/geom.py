@@ -113,11 +113,9 @@ class GridDomain:
             raise EmptyDomainError("domain mask has no true cells")
         if self.kind not in (PLANAR, REINHARDT):
             raise GeomError(f"unknown domain kind {self.kind!r}")
-        if self.kind == REINHARDT:
-            cx, cy = self.centers_x, self.centers_y
-            ii, jj = np.nonzero(self.mask)
-            if (cx[ii] < 0).any() or (cy[jj] < 0).any():
-                raise GeomError("reinhardt profile has cells at negative radii")
+        if self.kind == REINHARDT and (self.mask[self.centers_x < 0].any()
+                                       or self.mask[:, self.centers_y < 0].any()):
+            raise GeomError("reinhardt profile has cells at negative radii")
         self.mask.setflags(write=False)
 
     @property
@@ -570,6 +568,15 @@ def shell_mask(U: GridDomain, V: GridDomain) -> np.ndarray:
 # distance fields and discretized sets
 # ---------------------------------------------------------------------------
 
+def _radial_axes(kind: str, origin: tuple[float, float],
+                 h: float) -> tuple[bool, bool]:
+    """Whether the array's low edge in x (r1) and in y (r2) lies on a radial
+    axis: a reinhardt profile whose array starts at radius 0 there."""
+    if kind != REINHARDT:
+        return False, False
+    return origin[0] <= 0.5 * h, origin[1] <= 0.5 * h
+
+
 def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
          window: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Exact Euclidean distance from true cells to the nearest complement
@@ -577,12 +584,10 @@ def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
     array window (i0, i1, j0, j1), by default the whole array.
 
     The infinite complement beyond the array is represented by a false ring
-    on each side of the window at the array's edge; array cells outside the
-    window count as inside the domain, so a window with no complement cell
-    gives inf everywhere.  A reinhardt profile (whole array only) whose
-    array starts at a radial axis is mirror-padded across that axis: the
-    quarter-plane has no complement points at negative radii, and reflected
-    cells never undercut the distance to a real complement cell.
+    on each side of the window at the array's edge, except a side on a
+    radial axis (`_radial_axes`): the quarter-plane has no cells at negative
+    radii.  Array cells outside the window count as inside the domain, so a
+    window with no complement cell gives inf everywhere.
 
     scipy returns only the int32 feature transform, the nearest complement
     cell of every work cell.  Each distance is formed from it, one row slab
@@ -590,28 +595,15 @@ def _edt(mask: np.ndarray, h: float, kind: str, origin: tuple[float, float],
     scipy's own arithmetic: the integer offset to that cell cast to float64,
     times h, squared, summed and rooted."""
     nx, ny = mask.shape
-    if kind == REINHARDT:
-        mirror_x = origin[0] <= 0.5 * h
-        mirror_y = origin[1] <= 0.5 * h
-        px = nx if mirror_x else 1
-        py = ny if mirror_y else 1
-        work = np.zeros((px + nx + 1, py + ny + 1), dtype=bool)
-        work[px:px + nx, py:py + ny] = mask
-        if mirror_x:
-            work[:px, py:py + ny] = mask[::-1, :]
-        if mirror_y:
-            work[px:px + nx, :py] = mask[:, ::-1]
-        if mirror_x and mirror_y:
-            work[:px, :py] = mask[::-1, ::-1]
-        at, shape = (px, py), (nx, ny)
-    else:
-        i0, i1, j0, j1 = window or (0, nx, 0, ny)
-        ring = ((int(i0 == 0), int(i1 == nx)), (int(j0 == 0), int(j1 == ny)))
-        work = np.pad(mask[i0:i1, j0:j1], ring, mode="constant",
-                      constant_values=False)
-        at, shape = (ring[0][0], ring[1][0]), (i1 - i0, j1 - j0)
-        if work.all():
-            return np.full(shape, np.inf)
+    i0, i1, j0, j1 = window or (0, nx, 0, ny)
+    axis_x, axis_y = _radial_axes(kind, origin, h)
+    ring = ((int(i0 == 0 and not axis_x), int(i1 == nx)),
+            (int(j0 == 0 and not axis_y), int(j1 == ny)))
+    work = np.pad(mask[i0:i1, j0:j1], ring, mode="constant",
+                  constant_values=False)
+    at, shape = (ring[0][0], ring[1][0]), (i1 - i0, j1 - j0)
+    if work.all():
+        return np.full(shape, np.inf)
     ft = ndimage.distance_transform_edt(work, sampling=h, return_distances=False,
                                         return_indices=True)
     cols = slice(at[1], at[1] + shape[1])
@@ -664,8 +656,7 @@ class DistanceReader:
     in a window holding a complement cell is certified by the second pass,
     and a walk such as a greedy ascent grows the window a logarithmic
     number of times.  A window covering the array is the whole transform.
-    A domain whose whole field is cached, and every reinhardt profile
-    (whose transform mirrors the radial axes), reads `GridDomain.distance`
+    A domain whose whole field is cached reads `GridDomain.distance`
     (`whole`).
     """
 
@@ -679,7 +670,7 @@ class DistanceReader:
     @property
     def whole(self) -> bool:
         """Whether reads come from the whole field `GridDomain.distance`."""
-        return self.U.kind == REINHARDT or "distance" in vars(self.U)
+        return "distance" in vars(self.U)
 
     def read(self, i, j) -> np.ndarray:
         """The field's exact values at the array cells (i, j), index arrays
@@ -886,9 +877,8 @@ def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     x in U n V, let c be V's nearest complement cell.  If c lies outside U
     then d_U(x) <= |x - c| = d_V(x); otherwise c lies in U \\ V and
     d_U(x) <= d_V(x) + d_U(c).  By symmetry |d_U - d_V| on U n V never
-    exceeds the two maxima; at a radial axis the same holds for the mirror
-    images of `_edt`.  A domain's field is read only on its own part of
-    the symmetric difference, through a window around that part
+    exceeds the two maxima.  A domain's field is read only on its own part
+    of the symmetric difference, through a window around that part
     (`_max_on`), so a domain nested in the other is never transformed
     here.  The result is the exact lattice sup, with no cancellation from
     d_U - d_V."""
@@ -1032,8 +1022,9 @@ def is_logconvex_profile(U: GridDomain) -> bool:
     cx, cy = U.centers_x, U.centers_y
     tol = 2 * U.h
 
-    touches_r1_zero = U.origin[0] <= 0.5 * U.h and mask[0, :].any()
-    touches_r2_zero = U.origin[1] <= 0.5 * U.h and mask[:, 0].any()
+    axis_x, axis_y = _radial_axes(U.kind, U.origin, U.h)
+    touches_r1_zero = axis_x and mask[0, :].any()
+    touches_r2_zero = axis_y and mask[:, 0].any()
     if touches_r1_zero and (mask[1:, :] & ~mask[:-1, :]).any():
         return False  # not downward closed in r1 (completeness along the axis)
     if touches_r2_zero and (mask[:, 1:] & ~mask[:, :-1]).any():

@@ -188,6 +188,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 check_spec(raw["shapes"][name])
             except GeomError as e:
                 raise ConfigError(f"shape {name!r}: {e}") from e
+    if (exp == "exhaustion" and raw.get("certify") is False
+            and raw["shapes"]["target"]["shape"] == "annulus"):
+        raise ConfigError("an annulus exhaustion certifies every stage, so "
+                          "'certify': false cannot be honored")
     if not kwargs.get("out_dir"):
         kwargs["out_dir"] = f"runs/{exp}"
     config = ExperimentConfig(**kwargs)

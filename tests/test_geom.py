@@ -116,6 +116,20 @@ def test_make_domain_rejects_bad_spacing(h):
         make_domain(disc(0, 1), h)
 
 
+@pytest.mark.parametrize("origin, cell", [((-0.1, 0.0), (0, 1)),
+                                          ((0.0, -0.1), (1, 0)),
+                                          ((-0.2, -0.2), (1, 1))])
+def test_grid_domain_rejects_a_profile_at_negative_radii(origin, cell):
+    # cell centers sit at -0.05 or -0.15 along the shifted axes
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[2, 2] = True
+    geom.GridDomain(origin=origin, h=0.1, mask=mask.copy(), kind=geom.REINHARDT)
+    mask[cell] = True
+    with pytest.raises(GeomError, match="negative radii"):
+        geom.GridDomain(origin=origin, h=0.1, mask=mask, kind=geom.REINHARDT)
+    geom.GridDomain(origin=origin, h=0.1, mask=mask)     # planar: any sign
+
+
 def test_mismatched_lattices_rejected():
     U = make_domain(disc(0, 1), h=0.05)
     V = make_domain(disc(0, 1), h=0.04)
@@ -1038,7 +1052,8 @@ def lab_made(monkeypatch):
             return made[name][-1]
         monkeypatch.setattr(lab, name, wrapped)
 
-    for name in ("make_domain", "interior_exhaustion", "barbell_sequence"):
+    for name in ("make_domain", "interior_exhaustion", "barbell_sequence",
+                 "domain_union"):
         keep(name, getattr(lab, name))
     return made
 
@@ -1122,6 +1137,33 @@ def test_nowhere_density_run_makes_three_transforms(edt_windows, lab_made):
     assert windowed["member"] == 0 and windowed["result"] > 0
 
 
+def test_nowhere_density_c2_run_reads_the_result_through_windows(
+        edt_windows, lab_made, monkeypatch):
+    # the target (exhaustion) and the placed profile (the slice's depth) are
+    # transformed whole; rho2 reads the joined result on the placed profile
+    # through a window at the r2 axis, and the verdict reads the planar
+    # slice around its candidates; the exhaustion member lies in the target
+    from blab import kernel, lab
+
+    slices = []
+    real = kernel.slice_domain
+    monkeypatch.setattr(kernel, "slice_domain",
+                        lambda *args: slices.append(real(*args)) or slices[-1])
+    cfg = lab.config_from_dict({
+        "experiment": "nowhere-density", "h": 0.005,
+        "shapes": {"target": reinhardt_profile(rectangle((0, 0), (1, 1)))},
+        "basis_window": [8, 8], "delta": 0.5, "connected": False})
+    lab.run_nowhere_density(cfg)
+    G, D = lab_made["make_domain"]
+    (result,), (sl,) = lab_made["domain_union"], slices
+    domains = {"target": G, "placed": D, "result": result, "slice": sl,
+               "member": lab_made["interior_exhaustion"][0].members[0]}
+    windowed = assert_transformed_cells(edt_windows, domains,
+                                        {"target", "placed"})
+    assert windowed["member"] == 0
+    assert windowed["result"] > 0 and windowed["slice"] > 0
+
+
 # ---------------------------------------------------------------------------
 # windowed distance reads against the whole field
 # ---------------------------------------------------------------------------
@@ -1137,14 +1179,17 @@ def whole_field(U):
 
 @st.composite
 def window_reads(draw):
-    """A planar domain at a shipped spacing, a box of its array (touching
-    the array's edge, and so the false ring, as often as not), a first pad
-    of 0-12 cells and the cells of the box to read, as index arrays."""
+    """A planar domain or a reinhardt profile (on or off each radial axis,
+    origins 0-3h) at a shipped spacing, a box of its array (touching the
+    array's edge, and so the false ring or the axis, as often as not), a
+    first pad of 0-12 cells and the cells of the box to read, as index
+    arrays."""
+    kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
     h = draw(st.sampled_from(SHIPPED_H))
-    shape = draw(lattice_domains(geom.PLANAR, reach=3))
+    shape = draw(lattice_domains(kind, reach=3))
     U = geom.GridDomain(origin=(round(shape.origin[0] / shape.h) * h,
                                 round(shape.origin[1] / shape.h) * h),
-                        h=h, mask=shape.mask)
+                        h=h, mask=shape.mask, kind=kind)
     i0 = draw(st.integers(0, U.nx - 1))
     i1 = draw(st.integers(i0 + 1, U.nx))
     j0 = draw(st.integers(0, U.ny - 1))
@@ -1160,7 +1205,7 @@ def window_reads(draw):
 @given(case=window_reads())
 def test_windowed_values_bits_equal_the_whole_field(case):
     U, pad, i, j = case
-    whole = whole_field(U)
+    whole = padded_transform_edt(U.mask, U.h, U.kind, U.origin)
     reader = geom.DistanceReader(U)
     reader.pad = pad
     assert reader.read(i, j).tobytes() == whole[i, j].tobytes()
@@ -1346,43 +1391,41 @@ def test_make_domain_bits_equal_meshgrid_oracle_at_the_shipped_slab(spec):
 
 
 def padded_transform_edt(mask, h, kind, origin, window=None):
-    """Oracle: scipy's distance transform of the whole padded work array
-    (the axis mirror of a reinhardt profile, the false ring of a planar
-    window's array edges), sliced to the window."""
+    """Oracle: scipy's distance transform of the window's cells padded on
+    each side at the array's edge (array cells outside the window count as
+    inside), sliced back to the window.  A side on a radial axis of a
+    reinhardt profile is mirrored across the axis (complement cells at
+    negative radii reflect real ones); every other side gets a false
+    ring."""
     nx, ny = mask.shape
-    if kind == geom.REINHARDT:
-        px = nx if origin[0] <= 0.5 * h else 1
-        py = ny if origin[1] <= 0.5 * h else 1
-        work = np.zeros((px + nx + 1, py + ny + 1), dtype=bool)
-        work[px:px + nx, py:py + ny] = mask
-        if px == nx:
-            work[:px, py:py + ny] = mask[::-1, :]
-        if py == ny:
-            work[px:px + nx, :py] = mask[:, ::-1]
-        if px == nx and py == ny:
-            work[:px, :py] = mask[::-1, ::-1]
-        return ndimage.distance_transform_edt(work, sampling=h)[px:px + nx,
-                                                                py:py + ny]
     i0, i1, j0, j1 = window or (0, nx, 0, ny)
-    ring = ((int(i0 == 0), int(i1 == nx)), (int(j0 == 0), int(j1 == ny)))
-    work = np.pad(mask[i0:i1, j0:j1], ring)
+    work, at = mask[i0:i1, j0:j1], [0, 0]
+    for axis, (lo, hi, n) in enumerate(((i0, i1, nx), (j0, j1, ny))):
+        ring = np.zeros_like(np.take(work, [0], axis=axis))
+        parts = [work, ring] if hi == n else [work]
+        if lo == 0:
+            axial = kind == geom.REINHARDT and origin[axis] <= 0.5 * h
+            parts.insert(0, np.flip(work, axis) if axial else ring)
+            at[axis] = parts[0].shape[axis]
+        work = np.concatenate(parts, axis=axis)
     if work.all():
         return np.full((i1 - i0, j1 - j0), np.inf)
     dist = ndimage.distance_transform_edt(work, sampling=h)
-    return dist[ring[0][0]:ring[0][0] + i1 - i0, ring[1][0]:ring[1][0] + j1 - j0]
+    return dist[at[0]:at[0] + i1 - i0, at[1]:at[1] + j1 - j0]
 
 
 @st.composite
 def transform_cases(draw):
-    """A planar or reinhardt domain at a shipped spacing and, on a planar
-    one, a window of its array (at the array's edge as often as not)."""
+    """A planar or reinhardt domain at a shipped spacing and the whole array
+    or a window of it (at the array's edge, and so at a profile's radial
+    axis, as often as not)."""
     kind = draw(st.sampled_from([geom.PLANAR, geom.REINHARDT]))
     shape = draw(lattice_domains(kind, reach=3))
     h = draw(st.sampled_from(SHIPPED_H))
     U = geom.GridDomain(origin=(round(shape.origin[0] / shape.h) * h,
                                 round(shape.origin[1] / shape.h) * h),
                         h=h, mask=shape.mask, kind=kind)
-    if kind == geom.REINHARDT or draw(st.booleans()):
+    if draw(st.booleans()):
         return U, None
     i0 = draw(st.sampled_from([0, draw(st.integers(0, U.nx - 1))]))
     i1 = draw(st.sampled_from([U.nx, draw(st.integers(i0 + 1, U.nx))]))
@@ -1406,13 +1449,16 @@ def test_edt_bits_equal_the_padded_transform(case, slab):
     (annulus(0.1, 0.3, 1), "whole"),
     (annulus(0.1, 0.3, 1), "edges"),
     (annulus(0.1, 0.3, 1), "inside"),
-    (reinhardt_profile(disc(0, 1)), "whole"),       # mirrored on both axes
+    (reinhardt_profile(disc(0, 1)), "whole"),       # on both radial axes
     (reinhardt_profile(rectangle((0.3, 0), (1.4, 1))), "whole"),
+    (reinhardt_profile(disc(0, 1)), "r1-axis"),
+    (reinhardt_profile(disc(0, 1)), "both-axes"),
 ])
 def test_edt_bits_equal_the_padded_transform_at_the_shipped_slab(spec, window):
     U = make_domain(spec, 0.005)
     box = {"whole": None, "edges": (0, 240, 70, U.ny),
-           "inside": (60, 340, 80, 360)}[window]
+           "inside": (60, 340, 80, 360), "r1-axis": (0, 200, 20, U.ny),
+           "both-axes": (0, 190, 0, 190)}[window]
     got = geom._edt(U.mask, U.h, U.kind, U.origin, box)
     assert got.size > 2 * geom.SLAB_CELLS
     want = padded_transform_edt(U.mask, U.h, U.kind, U.origin, box)

@@ -122,6 +122,9 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
      "does not read connected, segment, shape 'extra'$"),
     ({"shapes": {"target": disc(0, 1), "extra": {"shape": "nonsense"}}},
      "does not read shape 'extra'$"),
+    # an annulus exhaustion certifies every stage whatever the key says
+    ({"shapes": {"target": annulus(0, 0.5, 1)}, "certify": False},
+     "'certify': false cannot be honored"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)
@@ -131,6 +134,15 @@ def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     path.write_text(json.dumps(raw))
     assert cli.main(["experiment", str(path)]) == 3
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_certify_key_accepted_where_it_is_honored():
+    # an annulus exhaustion certifies every stage, so only its false is
+    # rejected (a case of test_malformed_values_rejected_with_exit_3)
+    raw = dict(_EXHAUSTION, shapes={"target": annulus(0, 0.5, 1)})
+    assert lab.config_from_dict(dict(raw, certify=True)).certify
+    assert not lab.config_from_dict(raw).certify
+    assert not lab.config_from_dict(dict(_EXHAUSTION, certify=False)).certify
 
 
 def test_config_round_trip_from_file(tmp_path):

@@ -19,10 +19,14 @@ that nothing in `src/blab` reads, one unless scipy's
 `distance_transform_edt` is called from exactly one place, the single
 transform routine every distance read goes through, and one on any call
 of `np.meshgrid`, which builds two float arrays of a whole grid.
+
+The README's quick start is run as written, so the documented API cannot
+drift from the package unseen.
 """
 
 import ast
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +36,7 @@ from blab import basis, geom, kernel, lab, zeros
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src" / "blab"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +240,11 @@ def test_no_meshgrid_call():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "meshgrid"]
     assert not sites, sites
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
