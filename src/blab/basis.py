@@ -11,11 +11,12 @@ assembled as a diagonal.
 Planar Grams integrate by the domain's cell quadrature (`GridDomain.
 quadrature`): cut-cell area fractions on a domain rasterized from a shape
 spec, the plain midpoint rule per true cell on a domain built from a mask.
-The nodes are taken in their fixed row-major order, in blocks of
-GRAM_BLOCK, and each block adds into the Gram with one Hermitian rank-k
-BLAS update (zherk).  A mask-built domain's nodes are streamed: each
-block is read from the row slab of the mask (or shell) that holds it, so
-no node array of the whole domain is built.  Only one block's nodes and
+The pole rule of `check_admissible` reads the same record, so it checks
+exactly the cells the Gram integrates.  The nodes are taken in their fixed
+row-major order, in blocks of GRAM_BLOCK, and each block adds into the
+Gram with one Hermitian rank-k BLAS update (zherk).  Every block is read
+from the row slab of the quadrature's cell mask (or shell) that holds it,
+so no node array of the whole domain is built.  Only one block's nodes and
 term values are held at a time, and every Gram entry is bit reproducible
 run to run and at any BLAS thread count.
 
@@ -153,16 +154,17 @@ def check_admissible(basis: BasisSpec, U: GridDomain) -> None:
     planar pole is admitted when its cell holds no node of U's quadrature
     (off the array counts as such): in a hole, or anywhere in the unbounded
     complement clear of the cut cells, which hold every point of the
-    shape.  The pole's cell alone decides (`GridDomain.is_quadrature_cell`);
-    no node array is built."""
+    shape.  The pole's cell in the quadrature's cell mask decides
+    (`GridDomain.quadrature`), the mask the Gram integrates over."""
     if basis.kind == PLANAR:
         if U.kind != PLANAR:
             raise BasisError("planar basis on a non-planar domain")
+        cells = U.quadrature[0]
         # each pole once, in first-appearance order, so the error names the
         # pole of the first offending term
         for center in dict.fromkeys(t.center for t in basis.terms if t.n < 0):
             cell = U.cell_of(center)
-            if cell is not None and U.is_quadrature_cell(cell):
+            if cell is not None and cells[cell]:
                 raise BasisError(
                     f"negative power centered at {center} is not admissible: "
                     "its pole's cell holds a quadrature node")
@@ -252,8 +254,8 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     Planar terms are evaluated on GRAM_BLOCK quadrature nodes at a time,
     in the fixed node order, as the term-major (k, N) block B of
     `term_matrix`, and scaled by the square roots of the cell area
-    fractions; on a mask-built domain every fraction is exactly 1, the
-    scaling is skipped and the entries are midpoint sums.  Each block adds
+    fractions; on a mask-built domain every fraction is 1, there is no
+    scaling and the entries are midpoint sums.  Each block adds
     h^2 B^H B into the upper triangle with one Hermitian rank-k update
     (zherk with trans='C', which reads B in place).  That sum is conj(G),
     computed with the same rounding as G itself, so conjugating it gives
@@ -267,13 +269,12 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     assembly: the sum starts from the inner fit's accumulator, the conj of
     its matrix, and adds only U's cells outside the inner domain, in their
     row-major order.  Without inner the sum starts from zero over all of
-    U's nodes.  Either way a mask-built U's nodes are streamed: each block
-    is read from the row slab of the mask or shell that holds it, and
-    nothing is cached on the domain.  A spec-built U's blocks are slices of
-    its cached `quadrature`.  Each block's term values are freed before the
-    next block's are built, so the assembly holds one term block and one
-    block of nodes at a time.  An inner fit that breaks this rule raises
-    BasisError.
+    U's quadrature nodes.  Either way the nodes are streamed: each block is
+    read from the row slab of the quadrature's cell mask, or of the shell,
+    that holds it (`GridDomain.center_blocks`), and no node array is kept.
+    Each block's term values are freed before the next block's are built,
+    so the assembly holds one term block and one block of nodes at a time.
+    An inner fit that breaks this rule raises BasisError.
 
     A term whose diagonal entry, its squared norm on U, is not a finite
     positive normal float carries no usable signal (a norm that underflows
@@ -283,11 +284,12 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     check_admissible(basis, U)
     N = len(basis)
     if basis.kind == PLANAR:
-        Gc, blocks = _gram_start(basis, U, inner)
-        for nodes, frac in blocks:
+        Gc, cells, frac = _gram_start(basis, U, inner)
+        for k, nodes in enumerate(U.center_blocks(cells, GRAM_BLOCK)):
             B = term_matrix(basis, nodes)
             if frac is not None:
-                B *= np.sqrt(frac)[:, None]
+                at = k * GRAM_BLOCK
+                B *= np.sqrt(frac[at:at + GRAM_BLOCK])[:, None]
             # B is the Fortran-ordered k x N operand of C += a A^H A
             Gc = zherk(U.h * U.h, B, beta=1.0, c=Gc, trans=2, overwrite_c=1)
             del B       # freed before the next block's values are built
@@ -324,22 +326,14 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
 
 
 def _gram_start(basis: BasisSpec, U: GridDomain, inner):
-    """The accumulator a planar Gram starts from, and the blocks of
-    GRAM_BLOCK nodes still to add, in row-major order, each with its area
-    fractions (None where every fraction is 1).  A spec-built U's blocks
-    are slices of its cached quadrature; a mask-built U's are read from its
-    mask, or from the shell outside the inner fit's domain, block by block
-    (`GridDomain.center_blocks`)."""
+    """The accumulator a planar Gram starts from, the mask of U's cells
+    still to add and their area fractions (None where every fraction is 1):
+    U's quadrature, or the shell of U's cells outside the inner fit's
+    domain."""
     N = len(basis)
     if inner is None:
-        Gc = np.zeros((N, N), dtype=complex, order="F")
-        if U.spec is None:
-            return Gc, _unit_blocks(U, U.mask)
-        nodes, frac = U.quadrature
-        unit = (frac == 1.0).all()
-        return Gc, ((nodes[k:k + GRAM_BLOCK],
-                     None if unit else frac[k:k + GRAM_BLOCK])
-                    for k in range(0, nodes.size, GRAM_BLOCK))
+        cells, frac = U.quadrature
+        return np.zeros((N, N), dtype=complex, order="F"), cells, frac
     if inner.basis != basis:
         raise BasisError("the inner fit has another basis")
     V = inner.domain
@@ -350,14 +344,7 @@ def _gram_start(basis: BasisSpec, U: GridDomain, inner):
         shell = shell_mask(U, V)
     except GeomError as e:
         raise BasisError(f"the inner fit's domain does not chain: {e}") from None
-    Gc = np.array(np.conj(inner.gram.matrix), order="F")
-    return Gc, _unit_blocks(U, shell)
-
-
-def _unit_blocks(U: GridDomain, cells: np.ndarray):
-    """The centers of a mask's true cells, GRAM_BLOCK at a time, with unit
-    area fractions."""
-    return ((nodes, None) for nodes in U.center_blocks(cells, GRAM_BLOCK))
+    return np.array(np.conj(inner.gram.matrix), order="F"), shell, None
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class GridDomain:
     """Bounded open set as a cell mask on a uniform lattice.
 
     spec is the shape spec the mask was rasterized from, if any; it only
-    feeds the cut-cell weights of `quadrature`.
+    feeds the cut cells of `quadrature`.
     """
 
     origin: tuple[float, float]
@@ -199,40 +199,32 @@ class GridDomain:
         cells = np.argwhere(boundary_mask(self.mask))
         return BoundaryCells(cells=cells, tree=cKDTree(cells))
 
-    @cached_property
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell quadrature on U: complex nodes and the area fraction of each
-        node's cell, in row-major cell order (each cell weighs h^2 times its
-        fraction).
+    @property
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The domain's cell quadrature: the mask of the cells that hold a
+        node, each at its cell center, and the area fraction of each such
+        cell in row-major order (each cell weighs h^2 times its fraction).
 
         A planar domain rasterized from a spec takes every cell the shape
         meets, with its covered fraction, including cut cells whose centers
-        lie outside the shape.  Any other domain takes its true cells with
-        unit fractions, which is the plain midpoint rule.  The fractions are
-        computed on first use.
+        lie outside the shape; that pair is computed on first use and kept,
+        read-only.  Any other domain takes its true cells, and its fractions
+        are None: every one is 1, the plain midpoint rule.  No node array is
+        kept; `centers_of` and `center_blocks` read the nodes from the mask.
         """
         if self.spec is None or self.kind != PLANAR:
-            nodes = self.centers_of(self.mask)
-            return nodes, np.ones(nodes.size)
+            return self.mask, None
+        return self._cut_cells
+
+    @cached_property
+    def _cut_cells(self) -> tuple[np.ndarray, np.ndarray]:
         frac = _area_fractions(self.spec, self.mask, self.centers_x,
                                self.centers_y, self.h)
         cells = frac > 0
-        return self.centers_of(cells), frac[cells]
-
-    def is_quadrature_cell(self, cell: tuple[int, int]) -> bool:
-        """Whether the cell holds a node of `quadrature`, decided from the
-        cell alone: a true cell, or on a planar domain rasterized from a
-        spec a cell of positive area fraction.  A cell's fraction depends
-        only on its 3 x 3 neighbourhood and its global center, so it is
-        computed on that window and equals the whole array's bit for bit."""
-        i, j = cell
-        if self.spec is None or self.kind != PLANAR:
-            return bool(self.mask[i, j])
-        wi = slice(max(i - 1, 0), i + 2)
-        wj = slice(max(j - 1, 0), j + 2)
-        frac = _area_fractions(self.spec, self.mask[wi, wj], self.centers_x[wi],
-                               self.centers_y[wj], self.h)
-        return bool(frac[i - wi.start, j - wj.start] > 0)
+        frac = frac[cells]
+        cells.setflags(write=False)
+        frac.setflags(write=False)
+        return cells, frac
 
     @cached_property
     def component_labels(self) -> np.ndarray:
@@ -557,11 +549,11 @@ def shell_mask(U: GridDomain, V: GridDomain) -> np.ndarray:
     """The true cells of U outside V, as a mask of U's shape, for V nested
     in U on U's lattice; raises LatticeMismatchError off the lattice and
     GeomError when V has a cell outside U."""
-    _, shape, iU, iV = _frame(U, V)
-    mV = _embed(V.mask, shape, iV)[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny]
-    if int(np.count_nonzero(mV & U.mask)) != V.cell_count:
+    _, _, iU, iV = _frame(U, V)
+    shell = _outside(U, V, (iU[0] - iV[0], iU[1] - iV[1]))
+    if U.cell_count - int(np.count_nonzero(shell)) != V.cell_count:
         raise GeomError("domain is not nested in the other")
-    return U.mask & ~mV
+    return shell
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +648,7 @@ class DistanceReader:
     in a window holding a complement cell is certified by the second pass,
     and a walk such as a greedy ascent grows the window a logarithmic
     number of times.  A window covering the array is the whole transform.
-    A domain whose whole field is cached reads `GridDomain.distance`
-    (`whole`).
+    A domain whose whole field is cached reads `GridDomain.distance`.
     """
 
     def __init__(self, U: GridDomain):
@@ -667,16 +658,11 @@ class DistanceReader:
         self._window = None     # (i0, i1, j0, j1) of the last transform
         self._values = self._exact = None
 
-    @property
-    def whole(self) -> bool:
-        """Whether reads come from the whole field `GridDomain.distance`."""
-        return "distance" in vars(self.U)
-
     def read(self, i, j) -> np.ndarray:
         """The field's exact values at the array cells (i, j), index arrays
         of one shape (or ints), in that shape."""
         U = self.U
-        if self.whole:
+        if "distance" in vars(U):       # the whole field is cached
             return U.distance[i, j]
         i, j = np.asarray(i), np.asarray(j)
         box = (int(i.min()), int(i.max()) + 1, int(j.min()), int(j.max()) + 1)
@@ -745,17 +731,23 @@ def _lookup(mask: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outside_cells(A: GridDomain, B: GridDomain,
-                   at: tuple[int, int]) -> np.ndarray:
-    """Cells of A not in B, as (n, 2) indices in B's array (A's index plus
-    `at`), in row-major order."""
+def _outside(A: GridDomain, B: GridDomain, at: tuple[int, int]) -> np.ndarray:
+    """The cells of A not in B, as a mask of A's shape; A's cell (i, j) is
+    B's cell (i, j) + `at`.  Only the overlap of the two arrays is read."""
     out = A.mask.copy()
     lo = [max(0, -at[k]) for k in (0, 1)]
     hi = [min(A.mask.shape[k], B.mask.shape[k] - at[k]) for k in (0, 1)]
     if lo[0] < hi[0] and lo[1] < hi[1]:
         out[lo[0]:hi[0], lo[1]:hi[1]] &= ~B.mask[lo[0] + at[0]:hi[0] + at[0],
                                                  lo[1] + at[1]:hi[1] + at[1]]
-    return np.argwhere(out) + at
+    return out
+
+
+def _outside_cells(A: GridDomain, B: GridDomain,
+                   at: tuple[int, int]) -> np.ndarray:
+    """Cells of A not in B, as (n, 2) indices in B's array (A's index plus
+    `at`), in row-major order."""
+    return np.argwhere(_outside(A, B, at)) + at
 
 
 def _boundary_outside(A: GridDomain, B: GridDomain,
@@ -857,15 +849,13 @@ def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
 def _max_on(A: GridDomain, cells: np.ndarray, at: tuple[int, int]) -> float:
     """Max of A's field over the true cells of a common-frame mask that all
     lie in A (A's array sits at offset `at`), read through a window around
-    them (`DistanceReader`) unless A's whole field is cached; 0.0 for no
-    cells, in which case the field is not read."""
+    them, or from A's whole field where that is cached (`DistanceReader`);
+    0.0 for no cells, in which case the field is not read."""
     sub = cells[at[0]:at[0] + A.nx, at[1]:at[1] + A.ny]
     if not sub.any():
         return 0.0
-    reader = DistanceReader(A)
-    if reader.whole:
-        return float(A.distance[sub].max())
-    return float(reader.read(*np.divmod(np.flatnonzero(sub), A.ny)).max())
+    i, j = np.divmod(np.flatnonzero(sub), A.ny)
+    return float(DistanceReader(A).read(i, j).max())
 
 
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:

@@ -202,7 +202,10 @@ def reproducing_residual(model: KernelModel, i: int,
     if not 0 <= i < model.n_terms:
         raise KernelError(f"basis index {i} out of range")
     quad = model.domain if quadrature is None else quadrature
-    nodes, frac = quad.quadrature
+    cells, frac = quad.quadrature
+    nodes = quad.centers_of(cells)
+    if frac is None:
+        frac = np.ones(nodes.size)
     Bq = bs.term_matrix(model.basis, nodes)
     Vq = model.factor.whiten(Bq)
     q = (Vq * (np.conj(Bq[:, i]) * frac)[None, :]).sum(axis=1) * quad.h * quad.h

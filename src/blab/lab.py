@@ -101,7 +101,6 @@ class ExperimentConfig:
     segment: tuple[complex, complex] | None = None
     delta: float | None = None
     connected: bool = True
-    certify: bool = False
     seed: int = zr.DEFAULT_SEED
     out_dir: str = ""
 
@@ -188,10 +187,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 check_spec(raw["shapes"][name])
             except GeomError as e:
                 raise ConfigError(f"shape {name!r}: {e}") from e
-    if (exp == "exhaustion" and raw.get("certify") is False
-            and raw["shapes"]["target"]["shape"] == "annulus"):
-        raise ConfigError("an annulus exhaustion certifies every stage, so "
-                          "'certify': false cannot be honored")
+    # the key states what the run does: an exhaustion certifies exactly
+    # when its target is an annulus
+    certify = kwargs.pop("certify", None)
+    if exp == "exhaustion" and certify is not None and certify != (
+            raw["shapes"]["target"]["shape"] == "annulus"):
+        raise ConfigError("an exhaustion certifies exactly when its target "
+                          f"is an annulus, so 'certify': {json.dumps(certify)} "
+                          "cannot be honored")
+    if (exp == "nowhere-density" and raw.get("connected") is True
+            and raw["shapes"]["target"]["shape"] == "reinhardt-profile"):
+        raise ConfigError("a reinhardt-profile target is joined by a disjoint "
+                          "union (the C^2 construction needs no neck), so "
+                          "'connected': true cannot be honored")
     if not kwargs.get("out_dir"):
         kwargs["out_dir"] = f"runs/{exp}"
     config = ExperimentConfig(**kwargs)
@@ -352,6 +360,8 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     outside the previous member's, and all are compared in one
     `kernel_error` call, so the reference is evaluated once per run.
     Kernel errors must be non-increasing across the final three stages.
+    An annulus target, whose closed form carries a zero, is certified at
+    every stage; no other target is.
     """
     spec = config.shapes["target"]
     target = make_domain(spec, config.h)
@@ -364,7 +374,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
     else:
         reference = kn.fit_kernel(target, default_basis_for(spec, window))
 
-    certify = config.certify or spec["shape"] == "annulus"
+    certify = spec["shape"] == "annulus"
     probe_points = lobe_probe_points(target, n_random=4, seed=config.seed) \
         if certify else ()
 

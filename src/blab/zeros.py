@@ -74,9 +74,7 @@ class ScanResult:
 
     candidates: tuple
     min_modulus: float
-    median_modulus: float
     n_scanned: int
-    resolution: float
 
 
 def scan_min_modulus(model, w0: complex, stride: int = 4,
@@ -135,8 +133,7 @@ def scan_min_modulus(model, w0: complex, stride: int = 4,
     cand = [(xs[i] + 1j * ys[j], float(vi[i, j])) for i, j in zip(ii, jj)]
     cand.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     return ScanResult(candidates=tuple(cand), min_modulus=float(mods.min()),
-                      median_modulus=median, n_scanned=int(mods.size),
-                      resolution=stride * dom.h)
+                      n_scanned=int(mods.size))
 
 
 def refine_minimum(model, w0: complex, z0: complex, h: float) -> complex:

@@ -93,13 +93,13 @@ def test_gram_invariant_under_array_padding():
 
 def test_mask_built_gram_is_plain_midpoint_sum():
     # a domain built from a mask alone carries unit cell weights: its
-    # quadrature is exactly the true cell centers with fraction 1, and its
-    # Gram is the per-entry midpoint sum up to summation order
+    # quadrature record is its own mask with no fractions (every one is 1),
+    # and its Gram is the per-entry midpoint sum up to summation order
     target = make_domain(disc(0.1 + 0.05j, 0.9), h=0.02)
     member = interior_exhaustion(target, [0.1]).members[0]
-    nodes, frac = member.quadrature
-    assert (nodes == member.centers_of(member.mask)).all()
-    assert (frac == 1.0).all()
+    cells, frac = member.quadrature
+    assert cells is member.mask
+    assert frac is None
     B = bs.monomials(0.1 + 0.05j, 6)
     G = bs.gram_matrix(B, member).matrix
     V = bs.term_matrix(B, member.centers_of(member.mask))
@@ -258,8 +258,11 @@ def test_gram_bytes_equal_point_major_assembly(name):
     # onto an inner fit, whatever rows the streamed node blocks end in
     U, basis, inner = _gram_parity_case(name)
     frac = U.quadrature[1]
-    # the unit-weight skip on unit fractions, cut cells elsewhere
-    assert (frac == 1.0).all() == (name in UNIT_FRACTION_CASES)
+    # no fractions on a mask-built domain, all ones on the spec-built L,
+    # cut cells elsewhere
+    assert (frac is None) == (name in MASK_BUILT_CASES)
+    unit = frac is None or (frac == 1.0).all()
+    assert unit == (name in UNIT_FRACTION_CASES)
     assert (U.spec is None) == (name in MASK_BUILT_CASES)
     cells = U.mask if inner is None else geom.shell_mask(U, inner.domain)
     ends = np.cumsum(np.count_nonzero(cells, axis=1))
@@ -443,7 +446,7 @@ A = kn.closed_form(annulus(0.9, 0.06, 0.12), truncation=13)
 R = make_domain(annulus(0.9, 0.06, 0.12), h)
 ring = R.centers_of(R.mask)
 rows = A.eval_many(ring, ring[::10])
-print(U.quadrature[0].size, G.n, V.shape[1], rows.size)
+print(np.count_nonzero(U.quadrature[0]), G.n, V.shape[1], rows.size)
 print(hashlib.sha256(G.matrix.tobytes()).hexdigest())
 print(hashlib.sha256(V.tobytes()).hexdigest())
 print(hashlib.sha256(rows.tobytes()).hexdigest())
@@ -473,12 +476,28 @@ def test_spec_gram_weights_cut_cells():
     # a domain rasterized from a spec integrates over every cell the shape
     # meets, weighted by its covered fraction: the area is near exact
     U = make_domain(disc(0, 1), h=0.02)
-    nodes, frac = U.quadrature
-    assert nodes.size > U.cell_count
+    cells, frac = U.quadrature
+    assert np.count_nonzero(cells) == frac.size > U.cell_count
+    assert (cells >= U.mask).all()
     assert ((frac > 0) & (frac <= 1)).all()
     area = bs.gram_matrix(bs.monomials(0, 0), U).matrix[0, 0].real
     assert area == pytest.approx(np.pi, abs=1e-4)
     assert abs(U.cell_count * U.h ** 2 - np.pi) > 1e-3
+
+
+def test_spec_built_domain_keeps_no_node_array():
+    # a spec-built domain keeps one read-only quadrature record, its cell
+    # mask and cut-cell fractions; a fit reads the nodes from the mask block
+    # by block and leaves no complex array on the domain
+    U = make_domain(annulus(0, 0.4, 1), h=0.02)
+    kn.fit_kernel(U, bs.laurent(0, 2, 4))
+    cells, frac = U.quadrature
+    assert U.quadrature[0] is cells
+    assert not cells.flags.writeable and not frac.flags.writeable
+    kept = [a for v in vars(U).values()
+            for a in (v if isinstance(v, tuple) else (v,))]
+    assert not any(isinstance(a, np.ndarray) and a.dtype == complex
+                   for a in kept)
 
 
 def test_off_diagonal_decays_with_h():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from blab.cli import main
-from blab.geom import disc
+from blab.geom import disc, rectangle, reinhardt_profile
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -78,6 +78,17 @@ def test_malformed_json_exits_3(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["metric", str(path)]) == 3
+
+
+def test_connected_reinhardt_config_exits_3(tmp_path, capsys):
+    # a neck on a C^2 target is a key the run could not honor
+    cfg = write_cfg(tmp_path, {
+        "experiment": "nowhere-density", "h": 0.004,
+        "shapes": {"target": reinhardt_profile(rectangle((0, 0), (1, 1)))},
+        "basis_window": [8, 8], "delta": 0.5, "connected": True})
+    assert main(["zeros", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "'connected': true cannot be honored" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_wrong_tag_for_subcommand_exits_3(tmp_path, capsys):

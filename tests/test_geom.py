@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from blab import basis as bs
 from blab import geom
 from blab.geom import (
     EmptyDomainError,
@@ -437,19 +438,28 @@ def test_exhaustion_of_disc_is_offset_disc():
     annulus(0, 0.1, 0.5),
     difference(rectangle((0.01, 0.02), (0.63, 0.41)), disc(0.3, 0.2)),
 ])
-def test_quadrature_cell_decides_like_the_node_array(spec):
-    # every cell of the array is decided from its own window exactly as the
-    # whole array's quadrature decides it, on the spec-built domain and on
-    # a mask-built member of it
+def test_pole_admitted_exactly_off_the_quadrature_cells(spec):
+    # a pole at any cell center of the array is rejected exactly when the
+    # quadrature record holds that cell, the record the Gram integrates
+    # over: the cut cells on the spec-built domain, the mask on a mask-built
+    # member of it
     U = make_domain(spec, h=0.03)
     member = interior_exhaustion(U, [0.05]).members[0]
+    assert member.quadrature[0] is member.mask
     for dom in (U, member):
-        nodes = set(dom.quadrature[0].tolist())
+        held = dom.quadrature[0]
+        assert (held >= dom.mask).all()
         cells = np.argwhere(np.ones(dom.mask.shape, dtype=bool))
-        want = [c in nodes for c in dom.centers_at(cells).tolist()]
-        got = [dom.is_quadrature_cell((i, j)) for i, j in cells]
-        assert got == want
-        assert sum(got) == len(nodes)
+        rejected = []
+        for center in dom.centers_at(cells).tolist():
+            try:
+                bs.check_admissible(bs.principal_parts(center, 1), dom)
+            except bs.BasisError:
+                rejected.append(True)
+            else:
+                rejected.append(False)
+        assert rejected == held.ravel().tolist()
+    assert np.count_nonzero(U.quadrature[0]) > U.cell_count
 
 
 def test_exhaustion_of_annulus():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,9 +123,10 @@ _EXHAUSTION = {"experiment": "exhaustion", "h": 0.05,
      "does not read connected, segment, shape 'extra'$"),
     ({"shapes": {"target": disc(0, 1), "extra": {"shape": "nonsense"}}},
      "does not read shape 'extra'$"),
-    # an annulus exhaustion certifies every stage whatever the key says
+    # an exhaustion certifies exactly when its target is an annulus
     ({"shapes": {"target": annulus(0, 0.5, 1)}, "certify": False},
      "'certify': false cannot be honored"),
+    ({"certify": True}, "'certify': true cannot be honored"),
 ])
 def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     raw = dict(_EXHAUSTION, **over)
@@ -136,13 +138,37 @@ def test_malformed_values_rejected_with_exit_3(tmp_path, capsys, over, match):
     assert "invalid config" in capsys.readouterr().err
 
 
-def test_certify_key_accepted_where_it_is_honored():
-    # an annulus exhaustion certifies every stage, so only its false is
-    # rejected (a case of test_malformed_values_rejected_with_exit_3)
-    raw = dict(_EXHAUSTION, shapes={"target": annulus(0, 0.5, 1)})
-    assert lab.config_from_dict(dict(raw, certify=True)).certify
-    assert not lab.config_from_dict(raw).certify
-    assert not lab.config_from_dict(dict(_EXHAUSTION, certify=False)).certify
+def test_certify_key_accepted_where_it_is_honored(monkeypatch):
+    # an exhaustion certifies every stage exactly when its target is an
+    # annulus: the key is accepted where it states that (a wrong value is a
+    # case of test_malformed_values_rejected_with_exit_3), and the config
+    # carries no switch
+    verdicts = []
+    monkeypatch.setattr(lab.zr, "lu_qi_keng_verdict", lambda model, cfg:
+                        verdicts.append(model) or SimpleNamespace(certified=False))
+    ring = dict(_EXHAUSTION, shapes={"target": annulus(0, 0.5, 1)},
+                basis_window=[8, 8], depths=[0.15, 0.1])
+    for raw, certifies in ((dict(ring, certify=True), True), (ring, True),
+                           (dict(_EXHAUSTION, certify=False), False),
+                           (_EXHAUSTION, False)):
+        config = lab.config_from_dict(raw)
+        assert not hasattr(config, "certify")
+        verdicts.clear()
+        report = lab.run_exhaustion(config)
+        assert len(verdicts) == (len(report.rows) if certifies else 0)
+
+
+def test_connected_key_rejected_on_a_reinhardt_target():
+    # the C^2 construction joins by a disjoint union, so a profile target
+    # takes 'connected': false or no key, and true is refused
+    raw = {"experiment": "nowhere-density", "h": 0.004,
+           "shapes": {"target": reinhardt_profile(rectangle((0, 0), (1, 1)))},
+           "basis_window": [8, 8], "delta": 0.5}
+    with pytest.raises(lab.ConfigError,
+                       match="'connected': true cannot be honored"):
+        lab.config_from_dict(dict(raw, connected=True))
+    assert not lab.config_from_dict(dict(raw, connected=False)).connected
+    assert lab.config_from_dict(raw).experiment == "nowhere-density"
 
 
 def test_config_round_trip_from_file(tmp_path):

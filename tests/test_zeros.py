@@ -185,8 +185,7 @@ def _scan_full_grid(model, w0, stride=4, bbox=None):
             for i, j in zip(ii, jj)]
     cand.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     return zr.ScanResult(candidates=tuple(cand), min_modulus=float(mods.min()),
-                         median_modulus=median, n_scanned=int(mods.size),
-                         resolution=stride * dom.h)
+                         n_scanned=int(mods.size))
 
 
 @pytest.fixture(scope="module")
