@@ -14,14 +14,15 @@ from . import __version__
 from .basis import BasisError, FactorizationError
 from .geom import GeomError
 from .kernel import KernelError
-from .lab import ConfigError, ExperimentConfig, load_config, run_experiment
+from .lab import (EXPERIMENTS, ConfigError, ExperimentConfig, load_config,
+                  run_experiment)
 from .zeros import ContourError, ZeroSearchError
 
 SUBCOMMAND_TAGS = {
     "metric": ("metric-demo",),
     "kernel": ("exhaustion",),
     "zeros": ("barbell", "nowhere-density"),
-    "experiment": ("exhaustion", "barbell", "nowhere-density", "metric-demo"),
+    "experiment": tuple(EXPERIMENTS),
 }
 
 

@@ -196,7 +196,8 @@ class GridDomain:
     def boundary(self) -> BoundaryCells:
         """The domain's boundary cells and their kd-tree, built on first
         use."""
-        cells = np.argwhere(boundary_mask(self.mask))
+        cells = np.argwhere(boundary_mask(
+            self.mask, _radial_axes(self.kind, self.origin, self.h)))
         return BoundaryCells(cells=cells, tree=cKDTree(cells))
 
     @property
@@ -693,20 +694,15 @@ class DistanceReader:
         self._exact = (values / U.h) ** 2 < edge * edge - 0.5
 
 
-def distance_at(U: GridDomain, points) -> np.ndarray:
-    """U's exact distance at the cell holding each point, 0 off the array:
-    `U.values_at(U.distance, points)` bit for bit, read through a window
-    around those cells (`DistanceReader`)."""
-    i, j, on = U._indices(points)
-    out = np.zeros(np.shape(on))
-    if on.any():
-        out[on] = DistanceReader(U).read(i[on], j[on])
-    return out
-
-
-def boundary_mask(mask: np.ndarray) -> np.ndarray:
-    """True cells with at least one false 4-neighbor (array border is false)."""
+def boundary_mask(mask: np.ndarray,
+                  axes: tuple[bool, bool] = (False, False)) -> np.ndarray:
+    """True cells with at least one false 4-neighbor.  Beyond the array's
+    edge every cell is false, except beyond a low side on a radial axis
+    (axes, from `_radial_axes`): the quarter-plane has no cells there, so
+    none is outside the domain, as in `_edt`."""
     m = np.pad(mask, 1, mode="constant", constant_values=False)
+    m[0, :] |= axes[0]
+    m[:, 0] |= axes[1]
     interior = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
     return mask & ~interior
 
@@ -722,14 +718,6 @@ def extract_sets(U: GridDomain) -> PointSet:
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
-
-def _lookup(mask: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """mask[i, j] for index arrays that may leave the array (false there)."""
-    ok = (i >= 0) & (i < mask.shape[0]) & (j >= 0) & (j < mask.shape[1])
-    out = np.zeros(i.shape, dtype=bool)
-    out[ok] = mask[i[ok], j[ok]]
-    return out
-
 
 def _outside(A: GridDomain, B: GridDomain, at: tuple[int, int]) -> np.ndarray:
     """The cells of A not in B, as a mask of A's shape; A's cell (i, j) is
@@ -753,15 +741,15 @@ def _outside_cells(A: GridDomain, B: GridDomain,
 def _boundary_outside(A: GridDomain, B: GridDomain,
                       at: tuple[int, int]) -> np.ndarray:
     """Boundary cells of A not on B's boundary, as indices in B's array.
-
-    A cell is on B's boundary when it is in B and some 4-neighbor is not
-    (cells beyond B's array are not in B), as in `boundary_mask`."""
+    Both are the domains' cached `GridDomain.boundary` cells; A's are
+    searched by flat index among B's, which their row-major order sorts."""
     cells = A.boundary.cells + at
-    i, j = cells[:, 0], cells[:, 1]
-    m = B.mask
-    on_boundary = _lookup(m, i, j) & ~(_lookup(m, i - 1, j) & _lookup(m, i + 1, j)
-                                       & _lookup(m, i, j - 1) & _lookup(m, i, j + 1))
-    return cells[~on_boundary]
+    shape = B.mask.shape
+    flat = np.ravel_multi_index(cells.T, shape, mode="clip")
+    theirs = np.ravel_multi_index(B.boundary.cells.T, shape)
+    k = np.minimum(np.searchsorted(theirs, flat), theirs.size - 1)
+    on_array = ((cells >= 0) & (cells < shape)).all(axis=1)
+    return cells[~(on_array & (theirs[k] == flat))]
 
 
 def _tile_pruned(cells: np.ndarray, tree: cKDTree) -> np.ndarray:

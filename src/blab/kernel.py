@@ -102,10 +102,6 @@ class KernelModel(Kernel):
     def n_terms(self) -> int:
         return len(self.basis)
 
-    @property
-    def h(self) -> float:
-        return self.domain.h
-
     def whitened(self, points: np.ndarray) -> np.ndarray:
         """Whitened coordinates v(p) = L^-1 (b(p)/s), shape (N, len(points))."""
         B = bs.term_matrix(self.basis, points)
@@ -461,26 +457,6 @@ class ProductKernel(Kernel):
         return sum(fac.eval_error_estimate(wk)
                    * math.prod(d for j, d in enumerate(diag) if j != k)
                    for k, (fac, wk) in enumerate(zip(self.factors, w)))
-
-    def slice_fixed_last(self, z2: complex) -> "ScaledPlanarKernel":
-        """Planar slice z1 -> K((z1, z2), (w1, z2)): the first factor scaled
-        by the positive diagonal value of the second."""
-        scale = self.factors[1].eval(z2, z2)
-        return ScaledPlanarKernel(base=self.factors[0], scale=complex(scale),
-                                  domain=self.factors[0].domain)
-
-
-@dataclass(frozen=True)
-class ScaledPlanarKernel(Kernel):
-    base: object
-    scale: complex
-    domain: GridDomain | None = None
-
-    def eval_many(self, zs, w):
-        return self.base.eval_many(zs, w) * self.scale
-
-    def eval_error_estimate(self, w: complex) -> float:
-        return abs(self.scale) * self.base.eval_error_estimate(w)
 
 
 def closed_form(spec: dict, truncation: int | None = None,

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,11 +53,14 @@ from .geom import (
     union,
 )
 
-EXPERIMENTS = ("exhaustion", "barbell", "nowhere-density", "metric-demo")
 # nowhere-density lobe-side poles: angles (degrees) from the +x axis at the
 # lobe center, which faces away from the neck, and radius in lobe radii
 LOBE_POLE_ANGLES = (-100, -60, -20, 20, 60, 100)
 LOBE_POLE_RADIUS = 1.3
+# why the C^2 run joins its placed product to the target by no neck
+C2_NO_NECK = ("a Reinhardt domain of holomorphy that meets r1 = 0 must be "
+              "downward closed in r1 and so would fill the annulus factor's "
+              "hole")
 
 CONFIG_KEYS = {
     "experiment": str,
@@ -72,18 +76,6 @@ CONFIG_KEYS = {
     "seed": int,
     "out_dir": str,
 }
-
-REQUIRED = {
-    "exhaustion": ("shapes", "h", "basis_window", "depths"),
-    "barbell": ("shapes", "h", "basis_window", "widths"),
-    "nowhere-density": ("shapes", "h", "basis_window", "delta"),
-    "metric-demo": ("h",),
-}
-
-# keys an experiment reads beyond REQUIRED, experiment, seed and out_dir; a
-# config holding any other is rejected
-OPTIONAL = {"exhaustion": ("certify",), "barbell": ("segment",),
-            "nowhere-density": ("connected",), "metric-demo": ()}
 
 
 class ConfigError(ValueError):
@@ -107,13 +99,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"expected one of {EXPERIMENTS}")
+                              f"expected one of {tuple(EXPERIMENTS)}")
         if not 0 < self.h < math.inf:
             raise ConfigError("h must be positive and finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name, sched in (("depths", self.depths), ("widths", self.widths)):
-            if not sched and name in REQUIRED[self.experiment]:
+            if not sched and name in EXPERIMENTS[self.experiment].required:
                 raise ConfigError(f"{name} must not be empty")
             if not all(v > 0 for v in sched):
                 raise ConfigError(f"{name} must be positive")
@@ -145,9 +137,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' tag")
     exp = raw["experiment"]
-    if exp not in EXPERIMENTS:
+    # a JSON list or object is no tag, and a dict key cannot hold it
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}")
-    for key in REQUIRED[exp]:
+    reads = EXPERIMENTS[exp]
+    for key in reads.required:
         if key not in raw:
             raise ConfigError(f"experiment {exp!r} requires config key {key!r}")
     for key, val in raw.items():
@@ -179,7 +173,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "delta" in kwargs:
         kwargs["delta"] = float(kwargs["delta"])
     shape_names = ("left", "right") if exp == "barbell" else ("target",)
-    if "shapes" in REQUIRED[exp]:
+    if "shapes" in reads.required:
         for name in shape_names:
             if name not in raw["shapes"]:
                 raise ConfigError(f"experiment {exp!r} requires shape {name!r}")
@@ -198,14 +192,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if (exp == "nowhere-density" and raw.get("connected") is True
             and raw["shapes"]["target"]["shape"] == "reinhardt-profile"):
         raise ConfigError("a reinhardt-profile target is joined by a disjoint "
-                          "union (the C^2 construction needs no neck), so "
+                          f"union and no neck, since {C2_NO_NECK}, so "
                           "'connected': true cannot be honored")
     if not kwargs.get("out_dir"):
         kwargs["out_dir"] = f"runs/{exp}"
     config = ExperimentConfig(**kwargs)
     # last, so every check above names its own fault first
     unread = sorted(set(raw) - {"experiment", "seed", "out_dir",
-                                *REQUIRED[exp], *OPTIONAL[exp]})
+                                *reads.required, *reads.optional})
     unread += sorted(f"shape {n!r}" for n in set(raw.get("shapes", ()))
                      - set(shape_names))
     if unread:
@@ -319,14 +313,6 @@ def default_basis_for(spec: dict, window: tuple[int, int]) -> bs.BasisSpec:
     return bs.monomials(complex((x0 + x1) / 2, (y0 + y1) / 2), n_pos)
 
 
-def lobe_probe_points(D: GridDomain, n_random: int,
-                      seed: int) -> tuple[complex, ...]:
-    """Deep probe points of a lobe domain D, usable as w0 probes in any
-    domain containing D (the experiment members all do)."""
-    cfg = zr.ProbeConfig(n_random=n_random, seed=seed)
-    return tuple(zr.default_probes(D, cfg))
-
-
 def _lobe_scan_window(spec: dict, h: float) -> tuple:
     """The scan bbox of a lobe's zero search: the lobe's bounding box
     padded by 2h on every side."""
@@ -375,8 +361,7 @@ def run_exhaustion(config: ExperimentConfig) -> ExperimentReport:
         reference = kn.fit_kernel(target, default_basis_for(spec, window))
 
     certify = spec["shape"] == "annulus"
-    probe_points = lobe_probe_points(target, n_random=4, seed=config.seed) \
-        if certify else ()
+    probe_points = zr.default_probes(target, 4, config.seed) if certify else ()
 
     report = ExperimentReport(
         experiment="exhaustion",
@@ -463,7 +448,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
     reference = kn.closed_form(right_spec, truncation=max(n_pos, n_neg))
     c_right = complex(*right_spec["center"])
 
-    probes = lobe_probe_points(D, n_random=4, seed=config.seed)
+    probes = zr.default_probes(D, 4, config.seed)
     d_bbox = _lobe_scan_window(right_spec, h)
 
     report = ExperimentReport(
@@ -499,7 +484,7 @@ def run_barbell(config: ExperimentConfig) -> ExperimentReport:
         report.metadata["anchor_zero"] = [anchor.z_star.real, anchor.z_star.imag]
         report.metadata["anchor_w0"] = [anchor.w0.real, anchor.w0.imag]
         tracks = zr.hurwitz_track(models, anchor.w0,
-                                  np.asarray(anchor.contour)).counts
+                                  np.asarray(anchor.contour))
 
     errors = kn.kernel_error(models, reference, margin, domain=D)
     for k, (width, member, model, verdict, err, track_winding) in enumerate(
@@ -573,6 +558,19 @@ def _exhausted_start(config: ExperimentConfig,
     return report, G, member
 
 
+def _placement(delta: float, h: float) -> tuple[float, float]:
+    """Outer radius R_d = 0.99 delta/8 and gap delta/16 of the piece a
+    nowhere-density run places: an annulus, or the annulus factor of a C^2
+    product, of diameter below delta/4 and within delta/4 of the target.
+    Its ring, of width R_d/2, must span at least 6 cells."""
+    R_d = 0.99 * delta / 8
+    if R_d / 2 < 6 * h:
+        raise ConfigError(
+            f"delta {delta} leaves the placed annulus under-resolved at h={h}: "
+            f"ring width {R_d / 2:.4g} needs at least {6 * h:.4g}")
+    return R_d, delta / 16
+
+
 def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     """The end-to-end construction: arbitrarily rho1-close to the input
     domain, produce a domain whose kernel carries a certified zero.
@@ -592,13 +590,8 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     n_neg, n_pos = window
 
     # stage 2: place a small annulus of diameter < delta/4 within delta/4
-    R_d = 0.99 * delta / 8
+    R_d, gap = _placement(delta, h)
     rho_d = R_d / 2
-    if R_d - rho_d < 6 * h:
-        raise ConfigError(
-            f"delta {delta} leaves the placed annulus under-resolved at h={h}: "
-            f"ring width {R_d - rho_d:.4g} needs at least {6 * h:.4g}")
-    gap = delta / 16
     anchor = _rightmost_boundary_point(G)
     c_d = anchor + gap + R_d
     d_spec = annulus(c_d, rho_d, R_d)
@@ -639,7 +632,7 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
              for t in LOBE_POLE_ANGLES)
     basis = bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg),
                       *(bs.principal_parts(p, 2) for p in poles))
-    probes = lobe_probe_points(D, n_random=6, seed=config.seed)
+    probes = zr.default_probes(D, 6, config.seed)
     bbox = _lobe_scan_window(d_spec, h)
     try:
         model = kn.fit_kernel(result, basis)
@@ -676,12 +669,8 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
 
     # place an annulus x disc product beyond the profile in r1: its profile
     # is the rectangle (r1_lo, 0) x (r1_lo + ring, r2_hi)
-    R_d = 0.99 * delta / 8
+    R_d, gap = _placement(delta, h)
     ring = R_d / 2
-    if ring < 6 * h:
-        raise ConfigError(f"delta {delta} under-resolves the annulus factor "
-                          f"at h={h}")
-    gap = delta / 16
     x_max = G.centers_x[np.nonzero(G.mask.any(axis=1))[0][-1]]
     r1_lo = x_max + gap
     r2_hi = R_d / 2
@@ -698,8 +687,9 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
     result = domain_union(member, Dprof)
     r1_result = rho1(result, G)
     report.add_row(stage=2, step="join", rho1_to_target=r1_result,
-                   rho2_to_target=rho2(result, G), detail="disjoint union "
-                   "(the C^2 construction needs no neck)")
+                   rho2_to_target=rho2(result, G),
+                   detail="disjoint union (not a domain); no neck is "
+                          f"tried since {C2_NO_NECK}")
     report.check("result_within_delta", r1_result < delta,
                  f"rho1 {r1_result:.6g} vs delta {delta:.6g}")
 
@@ -776,13 +766,30 @@ def run_metric_demo(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-RUNNERS = {
-    "exhaustion": run_exhaustion,
-    "barbell": run_barbell,
-    "nowhere-density": run_nowhere_density,
-    "metric-demo": run_metric_demo,
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment tag's runner, the config keys it requires, and the
+    keys it reads beyond those and experiment, seed and out_dir; a config
+    holding any other key is rejected."""
+
+    run: Callable[[ExperimentConfig], ExperimentReport]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+EXPERIMENTS = {
+    "exhaustion": Experiment(run_exhaustion,
+                             ("shapes", "h", "basis_window", "depths"),
+                             ("certify",)),
+    "barbell": Experiment(run_barbell,
+                          ("shapes", "h", "basis_window", "widths"),
+                          ("segment",)),
+    "nowhere-density": Experiment(run_nowhere_density,
+                                  ("shapes", "h", "basis_window", "delta"),
+                                  ("connected",)),
+    "metric-demo": Experiment(run_metric_demo, ("h",)),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return RUNNERS[config.experiment](config)
+    return EXPERIMENTS[config.experiment].run(config)

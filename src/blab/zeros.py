@@ -29,14 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import DistanceReader, GridDomain, distance_at, distance_field
-from .kernel import DEFAULT_SEED, KernelError, kernel_error
+from .geom import DistanceReader, GridDomain, distance_field
+from .kernel import DEFAULT_SEED
 
 ARG_STEP_LIMIT = np.pi / 2
 FLOOR_FACTOR = 10.0           # contour floor, in evaluation error estimates
 MAX_CONTOUR_POINTS = 1 << 17  # refined contour size that fails winding_count
 REFINE_ROUNDS = 3             # local grid halvings in refine_minimum
 DEPTH_FRACTION = 0.35         # default probes: share of the component depth
+PROBE_DRAWS = 8               # default probes: seeded deep draws per component
 LOBE_GAMMA = 0.2              # admissible zero depth: share of its lobe depth
 MAX_CANDIDATES = 5            # scan minima tried for a certificate, per w0
 CONTOUR_POINTS = 64           # samples of a certificate contour
@@ -311,15 +312,11 @@ class Verdict:
 class ProbeConfig:
     """Deterministic probe policy for verdicts.
 
-    w0 points default to the deepest cell of each component plus n_random
-    cells drawn (fixed seed) from the deep part of the component, cells at
-    depth at least DEPTH_FRACTION of the component maximum.  Deep anchoring
-    keeps probe points inside the region where a finite-rank kernel is a
-    trustworthy proxy of the domain's kernel.
+    w0 points default to `default_probes` with PROBE_DRAWS draws from the
+    seed.
     """
 
     w0_points: tuple | None = None
-    n_random: int = 8
     seed: int = DEFAULT_SEED
     stride: int = 4
     scan_bbox: tuple | None = None  # (x0, y0, x1, y1) restriction of the scan
@@ -348,11 +345,16 @@ def _lobe_scale(depth: DistanceReader, start: tuple[int, int]) -> float:
     return float(best)
 
 
-def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
-    """Deepest cell plus seeded deep-interior draws, per component."""
+def default_probes(dom: GridDomain, n_random: int,
+                   seed: int) -> tuple[complex, ...]:
+    """The deepest cell of each component plus n_random cells drawn with the
+    seed from its deep part, the cells at depth at least DEPTH_FRACTION of
+    the component maximum.  Deep anchoring keeps probe points inside the
+    region where a finite-rank kernel is a trustworthy proxy of the
+    domain's kernel, and inside any domain that contains dom."""
     depth = distance_field(dom)
     labels = dom.component_labels
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     probes: list[complex] = []
     for comp in range(1, dom.n_components + 1):
         in_comp = labels == comp
@@ -360,13 +362,13 @@ def default_probes(dom: GridDomain, cfg: ProbeConfig) -> list[complex]:
         flat_best = int(np.argmax(d))
         dmax = d.max()
         deep = np.nonzero((d >= DEPTH_FRACTION * dmax).ravel())[0]
-        take = min(cfg.n_random, deep.size)
+        take = min(n_random, deep.size)
         picks = rng.choice(deep, size=take, replace=False)
         # the draws are read in row-major order, that is by sorted flat index
         flat = np.concatenate(([flat_best], np.sort(picks)))
         cells = np.column_stack(np.unravel_index(flat, d.shape))
         probes.extend(complex(c) for c in dom.centers_at(cells))
-    return probes
+    return tuple(probes)
 
 
 def certify_zero(model, w0: complex, z_star: complex) -> ZeroCertificate | None:
@@ -424,7 +426,7 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
     if dom is None:
         raise ZeroSearchError("model carries no grid domain")
     w0s = list(cfg.w0_points) if cfg.w0_points is not None \
-        else default_probes(dom, cfg)
+        else default_probes(dom, PROBE_DRAWS, cfg.seed)
     floor = math.inf
     resolution = cfg.stride * dom.h
     for w0 in w0s:
@@ -440,41 +442,14 @@ def lu_qi_keng_verdict(model, probe_config: ProbeConfig | None = None) -> Verdic
                    floor=float(floor), resolution=resolution)
 
 
-@dataclass(frozen=True)
-class HurwitzTrack:
-    """Winding counts along a domain sequence at one fixed (w0, contour).
-
-    counts holds None where the contour's modulus floor failed for that
-    member (indeterminate); kernel_errors compares each member to the limit
-    reference on a compact set containing the contour.
-    """
-
-    counts: tuple
-    kernel_errors: tuple
-
-
-def hurwitz_track(models: Sequence, w0: complex, contour: np.ndarray,
-                  reference=None, margin: float | None = None) -> HurwitzTrack:
-    """Winding count per model on the same contour, plus reference errors
-    at margin (default: half the least reference depth on the contour,
-    read through a window around the contour's cells)."""
+def hurwitz_track(models: Sequence, w0: complex,
+                  contour: np.ndarray) -> tuple[int | None, ...]:
+    """Winding count of each model on one fixed (w0, contour): None where
+    the contour's modulus floor fails for that member (indeterminate)."""
     counts: list[int | None] = []
     for m in models:
         try:
             counts.append(winding_count(m, w0, contour))
         except ContourError:
             counts.append(None)
-    errors: list[float | None] = []
-    if reference is not None:
-        ref_dom = reference.domain
-        if margin is None:
-            margin = 0.5 * float(distance_at(ref_dom, contour).min())
-        for m in models:
-            try:
-                errors.append(kernel_error([m], reference, margin,
-                                            domain=ref_dom)[0])
-            except KernelError:
-                errors.append(None)
-    else:
-        errors = [None] * len(models)
-    return HurwitzTrack(counts=tuple(counts), kernel_errors=tuple(errors))
+    return tuple(counts)

@@ -1,5 +1,6 @@
 """The blab command line: configs in, reports out, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -118,7 +119,8 @@ def test_assertion_failure_exits_2(tmp_path, monkeypatch):
         report.check("forced_failure", False, "injected for the exit-code test")
         return report
 
-    monkeypatch.setitem(lab_mod.RUNNERS, "metric-demo", sabotaged)
+    monkeypatch.setitem(lab_mod.EXPERIMENTS, "metric-demo", dataclasses.replace(
+        lab_mod.EXPERIMENTS["metric-demo"], run=sabotaged))
     assert main(["metric", cfg, "--out", str(tmp_path / "out")]) == 2
 
 

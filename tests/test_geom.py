@@ -633,6 +633,19 @@ def test_metrics_between_reinhardt_profiles():
     assert sup == pytest.approx(0.2, abs=4 * h)
 
 
+def test_radial_axis_cells_are_no_boundary():
+    # the quarter-plane has no cells beyond an axis, so a profile's axis
+    # cells are interior: the bidisc's boundary is its far sides alone, and
+    # the inner wall r1 = 0.1 of the annulus x disc lies 0.88 (44 cells)
+    # from it, not one cell row from the bidisc's r1 = 0 column
+    h = 0.02
+    U = make_domain(reinhardt_profile(rectangle((0, 0), (1, 1))), h=h)
+    V = make_domain(reinhardt_profile(rectangle((0.1, 0), (1, 1))), h=h)
+    i, j = U.boundary.cells.T
+    assert ((i == 49) | (j == 49)).all() and len(i) == 99  # radius 0.99
+    assert geom.rho1_parts(U, V) == geom.rho1_parts(V, U) == (0.1, 44 * h)
+
+
 # ---------------------------------------------------------------------------
 # the metrics against their full-array transform oracles
 # ---------------------------------------------------------------------------
@@ -644,8 +657,9 @@ def edt_directed_sup(mask_from, mask_to, h):
 
 
 def edt_rho1_parts(U, V):
-    mU, mV, _ = geom._aligned_masks(U, V)
-    bU, bV = geom.boundary_mask(mU), geom.boundary_mask(mV)
+    mU, mV, origin = geom._aligned_masks(U, V)
+    axes = geom._radial_axes(U.kind, origin, U.h)
+    bU, bV = geom.boundary_mask(mU, axes), geom.boundary_mask(mV, axes)
     return (max(edt_directed_sup(mU, mV, U.h), edt_directed_sup(mV, mU, U.h)),
             max(edt_directed_sup(bU, bV, U.h), edt_directed_sup(bV, bU, U.h)))
 
@@ -743,7 +757,7 @@ def kd_rho1_parts(U, V):
     directed term queries every cell of one set outside the other in a
     kd-tree over the other's boundary cells, built on every call."""
     def nearest(cells, mask_to, h):
-        bi, bj = np.nonzero(geom.boundary_mask(mask_to))
+        bi, bj = np.nonzero(geom.boundary_mask(mask_to, axes))
         ci, cj = np.nonzero(cells)
         _, k = cKDTree(np.column_stack([bi, bj])).query(
             np.column_stack([ci, cj]), workers=1)
@@ -760,12 +774,13 @@ def kd_rho1_parts(U, V):
     def hausdorff_masks(mA, mB, h):
         return max(directed(mA, mB, h), directed(mB, mA, h))
 
-    mU, mV, _ = geom._aligned_masks(U, V)
+    mU, mV, origin = geom._aligned_masks(U, V)
     h = U.h
+    axes = geom._radial_axes(U.kind, origin, h)
     if (mU == mV).all():
         return 0.0, 0.0
-    bU = geom.boundary_mask(mU)
-    bV = geom.boundary_mask(mV)
+    bU = geom.boundary_mask(mU, axes)
+    bV = geom.boundary_mask(mV, axes)
     return hausdorff_masks(mU, mV, h), hausdorff_masks(bU, bV, h)
 
 
@@ -837,13 +852,14 @@ def test_rho1_parts_bits_equal_common_array_oracle(pair, prune_min):
 @given(pair=lattice_pairs())
 def test_query_sets_equal_common_array_masks(pair):
     U, V = pair
-    mU, mV, _ = geom._aligned_masks(U, V)
+    mU, mV, origin = geom._aligned_masks(U, V)
+    axes = geom._radial_axes(U.kind, origin, U.h)
     _, _, iU, iV = geom._frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
     for cells, expected in (
             (geom._outside_cells(U, V, uv), mU & ~mV),
             (geom._boundary_outside(U, V, uv),
-             geom.boundary_mask(mU) & ~geom.boundary_mask(mV))):
+             geom.boundary_mask(mU, axes) & ~geom.boundary_mask(mV, axes))):
         # back from V's array to the frame
         frame = {(i + iV[0], j + iV[1]) for i, j in cells.tolist()}
         assert frame == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
@@ -1290,18 +1306,6 @@ def test_windowed_reads_on_named_cases(case):
                 == whole_lobe_scale(whole, start))
         assert reader._values.size < U.mask.size / 4
     assert "distance" not in vars(U)
-
-
-def test_distance_at_equals_the_whole_field_read():
-    U = make_domain(annulus(0.1j, 0.3, 0.9), 0.01)
-    rng = np.random.default_rng(7)
-    # points in the ring, in the hole, beyond the ring and off the array
-    points = (rng.uniform(-1.2, 1.2, 200) + 1j * rng.uniform(-1.1, 1.3, 200))
-    read = geom.distance_at(U, points.reshape(10, 20))
-    assert "distance" not in vars(U)
-    assert read.shape == (10, 20)
-    expected = U.values_at(distance_field(U), points.reshape(10, 20))
-    assert read.tobytes() == expected.tobytes()
 
 
 def test_uncertified_first_pad_grows(edt_windows):

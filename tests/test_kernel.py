@@ -310,14 +310,15 @@ def test_kernel_error_model_vs_itself(disc_model):
 
 
 def test_disc_fit_matches_matched_truncation(disc_model):
-    ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.h)
+    ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.domain.h)
     err = kn.kernel_error([disc_model], ref, margin=0.2)[0]
     assert err <= 1e-2
 
 
 def test_annulus_fit_close_to_matched_truncation(annulus_model):
     # ceiling at h = 0.005; with cut-cell quadrature the fit measures 3.4e-3
-    ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12, h=annulus_model.h)
+    ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12,
+                         h=annulus_model.domain.h)
     err = kn.kernel_error([annulus_model], ref, margin=0.1)[0]
     assert err <= 2e-2
 
@@ -328,7 +329,8 @@ def test_annulus_fit_stated_tolerance(annulus_model):
     Cut-cell weights remove the O(h) staircase bias of the mask; the fit
     measures 3.4e-3.
     """
-    ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12, h=annulus_model.h)
+    ref = kn.closed_form(annulus(0, 0.5, 1), truncation=12,
+                         h=annulus_model.domain.h)
     err = kn.kernel_error([annulus_model], ref, margin=0.1)[0]
     assert err <= 1e-2, f"measured {err:.4e} at the pinned h=0.005"
 
@@ -384,7 +386,7 @@ def _z_blocks(domain, margin):
 
 
 def test_kernel_error_equals_per_w_loop(disc_model):
-    ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.h)
+    ref = kn.closed_form(disc(0, 1), truncation=8, h=disc_model.domain.h)
     assert _z_blocks(disc_model.domain, 0.2) > 1
     _assert_kernel_error_matches_per_w([disc_model], ref, 0.2,
                                        disc_model.domain)
@@ -573,10 +575,9 @@ def test_eval_many_rows_match_scalar_calls_closed_forms():
     radii = rng.uniform(0.55, 0.95, 200)
     zs = radii * np.exp(2j * np.pi * rng.uniform(size=200))
     ws = zs[:40] * 0.98
-    disc_k = kn.closed_form(disc(0, 1))
-    for K in (disc_k, kn.closed_form(disc(0, 1), truncation=8),
-              kn.closed_form(annulus(0, 0.5, 1), truncation=16),
-              kn.ScaledPlanarKernel(base=disc_k, scale=0.3 - 0.1j)):
+    for K in (kn.closed_form(disc(0, 1)),
+              kn.closed_form(disc(0, 1), truncation=8),
+              kn.closed_form(annulus(0, 0.5, 1), truncation=16)):
         _rows_match_scalar_calls(K, zs, ws)
 
 
@@ -681,7 +682,6 @@ def test_every_kernel_answers_the_protocol(disc_model, ring_times_disc_model):
                            "factors": [annulus(0, 0.5, 1), disc(0, 1)]},
                           truncation=16)
     planar = [disc_model, disc_cf, kn.closed_form(annulus(0, 0.5, 1)),
-              kn.ScaledPlanarKernel(base=disc_cf, scale=2.0),
               ring_times_disc_model.slice_fixed_last(0.3)]
     pairs = [ring_times_disc_model, prod]
     for K, w in [(K, 0.7 + 0.1j) for K in planar] + [(K, (0.7, 0.3j))
@@ -764,17 +764,6 @@ def test_reinhardt_slice_matches_full_eval(ring_times_disc_model):
         model.eval((z1, 0.3), (w1, 0.3)), rel=1e-12)
     assert sl.domain.labels_at(0.7 + 0j) > 0
     assert sl.domain.labels_at(0.3 + 0j) == 0
-
-
-def test_product_slice_scales_first_factor():
-    prod = kn.closed_form({"shape": "product",
-                           "factors": [annulus(0, 0.5, 1), disc(0, 1)]},
-                          truncation=32, h=0.02)
-    sl = prod.slice_fixed_last(0.3)
-    scale = 1 / (np.pi * (1 - 0.09) ** 2)
-    assert sl.eval(0.7, 0.8) == pytest.approx(
-        prod.factors[0].eval(0.7, 0.8) * scale, rel=1e-12)
-    assert sl.domain is not None
 
 
 def test_annulus_series_argument_outside_convergence():

@@ -45,8 +45,9 @@ def test_missing_required_keys_rejected():
 
 
 def test_bad_experiment_tag_rejected():
-    with pytest.raises(lab.ConfigError, match="unknown experiment"):
-        lab.config_from_dict({"experiment": "volcano", "h": 0.01})
+    for tag in ("volcano", ["exhaustion"], {"exhaustion": 1}):
+        with pytest.raises(lab.ConfigError, match="unknown experiment"):
+            lab.config_from_dict({"experiment": tag, "h": 0.01})
 
 
 def test_schedule_must_decrease():
