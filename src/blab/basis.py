@@ -49,7 +49,14 @@ import scipy.linalg as sla
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import ztrtrs
 
-from .geom import GeomError, GridDomain, PLANAR, REINHARDT, shell_mask
+from .geom import (
+    GeomError,
+    GridDomain,
+    PLANAR,
+    REINHARDT,
+    _row_slabs,
+    shell_mask,
+)
 
 GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
 
@@ -210,15 +217,24 @@ def term_matrix(basis: BasisSpec, points: np.ndarray) -> np.ndarray:
 
 def _write_powers(rows: np.ndarray, step: np.ndarray, wanted: dict) -> None:
     """rows[wanted[n]] = step^n for each requested n >= 0, by the ladder
-    1, step, step^2, ... held in one running array.  The product is taken
-    out of place: numpy's in-place complex multiply rounds some lengths
-    differently, and the values must not depend on the batch size."""
-    cur = np.ones_like(step)
+    1, step, step^2, ...: each product is written straight into its row, or
+    into one of two scratch rows for a power not kept, so no temporary is
+    made per power.  No product is taken into one of its own operands:
+    numpy's in-place complex multiply rounds some lengths differently, and
+    the values must not depend on the batch size."""
+    scratch = None
     for n in range(max(wanted) + 1):
-        if n:
-            cur = cur * step
         if n in wanted:
-            rows[wanted[n]] = cur
+            cur = rows[wanted[n]]
+        else:
+            if scratch is None:
+                scratch = np.empty((2, step.size), dtype=rows.dtype)
+            cur = scratch[n % 2]
+        if n:
+            np.multiply(prev, step, out=cur)
+        else:
+            cur[...] = 1
+        prev = cur
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +278,12 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     G's upper triangle; the lower triangle is then mirrored conjugate, and
     the stored matrix is exactly Hermitian with a real diagonal.
     Reinhardt cross terms between distinct bidegrees vanish analytically
-    and are set to zero.
+    and are set to zero.  A diagonal entry is one sum over a value array
+    of r1^(2a+1) r2^(2b+1) at the true cells in row-major order, filled a
+    row slab at a time from the powers of the slab's row radii and of the
+    column radii (a power is elementwise, so its bits do not depend on the
+    array it is taken on), so the branch holds that one float array beside
+    one slab of temporaries.
 
     inner, a fit of the same basis on a mask-built domain nested in a
     mask-built U on U's lattice (a `kernel.KernelModel`), chains the
@@ -301,13 +322,18 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     else:
         if inner is not None:
             raise BasisError("a chained Gram needs a planar basis")
-        ii, jj = np.nonzero(U.mask)
-        r1 = U.centers_x[ii]
-        r2 = U.centers_y[jj]
         w = (2 * np.pi) ** 2 * U.h * U.h
         G = np.zeros((N, N), dtype=complex)
+        values = np.empty(U.cell_count)
         for i, t in enumerate(basis.terms):
-            G[i, i] = np.sum(r1 ** (2 * t.a + 1) * r2 ** (2 * t.b + 1)) * w
+            y = U.centers_y ** (2 * t.b + 1)
+            at = 0
+            for r0, r1 in _row_slabs(*U.mask.shape):
+                x = U.centers_x[r0:r1, None] ** (2 * t.a + 1)
+                part = (x * y)[U.mask[r0:r1]]
+                values[at:at + part.size] = part
+                at += part.size
+            G[i, i] = np.sum(values) * w
     diag = np.diag(G).real
     bad = ~(np.isfinite(diag) & (diag >= np.finfo(float).tiny))
     if bad.any():

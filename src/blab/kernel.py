@@ -13,17 +13,20 @@ finite-rank kernel too, K(z, w) = conj(F(w))^T F(z) for a feature matrix F
 of scaled powers, and evaluates as that product.
 
 Fitted models and truncated closed forms share one evaluator,
-`_feature_product`.  A scalar-w call is a matrix-vector product and an
-array-w call one matrix product, so a row of an array-w call agrees with
-the scalar-w call to rounding, not bit for bit.  Every value is
+`_FiniteRank._feature_product`.  A scalar-w call is a matrix-vector product
+and an array-w call one matrix product, so a row of an array-w call agrees
+with the scalar-w call to rounding, not bit for bit.  Every value is
 reproducible run to run and at any BLAS thread count.
 
 Every kernel object answers one protocol (`Kernel`): `eval_many(zs, w)` for
 a batch of z at one w, or one row per w of a 1-D array of w;
 `eval_error_estimate(w)`; `domain` for planar kernels; scalar `eval`, a shim
-over `eval_many`.  C^2 models take zs (P, n) and w (n,) or (k, n).  Fitted
-models and Reinhardt slices raise `OutsideDomainError` off their domain and
-are exactly zero across components (a slice's are the profile's).
+over `eval_many`; and `prepare_w(ws)` with `eval_prepared(zs, side)`, the
+two steps of `eval_many` at a 1-D array of w, so that `kernel_error`
+prepares its w probes once for every block of z.  C^2 models take zs (P, n)
+and w (n,) or (k, n).  Fitted models and Reinhardt slices raise
+`OutsideDomainError` off their domain and are exactly zero across
+components (a slice's are the profile's).
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from .geom import (
 )
 
 EVAL_ERROR_COEFF = 1e-13    # machine-level error model: coeff * cond * scale
-PROBE_PAIRS = 1 << 15       # probe pairs per eval_many call in kernel_error
+PROBE_PAIRS = 1 << 13       # probe pairs per z block of kernel_error
+Z_ALIGN = 8                 # kernel_error z blocks hold a multiple of this
 Z_STRIDE = 4                # z probe lattice of kernel_error(_c2), in cells
 W_STRIDE = 16               # w probe lattice of kernel_error, in cells
 C2_W_PROBES = 12            # seeded w draws of kernel_error_c2
@@ -65,10 +69,22 @@ class OutsideDomainError(KernelError):
 
 class Kernel:
     """The evaluator protocol; subclasses define eval_many, and
-    eval_error_estimate where the closed-form model below does not fit."""
+    eval_error_estimate where the closed-form model below does not fit.
+
+    prepare_w and eval_prepared split eval_many at a 1-D array of w in two:
+    eval_prepared(zs, prepare_w(ws)) is eval_many(zs, ws), bit for bit, and
+    one prepared w side serves any number of z batches.  Here the w side is
+    ws itself; a finite-rank kernel (`_FiniteRank`) prepares its
+    conj-transposed w features."""
 
     def eval(self, z, w) -> complex:
         return complex(self.eval_many(np.array([z]), w)[0])
+
+    def prepare_w(self, ws):
+        return ws
+
+    def eval_prepared(self, zs, side) -> np.ndarray:
+        return self.eval_many(zs, side)
 
     def eval_error_estimate(self, w) -> float:
         """Evaluation error of a closed form, machine level on |K(w, w)|; a
@@ -85,12 +101,47 @@ def _require_inside(domain: GridDomain, points) -> np.ndarray:
     return labels
 
 
+class _FiniteRank(Kernel):
+    """A finite-rank kernel K(z, w) = conj(F(w))^T F(z).  Subclasses give
+    the feature map `_features`, one column per point of a 1-D array, and
+    `_points`, which checks the points of an array and returns the feature
+    map's 1-D input with the points' component labels (None unless the
+    domain has several components)."""
+
+    def eval_many(self, zs, w) -> np.ndarray:
+        z = self._points(zs)
+        rows = self._feature_product(z, self.prepare_w(w))
+        return rows if np.ndim(w) else rows.reshape(np.shape(zs))
+
+    def prepare_w(self, ws):
+        """The w side: the w points, conj(F(w))^T with one row per w, and
+        the w labels."""
+        points, labels = self._points(ws)
+        return points, np.conj(self._features(points)).T, labels
+
+    def eval_prepared(self, zs, side) -> np.ndarray:
+        return self._feature_product(self._points(zs), side)
+
+    def _feature_product(self, z, side) -> np.ndarray:
+        """conj(F(w))^T F(z), z from `_points` and the w side from
+        `prepare_w`: the one evaluator of fitted models and truncated
+        closed forms.  Each z is featurized once and the rows come from one
+        matrix product (a matrix-vector product at one w).  Pairs whose
+        labels differ are zero.  The (len(w), len(z)) product itself, never
+        a view, so that `kernel_error` takes its difference in place."""
+        (points, z_labels), (_, conj_w, w_labels) = z, side
+        out = conj_w @ self._features(points)
+        if w_labels is not None:
+            out[w_labels[:, None] != z_labels[None, :]] = 0.0
+        return out
+
+
 # ---------------------------------------------------------------------------
 # fitted planar models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KernelModel(Kernel):
+class KernelModel(_FiniteRank):
     """Finite-rank reproducing kernel of a basis span on a grid domain."""
 
     basis: bs.BasisSpec
@@ -107,21 +158,24 @@ class KernelModel(Kernel):
         B = bs.term_matrix(self.basis, points)
         return self.factor.whiten(B)
 
+    _features = whitened
+
     def eval_many(self, zs: np.ndarray, w) -> np.ndarray:
         """K(z, w) for a 1-D batch of z at one w, shape (len(zs),), or at
         each w of a 1-D array, shape (len(w), len(zs)) with one row per w.
 
-        Both point sets are checked against the domain and go to
+        Both point sets are checked against the domain, z first, and go to
         `_feature_product` with whitening as the feature map.  A scalar w is
         a one-column solve and a matrix-vector product, so every scan,
         winding and certificate reads the same bits whatever else is
         evaluated.  Pairs across components evaluate to exactly zero.
         """
-        labels = (_require_inside(self.domain, np.ravel(zs)),
-                  _require_inside(self.domain, np.ravel(w)))
-        return _feature_product(
-            self.whitened, zs, w,
-            labels if self.domain.n_components > 1 else None)
+        return super().eval_many(zs, w)
+
+    def _points(self, points):
+        points = np.ravel(points)
+        labels = _require_inside(self.domain, points)
+        return points, labels if self.domain.n_components > 1 else None
 
     def diagonal(self, zs: np.ndarray) -> np.ndarray:
         """K(z, z) >= 0, exact: sum of squared moduli of whitened coords."""
@@ -242,27 +296,8 @@ def _power_rows(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rows * weights[:, None]
 
 
-def _feature_product(features, zs, w, labels=None) -> np.ndarray:
-    """K(z, w) = conj(F(w))^T F(z) of a finite-rank kernel whose feature
-    map takes a 1-D array of points to one column per point: the one
-    evaluator of fitted models and truncated closed forms.  Each z and each
-    w is featurized once; the rows come from one matrix product (a
-    matrix-vector product at a scalar w).  labels, the (z, w) component
-    labels from `_require_inside` on a domain of several components, zero
-    the pairs whose labels differ.  Shape of zs at a scalar w; at a 1-D
-    array of w the (len(w), zs.size) product itself, never a view, so that
-    `kernel_error`'s difference reuses its buffer."""
-    zs = np.asarray(zs, dtype=complex)
-    ws = np.asarray(w, dtype=complex)
-    out = np.conj(features(ws.ravel())).T @ features(zs.ravel())
-    if labels is not None:
-        z_labels, w_labels = labels
-        out[w_labels[:, None] != z_labels[None, :]] = 0.0
-    return out if ws.ndim else out.reshape(zs.shape)
-
-
 @dataclass(frozen=True)
-class DiscKernel(Kernel):
+class DiscKernel(_FiniteRank):
     """Disc kernel r^2 / (pi (r^2 - s)^2), s = (z-c) conj(w-c).
 
     With a truncation M the kernel of the degree-M monomial span is evaluated
@@ -278,12 +313,22 @@ class DiscKernel(Kernel):
 
     def eval_many(self, zs, w):
         if self.truncation is not None:
-            return _feature_product(
-                self._features, np.asarray(zs, dtype=complex) - self.center,
-                np.asarray(w, dtype=complex) - self.center)
+            return super().eval_many(zs, w)
         s = _centered_product(zs, w, self.center)
         r2 = self.r * self.r
         return r2 / (np.pi * (r2 - s) ** 2)
+
+    # the rational form is not finite-rank: its w side is w itself
+    def prepare_w(self, ws):
+        return ws if self.truncation is None else super().prepare_w(ws)
+
+    def eval_prepared(self, zs, side):
+        if self.truncation is None:
+            return self.eval_many(zs, side)
+        return super().eval_prepared(zs, side)
+
+    def _points(self, points):
+        return np.ravel(np.asarray(points, dtype=complex) - self.center), None
 
     def _features(self, zc: np.ndarray) -> np.ndarray:
         n = np.arange(self.truncation + 1, dtype=float)
@@ -291,7 +336,7 @@ class DiscKernel(Kernel):
 
 
 @dataclass(frozen=True)
-class AnnulusKernel(Kernel):
+class AnnulusKernel(_FiniteRank):
     """Annulus kernel as the orthogonal Laurent series, truncated at |n| <= M.
 
     Coefficients are c_n = 1/||z^n||^2 with
@@ -333,22 +378,24 @@ class AnnulusKernel(Kernel):
         first = 1.0 / (2 * np.pi * math.log(self.R / self.rho) * self.rho ** 2)
         return np.concatenate([[first], rest])
 
-    def eval_many(self, zs, w):
+    def _points(self, points):
+        return np.ravel(np.asarray(points, dtype=complex) - self.center), None
+
+    def _feature_product(self, z, side):
         """The truncated series at every pair, as conj(F(w))^T F(z).  Raises
         KernelError when some pair has |s| <= rho^2 or |s| >= R^2, read from
         the extreme moduli of z - c and w - c."""
-        zc = np.asarray(zs, dtype=complex) - self.center
-        wc = np.asarray(w, dtype=complex) - self.center
-        za, wa = np.abs(zc).ravel(), np.abs(wc).ravel()
+        zc, wc = z[0], side[0]
+        za, wa = np.abs(zc), np.abs(wc)
         if za.size and wa.size:
-            for s in (zc.flat[za.argmin()] * np.conj(wc.flat[wa.argmin()]),
-                      zc.flat[za.argmax()] * np.conj(wc.flat[wa.argmax()])):
+            for s in (zc[za.argmin()] * np.conj(wc[wa.argmin()]),
+                      zc[za.argmax()] * np.conj(wc[wa.argmax()])):
                 if not self.rho ** 2 < abs(s) < self.R ** 2:
                     raise KernelError(
                         f"series argument s = {s:.6g} lies outside the annulus "
                         f"of convergence ({self.rho ** 2:.6g}, "
                         f"{self.R ** 2:.6g})")
-        return _feature_product(self._features, zc, wc)
+        return super()._feature_product(z, side)
 
     def _features(self, zc: np.ndarray) -> np.ndarray:
         v = self.rho / zc
@@ -468,7 +515,9 @@ def closed_form(spec: dict, truncation: int | None = None,
     annulus: Laurent series; `truncation` defaults to the smallest order
     whose recorded tail bound is below TAIL_TOL on the probe band.
     product: {"shape": "product", "factors": [...]}, factors built
-    recursively.  Passing h attaches a rasterized grid for scanning.
+    recursively, without grids.  Passing h attaches a rasterized grid for
+    scanning to a disc or annulus; a product has no grid, and raises
+    KernelError when given h.
     """
     kind = spec["shape"]
     if kind == "disc":
@@ -482,8 +531,10 @@ def closed_form(spec: dict, truncation: int | None = None,
         grid = make_domain(spec, h) if h else None
         return AnnulusKernel(center=c, rho=rho, R=R, truncation=M, domain=grid)
     if kind == "product":
+        if h is not None:
+            raise KernelError("a product closed form has no grid: pass no h")
         return ProductKernel(factors=tuple(
-            closed_form(f, truncation=truncation, h=h) for f in spec["factors"]))
+            closed_form(f, truncation=truncation) for f in spec["factors"]))
     raise KernelError(f"no closed form for shape {kind!r}")
 
 
@@ -647,19 +698,21 @@ def kernel_error(models, reference, margin: float,
     z runs over every Z_STRIDE-th cell of the compact set along each axis, w
     over every W_STRIDE-th; every model and the reference are evaluated on
     exactly the same pairs.  When the compact set is too small for a stride
-    lattice the stride halves until probes exist.  The z lattice is walked
-    in blocks of about PROBE_PAIRS / (number of w) probes, and each block
-    makes one `eval_many` call with all w probes (an array of w, one row
-    per w) on the reference, whose rows every model is then compared with.
-    So each z probe is featurized or whitened once per kernel, the
-    reference is evaluated once per run of a domain sequence, and memory
-    holds one reference block and one model block whatever the number of
-    models: at PROBE_PAIRS = 2^15 pairs, 0.5 MB of complex values each and
-    the moduli of their difference.  Much smaller blocks cost more in
-    calls than they save in memory.  Returns one float per model, each
-    equal to a one-model call bit for bit and to one w per call to
-    rounding; the values do not depend on the block size and are
-    reproducible run to run and at any BLAS thread count.
+    lattice the stride halves until probes exist.  The reference and each
+    model prepare their w side once (`Kernel.prepare_w`: a finite-rank
+    kernel's conj-transposed w features), and the z lattice is walked in
+    blocks of about PROBE_PAIRS / (number of w) probes (`_z_blocks`): each
+    block's rows (`eval_prepared`, one row per w) are evaluated once on the
+    reference, and every model's rows are compared with them, the
+    difference taken in place.  So each z and each w probe is featurized or
+    whitened once per kernel, the reference is evaluated once per run of a
+    domain sequence, and memory holds one reference block and one model
+    block whatever the number of models: at PROBE_PAIRS = 2^13 pairs,
+    128 KB of complex values each and the moduli of their difference.
+    Returns one float per model, each equal to a one-model call bit for bit
+    and to one w per call to rounding; the values are those of one product
+    over the whole lattice, so they do not depend on the block size, and
+    are reproducible run to run and at any BLAS thread count.
     """
     models = tuple(models)
     if domain is None:
@@ -667,15 +720,33 @@ def kernel_error(models, reference, margin: float,
     cells = compact_cells(domain, margin)
     z_probes = _probe_centers_dense_enough(domain, cells, Z_STRIDE)
     w_probes = _probe_centers_dense_enough(domain, cells, W_STRIDE)
-    block = max(1, PROBE_PAIRS // w_probes.size)
+    ref_side = reference.prepare_w(w_probes)
+    sides = [model.prepare_w(w_probes) for model in models]
     worst = [0.0] * len(models)
-    for start in range(0, z_probes.size, block):
-        zs = z_probes[start:start + block]
-        ref = reference.eval_many(zs, w_probes)
-        for k, model in enumerate(models):
-            diff = np.abs(model.eval_many(zs, w_probes) - ref)
-            worst[k] = max(worst[k], float(np.max(diff)))
+    for start, stop in _z_blocks(z_probes.size, w_probes.size):
+        zs = z_probes[start:stop]
+        ref = reference.eval_prepared(zs, ref_side)
+        for k, (model, side) in enumerate(zip(models, sides)):
+            diff = model.eval_prepared(zs, side)
+            diff -= ref
+            worst[k] = max(worst[k], float(np.max(np.abs(diff))))
     return tuple(worst)
+
+
+def _z_blocks(n_z: int, n_w: int) -> list[tuple[int, int]]:
+    """The (start, stop) ranges of kernel_error's z blocks: about
+    PROBE_PAIRS / n_w probes each, a whole multiple of Z_ALIGN, and a last
+    block of one probe joins the block before it.  OpenBLAS computes the
+    columns of a product past its last whole group of 4 (its complex gemm
+    column unroll) with an edge kernel, and numpy sends a one-column
+    product to a matrix-vector kernel, and both round differently; so only
+    such blocks give every pair the bits of one product over the whole
+    lattice, whatever PROBE_PAIRS is."""
+    block = max(1, PROBE_PAIRS // (n_w * Z_ALIGN)) * Z_ALIGN
+    edges = [*range(0, n_z, block), n_z]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
 
 
 def _probe_centers_dense_enough(domain: GridDomain, cells: np.ndarray,

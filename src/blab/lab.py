@@ -18,6 +18,7 @@ The four experiments:
 from __future__ import annotations
 
 import cmath
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -275,11 +276,13 @@ class ExperimentReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "report.csv"
-        with open(csv_path, "w", encoding="utf-8") as f:
-            f.write(",".join(self.columns) + "\n")
+        with open(csv_path, "w", encoding="utf-8", newline="") as f:
+            # a field holding a comma or a quote is quoted
+            rows = csv.writer(f, lineterminator="\n")
+            rows.writerow(self.columns)
             for row in self.rows:
-                f.write(",".join(_fmt(row[c]) if row[c] is not None else ""
-                                 for c in self.columns) + "\n")
+                rows.writerow(_fmt(row[c]) if row[c] is not None else ""
+                              for c in self.columns)
         json_path = out / "summary.json"
         with open(json_path, "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=1, sort_keys=True,

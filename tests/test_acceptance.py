@@ -393,7 +393,7 @@ def test_criterion_9_product_reinhardt():
     model = kn.fit_kernel(profile, bs.reinhardt_window(-8, 8, 8))
     prod = kn.closed_form({"shape": "product",
                            "factors": [annulus(0, 0.5, 1), disc(0, 1)]},
-                          truncation=8, h=0.01)
+                          truncation=8)
     err = kn.kernel_error_c2(model, prod, margin=0.08)
 
     sl = model.slice_fixed_last(0.4)

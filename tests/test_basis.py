@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg.blas import zherk
 
@@ -119,6 +121,39 @@ def test_term_matrix_rows_independent_of_batch():
     full = bs.term_matrix(B, pts)
     for k, p in enumerate(pts):
         assert full[k].tobytes() == bs.term_matrix(B, [p])[0].tobytes()
+
+
+def _out_of_place_ladder(rows, step, wanted):
+    """Oracle: the ladder with one new array per power, copied into its
+    row."""
+    cur = np.ones_like(step)
+    for n in range(max(wanted) + 1):
+        if n:
+            cur = cur * step
+        if n in wanted:
+            rows[wanted[n]] = cur
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.one_of(st.integers(1, 300), st.integers(4095, 4097)),
+       powers=st.sets(st.integers(0, 40), min_size=1, max_size=12),
+       reciprocal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_write_powers_equals_out_of_place_ladder(size, powers, reciprocal,
+                                                 seed):
+    # the products go straight into the rows (scratch rows for the gaps
+    # between wanted powers) with the oracle's bits, at every length
+    rng = np.random.default_rng(seed)
+    step = rng.uniform(-1.5, 1.5, size) + 1j * rng.uniform(-1.5, 1.5, size)
+    if reciprocal:
+        step = 1.0 / step
+    # the wanted powers' rows, scattered over a taller array
+    at = rng.permutation(len(powers) + 3)
+    wanted = {n: int(r) for n, r in zip(sorted(powers), at)}
+    got = np.zeros((len(powers) + 3, size), dtype=complex)
+    want = got.copy()
+    bs._write_powers(got, step, wanted)
+    _out_of_place_ladder(want, step, wanted)
+    assert got.tobytes() == want.tobytes()
 
 
 def _point_major_term_matrix(basis, points):
@@ -576,6 +611,35 @@ def test_reinhardt_gram_is_diagonal_with_radial_moments():
     for i, t in enumerate(B.terms):
         expected = np.pi ** 2 / ((t.a + 1) * (t.b + 1))  # polydisc moments
         assert G[i, i].real == pytest.approx(expected, rel=0.02)
+
+
+@pytest.mark.parametrize("slab", [1, 7, 2 ** 14])
+def test_reinhardt_gram_bytes_equal_whole_mask_sums(monkeypatch, slab):
+    # the diagonal filled row slab by row slab is the one sum over the
+    # whole mask's radii to the bit, wherever the slabs end
+    monkeypatch.setattr(geom, "SLAB_CELLS", slab)
+    for spec, h, B in (
+            (rectangle((0, 0), (1, 1)), 0.02, bs.reinhardt_window(0, 3, 3)),
+            (rectangle((0.5, 0), (1, 0.05)), 0.01, bs.reinhardt_window(-2, 2, 1)),
+            (disc(0, 1), 0.013, bs.reinhardt_window(0, 4, 2))):
+        U = make_domain(reinhardt_profile(spec), h=h)
+        ii, jj = np.nonzero(U.mask)
+        r1, r2 = U.centers_x[ii], U.centers_y[jj]
+        w = (2 * np.pi) ** 2 * U.h * U.h
+        want = [np.sum(r1 ** (2 * t.a + 1) * r2 ** (2 * t.b + 1)) * w
+                for t in B.terms]
+        got = np.diag(bs.gram_matrix(B, U).matrix)
+        assert got.real.tobytes() == np.array(want).tobytes()
+        assert (got.imag == 0).all()
+
+
+def test_reinhardt_gram_holds_one_value_array(traced_peak):
+    # one float per true cell and a slab of temporaries: the whole mask's
+    # index arrays, radii and per-term powers would hold 48 bytes a cell
+    U = make_domain(reinhardt_profile(disc(0, 1)), h=0.002)
+    B = bs.reinhardt_window(0, 3, 3)
+    peak = traced_peak(lambda: bs.gram_matrix(B, U))
+    assert peak < 16 * U.cell_count
 
 
 def test_reinhardt_laurent_needs_excluded_axis():

@@ -242,8 +242,13 @@ def test_product_kernel_zero_follows_annulus_factor():
 
 
 def test_polydisc_closed_form():
-    K = kn.closed_form({"shape": "product", "factors": [disc(0, 1), disc(0, 1)]})
+    spec = {"shape": "product", "factors": [disc(0, 1), disc(0, 1)]}
+    K = kn.closed_form(spec)
     assert K.eval((0, 0), (0, 0)).real == pytest.approx(1 / np.pi ** 2, rel=1e-12)
+    # a product's factors carry no grid, and no grid is built for it
+    assert all(f.domain is None for f in K.factors)
+    with pytest.raises(kn.KernelError, match="no grid"):
+        kn.closed_form(spec, h=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,20 @@ def _z_blocks(domain, margin):
     cells = kn.compact_cells(domain, margin)
     n_z = kn._probe_centers_dense_enough(domain, cells, kn.Z_STRIDE).size
     n_w = kn._probe_centers_dense_enough(domain, cells, kn.W_STRIDE).size
-    return math.ceil(n_z / max(1, kn.PROBE_PAIRS // n_w))
+    return len(kn._z_blocks(n_z, n_w))
+
+
+@pytest.mark.parametrize("n_w", [1, 7, 146, 1024, 1 << 20])
+def test_z_blocks_are_aligned_and_never_one_probe(n_w):
+    for n_z in (1, 2, 8, 9, 57, 1000, 1001, 5038):
+        blocks = kn._z_blocks(n_z, n_w)
+        starts, stops = zip(*blocks)
+        assert starts[0] == 0 and stops[-1] == n_z
+        assert starts[1:] == stops[:-1]
+        assert all(start % kn.Z_ALIGN == 0 for start in starts)
+        size = max(1, kn.PROBE_PAIRS // (n_w * kn.Z_ALIGN)) * kn.Z_ALIGN
+        assert all(stop - start == size for start, stop in blocks[:-1])
+        assert stops[-1] - starts[-1] > 1 or n_z == 1
 
 
 def test_kernel_error_equals_per_w_loop(disc_model):
@@ -397,6 +415,8 @@ def test_kernel_error_sequence_equals_per_model_disc_exhaustion():
     target = make_domain(disc(0, 1), h=h)
     seq = interior_exhaustion(target, [0.2, 0.1, 0.05])
     models = [kn.fit_kernel(m, bs.monomials(0, 8)) for m in seq.members]
+    # a closed form among the models, as criterion 4 passes one
+    models.append(kn.DiscKernel(0, 0.95, 8))
     ref = kn.closed_form(disc(0, 1), truncation=8, h=h)
     assert _z_blocks(target, 0.3) > 1
     errors = _assert_kernel_error_matches_per_w(models, ref, 0.3, target)
@@ -420,29 +440,53 @@ def test_kernel_error_sequence_equals_per_model_barbell(monkeypatch):
 
 
 def _block_size_case(name, request):
-    """A model, a reference and a margin for kernel_error."""
+    """A model, a reference, a margin and the probe domain for
+    kernel_error."""
+    if name == "closed_form_model":
+        # a truncated closed form as the model, as criterion 4 compares
+        # the disc of the last member's depth with the target's
+        domain = request.getfixturevalue("disc_model").domain
+        return (kn.DiscKernel(0, 0.95, 8), kn.closed_form(disc(0, 1), truncation=8),
+                0.2, domain)
     model = request.getfixturevalue(name)
     if name == "disc_model":
-        return model, kn.closed_form(disc(0, 1), truncation=8), 0.2
+        return model, kn.closed_form(disc(0, 1), truncation=8), 0.2, model.domain
     if name == "annulus_model":
-        return model, kn.closed_form(annulus(0, 0.5, 1), truncation=12), 0.1
+        return (model, kn.closed_form(annulus(0, 0.5, 1), truncation=12), 0.1,
+                model.domain)
     # a lower-degree fit on the same two discs: pairs across them are zero
     # in both
-    return model, kn.fit_kernel(model.domain, bs.monomials(0, 6)), 0.1
+    return (model, kn.fit_kernel(model.domain, bs.monomials(0, 6)), 0.1,
+            model.domain)
 
 
 @pytest.mark.parametrize("name", ["disc_model", "annulus_model",
-                                  "two_disc_model"])
+                                  "two_disc_model", "closed_form_model"])
 def test_kernel_error_independent_of_block_size(name, request, monkeypatch):
-    model, ref, margin = _block_size_case(name, request)
+    model, ref, margin, domain = _block_size_case(name, request)
     errors, blocks = [], []
-    for pairs in (1 << 12, 1 << 15, 1 << 17):
+    for pairs in (1, 1 << 13, 1 << 15, 1 << 17):
         monkeypatch.setattr(kn, "PROBE_PAIRS", pairs)
-        blocks.append(_z_blocks(model.domain, margin))
-        errors.append(kn.kernel_error([model], ref, margin,
-                                      domain=model.domain))
-    assert blocks[0] > blocks[2] and errors[0][0] > 0
-    assert errors[0] == errors[1] == errors[2]
+        blocks.append(_z_blocks(domain, margin))
+        errors.append(kn.kernel_error([model], ref, margin, domain=domain))
+    assert blocks[0] > blocks[-1] and errors[0][0] > 0
+    assert len(set(errors)) == 1
+
+
+def test_kernel_error_holds_one_block_of_pairs(traced_peak):
+    # every w side is prepared once, so a block of PROBE_PAIRS = 2^13
+    # pairs holds a reference block, a model block and their difference's
+    # moduli (320 KB) beside one block's z features; re-featurizing the w
+    # probes in 2^15-pair blocks traced 1.66 MB
+    h = 0.008
+    target = make_domain(disc(0, 1), h=h)
+    seq = interior_exhaustion(target, [0.2, 0.1, 0.05])
+    models = [kn.fit_kernel(m, bs.monomials(0, 10)) for m in seq.members]
+    ref = kn.closed_form(disc(0, 1), truncation=10)
+    first = kn.kernel_error(models, ref, 0.3, domain=target)
+    peak = traced_peak(lambda: kn.kernel_error(models, ref, 0.3, domain=target))
+    assert kn.kernel_error(models, ref, 0.3, domain=target) == first
+    assert peak < 800_000
 
 
 # ---------------------------------------------------------------------------

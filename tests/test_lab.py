@@ -1,5 +1,6 @@
 """Experiment drivers, configs, and report files."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -255,24 +256,26 @@ def test_exhaustion_annulus_certifies_each_stage():
 
 @pytest.fixture
 def reference_calls(monkeypatch):
-    """The closed forms whose eval_many ran, one entry per call; blocks of
-    at most 64 probe pairs make every run take several."""
+    """The closed forms whose rows were evaluated, one entry per eval_many
+    or eval_prepared call; blocks of at most 64 probe pairs make every run
+    take several."""
     monkeypatch.setattr(kn, "PROBE_PAIRS", 64)
     calls = []
     for cls in (kn.DiscKernel, kn.AnnulusKernel):
-        def counted(self, zs, w, real=cls.eval_many):
-            calls.append(self)
-            return real(self, zs, w)
-        monkeypatch.setattr(cls, "eval_many", counted)
+        for name in ("eval_many", "eval_prepared"):
+            def counted(self, zs, w, real=getattr(cls, name)):
+                calls.append(self)
+                return real(self, zs, w)
+            monkeypatch.setattr(cls, name, counted)
     return calls
 
 
 def _reference_chunks(domain, margin):
-    """z blocks of one kernel_error call: one reference call each."""
+    """z blocks of one kernel_error call: one reference evaluation each."""
     cells = kn.compact_cells(domain, margin)
     n_z = kn._probe_centers_dense_enough(domain, cells, kn.Z_STRIDE).size
     n_w = kn._probe_centers_dense_enough(domain, cells, kn.W_STRIDE).size
-    return math.ceil(n_z / max(1, kn.PROBE_PAIRS // n_w))
+    return len(kn._z_blocks(n_z, n_w))
 
 
 @pytest.mark.parametrize("depths", [[0.2], [0.2, 0.15, 0.1]])
@@ -541,6 +544,20 @@ def test_shipped_report_bytes_reproduce_across_runs_and_threads(tmp_path,
     a, b, c = ((tmp_path / run / "summary.json").read_bytes()
                for run in ("a", "b", "c"))
     assert a == b == c
+
+
+@pytest.mark.parametrize("name", ["disc_exhaustion", "annulus_exhaustion",
+                                  "barbell", "nowhere_density",
+                                  "nowhere_density_c2", "metric_demo"])
+def test_shipped_report_csv_rows_match_the_header(tmp_path, name):
+    # a detail holding a comma is one quoted field, not extra columns
+    root = Path(__file__).resolve().parent.parent
+    report = lab.run_experiment(lab.load_config(root / "configs" / f"{name}.json"))
+    csv_path, _ = report.write(tmp_path)
+    with open(csv_path, newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    assert header == report.columns and len(rows) == len(report.rows)
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_certificates_embedded_are_valid(metric_report):

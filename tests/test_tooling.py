@@ -10,7 +10,7 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so seven more tests parse every module of
+No linter ships with the project, so eight more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
 one on a module-level private helper that nothing in `src/blab` uses, one
 on a module-level public function or class that nothing in `src/blab` reads
@@ -20,8 +20,11 @@ name (these two also fail on an allow-listed test-only name that
 `src/blab` reads again), one on a module-level UPPERCASE constant
 that nothing in `src/blab` reads, one unless scipy's
 `distance_transform_edt` is called from exactly one place, the single
-transform routine every distance read goes through, and one on any call
-of `np.meshgrid`, which builds two float arrays of a whole grid.
+transform routine every distance read goes through, one on a matrix
+product in `kernel.py` outside its one finite-rank evaluator and two test
+entry points, so that `kernel_error` cannot grow a second evaluation path,
+and one on any call of `np.meshgrid`, which builds two float arrays of a
+whole grid.
 
 The README's quick start is run as written, so the documented API cannot
 drift from the package unseen.
@@ -282,6 +285,27 @@ def test_one_distance_transform_call_site():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "distance_transform_edt"]
     assert len(sites) == 1, sites
+
+
+# where kernel.py may take a matrix product: the one finite-rank evaluator,
+# and the test entry points that check the fit's algebra
+MATMUL_SITES = {"_feature_product", "extremal_value", "reproducing_residual"}
+
+
+def test_one_kernel_evaluator():
+    # fitted models and truncated closed forms evaluate through one
+    # product, so every value kernel_error compares comes from eval_many's
+    # own path
+    tree = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
+    sites = [(fn.name, node.lineno) for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    products = sum(isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.MatMult)
+                   for node in ast.walk(tree))
+    assert len(sites) == products >= 4
+    assert {name for name, _ in sites} == MATMUL_SITES, sites
 
 
 def test_no_meshgrid_call():
