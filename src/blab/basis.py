@@ -13,12 +13,15 @@ quadrature`): cut-cell area fractions on a domain rasterized from a shape
 spec, the plain midpoint rule per true cell on a domain built from a mask.
 The pole rule of `check_admissible` reads the same record, so it checks
 exactly the cells the Gram integrates.  The nodes are taken in their fixed
-row-major order, in blocks of GRAM_BLOCK, and each block adds into the
-Gram with one Hermitian rank-k BLAS update (zherk).  Every block is read
-from the row slab of the quadrature's cell mask (or shell) that holds it,
-so no node array of the whole domain is built.  Only one block's nodes and
-term values are held at a time, and every Gram entry is bit reproducible
-run to run and at any BLAS thread count.
+row-major order, in blocks of GRAM_BLOCK (a short last block joins the one
+before it, `_gram_edges`), and each block adds into the Gram with one
+Hermitian rank-k BLAS update (zherk).  Every block is a whole multiple of
+zherk's own panel of GRAM_ALIGN nodes, so the blocked sum equals one zherk
+over all the nodes bit for bit, whatever GRAM_BLOCK is.  Every block is
+read from the row slab of the quadrature's cell mask (or shell) that holds
+it, so no node array of the whole domain is built.  Only one block's nodes
+and term values are held at a time, and every Gram entry is bit
+reproducible run to run and at any BLAS thread count.
 
 Nested members of one sequence on one lattice (an exhaustion's interior
 approximants, a barbell's necks) are fitted shell by shell: given the fit
@@ -58,7 +61,21 @@ from .geom import (
     shell_mask,
 )
 
-GRAM_BLOCK = 4096           # quadrature nodes per Hermitian update of a Gram
+GRAM_ALIGN = 128            # OpenBLAS zherk's panel along the summed nodes
+GRAM_BLOCK = 2048           # quadrature nodes per Hermitian update of a Gram
+
+
+def _gram_edges(n: int) -> list[int]:
+    """Node offsets 0 = e_0 < e_1 < ... = n of a Gram's blocks: GRAM_BLOCK
+    nodes each, a whole multiple of GRAM_ALIGN, and a last block shorter
+    than GRAM_ALIGN joins the block before it.  OpenBLAS's zherk sums its
+    nodes in panels of GRAM_ALIGN and splits the last two panels evenly, so
+    only such blocks give every entry the bits of one zherk over all n
+    nodes, whatever GRAM_BLOCK is."""
+    edges = [*range(0, n, GRAM_BLOCK), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] < GRAM_ALIGN:
+        del edges[-2]
+    return edges
 
 
 class BasisError(ValueError):
@@ -267,16 +284,19 @@ def _normalized_cond(G: np.ndarray) -> float:
 def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     """Assemble the Gram matrix of the basis over U by its cell quadrature.
 
-    Planar terms are evaluated on GRAM_BLOCK quadrature nodes at a time,
+    Planar terms are evaluated on one block of quadrature nodes at a time,
     in the fixed node order, as the term-major (k, N) block B of
-    `term_matrix`, and scaled by the square roots of the cell area
-    fractions; on a mask-built domain every fraction is 1, there is no
-    scaling and the entries are midpoint sums.  Each block adds
-    h^2 B^H B into the upper triangle with one Hermitian rank-k update
-    (zherk with trans='C', which reads B in place).  That sum is conj(G),
-    computed with the same rounding as G itself, so conjugating it gives
-    G's upper triangle; the lower triangle is then mirrored conjugate, and
-    the stored matrix is exactly Hermitian with a real diagonal.
+    `term_matrix`, and scaled by the square roots of the area fractions of
+    the block's own cells, sliced by its node offsets (`_gram_edges`; the
+    last block may hold up to GRAM_ALIGN - 1 nodes more than GRAM_BLOCK);
+    on a mask-built domain every fraction is 1, there is no scaling and the
+    entries are midpoint sums.  Each block adds h^2 B^H B into the upper
+    triangle with one Hermitian rank-k update (zherk with trans='C', which
+    reads B in place), and the blocked sum has the bits of one such update
+    over every node.  That sum is conj(G), computed with the same rounding
+    as G itself, so conjugating it gives G's upper triangle; the lower
+    triangle is then mirrored conjugate, and the stored matrix is exactly
+    Hermitian with a real diagonal.
     Reinhardt cross terms between distinct bidegrees vanish analytically
     and are set to zero.  A diagonal entry is one sum over a value array
     of r1^(2a+1) r2^(2b+1) at the true cells in row-major order, filled a
@@ -306,11 +326,12 @@ def gram_matrix(basis: BasisSpec, U: GridDomain, inner=None) -> GramMatrix:
     N = len(basis)
     if basis.kind == PLANAR:
         Gc, cells, frac = _gram_start(basis, U, inner)
-        for k, nodes in enumerate(U.center_blocks(cells, GRAM_BLOCK)):
+        edges = _gram_edges(int(np.count_nonzero(cells)))
+        for start, stop, nodes in zip(edges, edges[1:],
+                                      U.center_blocks(cells, edges)):
             B = term_matrix(basis, nodes)
             if frac is not None:
-                at = k * GRAM_BLOCK
-                B *= np.sqrt(frac[at:at + GRAM_BLOCK])[:, None]
+                B *= np.sqrt(frac[start:stop])[:, None]
             # B is the Fortran-ordered k x N operand of C += a A^H A
             Gc = zherk(U.h * U.h, B, beta=1.0, c=Gc, trans=2, overwrite_c=1)
             del B       # freed before the next block's values are built

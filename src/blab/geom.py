@@ -152,16 +152,15 @@ class GridDomain:
             at += part.size
         return out
 
-    def center_blocks(self, cells: np.ndarray, size: int):
-        """The centers of `centers_of(cells)`, in that order, as consecutive
-        blocks of `size` (the last one shorter).  Each block is read from
-        the rows that hold it, found by a search of the cumulative per-row
-        counts, so a block holds at most its own nodes and two partial
-        rows."""
+    def center_blocks(self, cells: np.ndarray, edges: Sequence[int]):
+        """The centers of `centers_of(cells)`, in that order, as the
+        consecutive blocks centers_of(cells)[e_k:e_k+1] for the increasing
+        node offsets `edges`, which run from 0 to the node count.  Each
+        block is read from the rows that hold it, found by a search of the
+        cumulative per-row counts, so a block holds at most its own nodes
+        and two partial rows."""
         ends = np.cumsum(np.count_nonzero(cells, axis=1))
-        total = int(ends[-1])
-        for start in range(0, total, size):
-            stop = min(start + size, total)
+        for start, stop in zip(edges, edges[1:]):
             r0 = int(np.searchsorted(ends, start, side="right"))
             r1 = int(np.searchsorted(ends, stop, side="left")) + 1
             skip = start - (int(ends[r0 - 1]) if r0 else 0)

@@ -574,23 +574,14 @@ def _placement(delta: float, h: float) -> tuple[float, float]:
     return R_d, delta / 16
 
 
-def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
-    """The end-to-end construction: arbitrarily rho1-close to the input
-    domain, produce a domain whose kernel carries a certified zero.
-
-    The delta budget splits four ways: interior exhaustion within delta/4,
-    a small annulus of diameter below delta/4 placed within delta/4 of the
-    input, a neck (connected mode) inside the placement gap, and the
-    certificate.  Planar inputs run the full pipeline; a reinhardt-profile
-    input places an annulus x disc product (log-convexity validated) and
-    certifies on the annulus-factor slice.
-    """
-    if config.shapes["target"]["shape"] == "reinhardt-profile":
-        return _run_nowhere_density_c2(config)
+def _planar_join(config: ExperimentConfig) -> tuple:
+    """Stages 0-2 of a planar nowhere-density run: the report with their
+    rows and checks, the exhaustion member, the placed annulus lobe, the
+    joined result and rho1(result, target).  The target's last reader is
+    the join row's rho2; it is not returned, so the target, its mask, its
+    cached distance field and its boundary tree are freed before the fit."""
     report, G, member = _exhausted_start(config, connected=config.connected)
     h, delta = config.h, float(config.delta)
-    window = config.basis_window
-    n_neg, n_pos = window
 
     # stage 2: place a small annulus of diameter < delta/4 within delta/4
     R_d, gap = _placement(delta, h)
@@ -624,6 +615,26 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     if config.connected:
         report.check("result_connected", result.n_components == 1,
                      f"{result.n_components} components")
+    return report, member, D, result, r1_result
+
+
+def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
+    """The end-to-end construction: arbitrarily rho1-close to the input
+    domain, produce a domain whose kernel carries a certified zero.
+
+    The delta budget splits four ways: interior exhaustion within delta/4,
+    a small annulus of diameter below delta/4 placed within delta/4 of the
+    input, a neck (connected mode) inside the placement gap, and the
+    certificate.  Planar inputs run the full pipeline; a reinhardt-profile
+    input places an annulus x disc product (log-convexity validated) and
+    certifies on the annulus-factor slice.
+    """
+    if config.shapes["target"]["shape"] == "reinhardt-profile":
+        return _run_nowhere_density_c2(config)
+    report, member, D, result, r1_result = _planar_join(config)
+    window = config.basis_window
+    n_neg, n_pos = window
+    c_d, R_d = complex(*D.spec["center"]), D.spec["R"]
 
     # stage 4: certify a kernel zero on the annulus lobe.  The window basis
     # alone cannot carry positive local frequencies on a lobe 16x smaller
@@ -636,7 +647,7 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     basis = bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg),
                       *(bs.principal_parts(p, 2) for p in poles))
     probes = zr.default_probes(D, 6, config.seed)
-    bbox = _lobe_scan_window(d_spec, h)
+    bbox = _lobe_scan_window(D.spec, config.h)
     try:
         model = kn.fit_kernel(result, basis)
     except (bs.BasisError, bs.FactorizationError) as e:
@@ -663,12 +674,13 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
-    """Reinhardt-profile variant: place an annulus x disc product near the
-    profile and certify on the annulus-factor slice."""
+def _c2_join(config: ExperimentConfig) -> tuple:
+    """Stages 0-2 of a reinhardt-profile nowhere-density run: the report
+    with their rows and checks, the placed product's profile and
+    rho1(result, target).  As in `_planar_join`, the target's last reader
+    is the join row's rho2, and it is freed before the fit."""
     report, G, member = _exhausted_start(config, mode="reinhardt")
     h, delta = config.h, float(config.delta)
-    n_neg, n_pos = config.basis_window
 
     # place an annulus x disc product beyond the profile in r1: its profile
     # is the rectangle (r1_lo, 0) x (r1_lo + ring, r2_hi)
@@ -695,6 +707,14 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
                           f"tried since {C2_NO_NECK}")
     report.check("result_within_delta", r1_result < delta,
                  f"rho1 {r1_result:.6g} vs delta {delta:.6g}")
+    return report, Dprof, r1_result
+
+
+def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
+    """Reinhardt-profile variant: place an annulus x disc product near the
+    profile and certify on the annulus-factor slice."""
+    report, Dprof, r1_result = _c2_join(config)
+    n_neg, n_pos = config.basis_window
 
     # certify on the annulus-factor slice of the placed product
     model = kn.fit_kernel(Dprof, bs.reinhardt_window(-n_neg, n_pos, n_pos))

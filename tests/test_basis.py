@@ -181,12 +181,12 @@ def _broadcast_centers(U, cells):
 
 
 def _point_major_gram(basis, U, inner=None):
-    """Oracle: point-major blocks of the whole node array, each scaled by
-    sqrt(frac) and added by zherk with trans='N' to zero or to an inner
-    fit's matrix, then the lower triangle mirrored.  The nodes are the
-    broadcast index of the cells with positive area fraction on a
-    spec-built U, of U's mask on a mask-built one, and of the shell outside
-    the inner fit's domain on a chained one."""
+    """Oracle: one point-major zherk with trans='N' over every node, each
+    scaled by sqrt(frac), added to zero or to an inner fit's matrix, then
+    the lower triangle mirrored.  The nodes are the broadcast index of the
+    cells with positive area fraction on a spec-built U, of U's mask on a
+    mask-built one, and of the shell outside the inner fit's domain on a
+    chained one."""
     N = len(basis)
     if U.spec is not None:
         frac = geom._area_fractions(U.spec, U.mask, U.centers_x, U.centers_y,
@@ -196,14 +196,11 @@ def _point_major_gram(basis, U, inner=None):
     else:
         cells = U.mask if inner is None else geom.shell_mask(U, inner.domain)
         frac = np.ones(int(np.count_nonzero(cells)))
-    nodes = _broadcast_centers(U, cells)
+    B = _point_major_term_matrix(basis, _broadcast_centers(U, cells))
+    B *= np.sqrt(frac)[:, None]
     G = (np.zeros((N, N), dtype=complex, order="F") if inner is None
          else np.array(inner.gram.matrix, order="F"))
-    for start in range(0, nodes.size, bs.GRAM_BLOCK):
-        block = slice(start, start + bs.GRAM_BLOCK)
-        B = _point_major_term_matrix(basis, nodes[block])
-        B *= np.sqrt(frac[block])[:, None]
-        G = zherk(U.h * U.h, B.T, beta=1.0, c=G, overwrite_c=1)
+    G = zherk(U.h * U.h, B.T, beta=1.0, c=G, overwrite_c=1)
     lower = np.tril_indices(N, -1)
     G[lower] = G.T[lower].conj()
     return G
@@ -218,21 +215,51 @@ def _banded_domain(rows):
     return GridDomain(origin=(-0.3, -0.2), h=0.01, mask=mask)
 
 
+# disc radii about CUT_CENTER whose cut cells number 8192 + r at h 0.01;
+# r is then the remainder mod 128, 2048 and 4096 alike
+CUT_CENTER = 0.0123 + 0.0371j
+CUT_RADII = {0: 0.50446, 1: 0.50447, 127: 0.50838}
+REMAINDER_CASES = tuple(f"{family}-rem-{r}" for family in ("mask", "cut-cell",
+                                                           "shell")
+                        for r in CUT_RADII)
+
+
+def _remainder_case(name):
+    """8192 + r nodes, whose last block in any blocking by a multiple of
+    128 up to 4096 holds r nodes: on a mask-built domain, on a spec-built
+    one with cut cells, or on the shell outside an inner fit."""
+    family, r = name.rsplit("-rem-", 1)
+    r = int(r)
+    tail = [r] if r else []
+    if family == "cut-cell":
+        return (make_domain(disc(CUT_CENTER, CUT_RADII[r]), h=0.01),
+                bs.monomials(CUT_CENTER, 10), None)
+    basis = bs.monomials(0.3 + 0.4j, 10)
+    if family == "mask":
+        return _banded_domain([100] * 81 + [92] + tail), basis, None
+    # 12,000 + 2,192 + r cells around an inner 6,000
+    inner = _banded_domain([60] * 100)
+    outer = _banded_domain([120] * 100 + [100] * 21 + [92] + tail)
+    return outer, basis, kn.fit_kernel(inner, basis)
+
+
 def _gram_parity_case(name):
     """U, a basis and the inner fit to chain onto (None for a whole Gram)."""
     c = 0.1 + 0.05j
+    if name in REMAINDER_CASES:
+        return _remainder_case(name)
     if name == "chained-shell":
         target = make_domain(disc(c, 0.9), h=0.01)
         inner, outer = interior_exhaustion(target, [0.3, 0.05]).members
         basis = bs.monomials(c, 10)
         return outer, basis, kn.fit_kernel(inner, basis)
     if name == "mid-row-block":
-        # 4096 = 40 rows of 100 cells and 96 more: every block ends mid-row
+        # 2048 = 20 rows of 100 cells and 48 more: every block ends mid-row
         return _banded_domain([100] * 130), bs.monomials(0.3 + 0.4j, 10), None
     if name == "empty-rows":
         # empty rows first, between and last; the first two blocks end
         # exactly at the end of a row that empty rows follow
-        rows = [0] * 3 + [64] * 64 + [0] * 5 + [64] * 64 + [0] * 2 + [50] * 30 + [0]
+        rows = [0] * 3 + [64] * 32 + [0] * 5 + [64] * 32 + [0] * 2 + [50] * 30 + [0]
         return _banded_domain(rows), bs.monomials(0.3 + 0.4j, 10), None
     return (*_whole_gram_case(name), None)
 
@@ -277,20 +304,27 @@ def test_term_matrix_is_term_major():
 
 
 MASK_BUILT_CASES = ("exhaustion-member", "annulus-member", "two-disc",
-                    "chained-shell", "mid-row-block", "empty-rows")
+                    "chained-shell", "mid-row-block", "empty-rows",
+                    *(n for n in REMAINDER_CASES if "cut-cell" not in n))
 # unit fractions: the mask-built domains, and the spec-built L, whose edges
 # lie on cell edges
 UNIT_FRACTION_CASES = MASK_BUILT_CASES + ("L",)
+PARITY_CASES = ("annulus", "disc-minus-disc", "rectangle", "exhaustion-member",
+                "real-symmetric-union", "annulus-member", "two-disc", "L",
+                "chained-shell", "mid-row-block", "empty-rows",
+                *REMAINDER_CASES)
+# 128 (every block one zherk panel), the shipped 2048, 4096 and one block
+GRAM_BLOCKS = (128, 2048, 4096, 2 ** 30)
 
 
-@pytest.mark.parametrize("name", ["annulus", "disc-minus-disc", "rectangle",
-                                  "exhaustion-member", "real-symmetric-union",
-                                  "annulus-member", "two-disc", "L",
-                                  "chained-shell", "mid-row-block",
-                                  "empty-rows"])
-def test_gram_bytes_equal_point_major_assembly(name):
-    # the Gram is the point-major oracle's to the bit, whole or chained
-    # onto an inner fit, whatever rows the streamed node blocks end in
+@pytest.mark.parametrize("name, block", [
+    pytest.param(name, block,
+                 id=name if block == bs.GRAM_BLOCK else f"{name}-{block}")
+    for name in PARITY_CASES for block in GRAM_BLOCKS])
+def test_gram_bytes_equal_point_major_assembly(monkeypatch, name, block):
+    # the Gram is the bits of one point-major zherk over every node, whole
+    # or chained onto an inner fit, whatever the block size and whatever
+    # rows the streamed node blocks end in
     U, basis, inner = _gram_parity_case(name)
     frac = U.quadrature[1]
     # no fractions on a mask-built domain, all ones on the spec-built L,
@@ -299,8 +333,10 @@ def test_gram_bytes_equal_point_major_assembly(name):
     unit = frac is None or (frac == 1.0).all()
     assert unit == (name in UNIT_FRACTION_CASES)
     assert (U.spec is None) == (name in MASK_BUILT_CASES)
-    cells = U.mask if inner is None else geom.shell_mask(U, inner.domain)
+    cells = (U.quadrature[0] if inner is None
+             else geom.shell_mask(U, inner.domain))
     ends = np.cumsum(np.count_nonzero(cells, axis=1))
+    # the cases as named at the shipped block size
     assert ends[-1] > 2 * bs.GRAM_BLOCK
     block_ends = np.arange(bs.GRAM_BLOCK, ends[-1], bs.GRAM_BLOCK)
     if name == "mid-row-block":
@@ -309,6 +345,11 @@ def test_gram_bytes_equal_point_major_assembly(name):
         at = np.searchsorted(ends, block_ends[:2])
         assert (ends[at] == block_ends[:2]).all()
         assert (ends[at + 1] == ends[at]).all()
+    if name in REMAINDER_CASES:
+        r = int(name.rsplit("-", 1)[1])
+        assert ends[-1] == 8192 + r
+        assert ends[-1] % bs.GRAM_ALIGN == ends[-1] % bs.GRAM_BLOCK == r
+    monkeypatch.setattr(bs, "GRAM_BLOCK", block)
     G = bs.gram_matrix(basis, U, inner=inner).matrix
     oracle = _point_major_gram(basis, U, inner)
     # tobytes compares signed zeros too: +0.0 on the diagonal's imaginary
@@ -320,18 +361,34 @@ def test_gram_bytes_equal_point_major_assembly(name):
         assert (G[np.triu_indices(G.shape[0], 1)].imag == 0).any()
 
 
+@pytest.mark.parametrize("block", [128, 256, 2048, 4096])
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 2047, 2048, 2049, 4223,
+                               4224, 82035])
+def test_gram_edges_are_aligned_and_end_with_no_short_block(monkeypatch, n,
+                                                            block):
+    # every block a whole number of zherk panels, but the last, which holds
+    # at least one panel unless it is the only block
+    monkeypatch.setattr(bs, "GRAM_BLOCK", block)
+    edges = bs._gram_edges(n)
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == n and (sizes > 0).all()
+    assert (sizes[:-1] == block).all()
+    assert len(sizes) <= 1 or bs.GRAM_ALIGN <= sizes[-1] < block + bs.GRAM_ALIGN
+
+
 def test_mask_built_gram_holds_one_term_block_at_a_time(traced_peak):
-    # one term block of GRAM_BLOCK x N values, plus one slab of SLAB_CELLS
-    # complex values: the block's nodes and term_matrix's three ladder
-    # vectors, GRAM_BLOCK each; 32 KB covers the accumulator, two partial
-    # rows of nodes and interpreter objects.  The whole node array and two
-    # term blocks held at once would exceed it.
+    # one term block of the largest block's nodes x N values (a short last
+    # block joins the one before it), plus one slab of SLAB_CELLS complex
+    # values: the block's nodes and term_matrix's three ladder vectors,
+    # one block each; 32 KB covers the accumulator, two partial rows of
+    # nodes and interpreter objects.  The whole node array and two term
+    # blocks held at once would exceed it.
     target = make_domain(disc(0.1 + 0.05j, 0.9), h=0.01)
     member = interior_exhaustion(target, [0.1]).members[0]
     assert member.cell_count > 3 * bs.GRAM_BLOCK
     basis = bs.monomials(0.1 + 0.05j, 10)
     peak = traced_peak(lambda: bs.gram_matrix(basis, member))
-    term_block = bs.GRAM_BLOCK * len(basis) * 16
+    term_block = max(np.diff(bs._gram_edges(member.cell_count))) * len(basis) * 16
     assert peak < term_block + geom.SLAB_CELLS * 16 + 32 * 1024
 
 

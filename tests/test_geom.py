@@ -1490,18 +1490,21 @@ def broadcast_centers(U, cells):
 
 @settings(max_examples=200, deadline=None)
 @given(U=lattice_domains(geom.PLANAR), slab=SLABS, size=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 32 - 1))
+       merge=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_centers_of_and_blocks_bits_equal_the_broadcast_index(U, slab, size,
-                                                               seed):
-    # a cell mask with empty rows and empty rows at the array's edges
+                                                               merge, seed):
+    # a cell mask with empty rows and empty rows at the array's edges;
+    # blocks of one size, the last one shorter or joined to the one before
     rng = np.random.default_rng(seed)
     cells = U.mask & (rng.random(U.nx) < 0.7)[:, None]
     want = broadcast_centers(U, cells)
+    edges = [*range(0, want.size, size), want.size]
+    if merge and len(edges) > 2:
+        del edges[-2]
     with slab_cells(slab):
         assert U.centers_of(cells).tobytes() == want.tobytes()
-        blocks = list(U.center_blocks(cells, size))
-    assert [b.size for b in blocks[:-1]] == [size] * (len(blocks) - 1)
-    assert len(blocks) == -(-want.size // size)
+        blocks = list(U.center_blocks(cells, edges))
+    assert [b.size for b in blocks] == np.diff(edges).tolist()
     joined = np.concatenate(blocks) if blocks else np.empty(0, dtype=complex)
     assert joined.tobytes() == want.tobytes()
 

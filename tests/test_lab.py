@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -402,6 +403,42 @@ def test_barbell_requires_annulus_right():
 # ---------------------------------------------------------------------------
 # nowhere-density
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target, connected", [
+    (disc(0, 1), True), (disc(0, 1), False),
+    (reinhardt_profile(rectangle((0, 0), (1, 1))), False),
+], ids=["planar-connected", "planar-disconnected", "c2"])
+def test_nowhere_density_frees_the_target_before_the_fit(monkeypatch, target,
+                                                          connected):
+    # the join row's rho2 is the target's last reader: when the fit starts,
+    # the target, its mask and its cached distance field are gone
+    refs, alive = [], []
+
+    def make(spec, h, real=lab.make_domain):
+        U = real(spec, h)
+        if spec is cfg.shapes["target"]:
+            refs.extend((weakref.ref(U), weakref.ref(U.mask)))
+        return U
+
+    def exhaust(G, depths, real=lab.interior_exhaustion):
+        seq = real(G, depths)
+        refs.append(weakref.ref(G.distance))
+        return seq
+
+    def fit(*args, real=kn.fit_kernel, **kw):
+        alive.append([ref() is not None for ref in refs])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lab, "make_domain", make)
+    monkeypatch.setattr(lab, "interior_exhaustion", exhaust)
+    monkeypatch.setattr(lab.kn, "fit_kernel", fit)
+    cfg = lab.config_from_dict({
+        "experiment": "nowhere-density", "h": 0.005,
+        "shapes": {"target": target}, "basis_window": [8, 8], "delta": 0.5,
+        "connected": connected})
+    lab.run_nowhere_density(cfg)
+    assert alive == [[False] * 3]
+
 
 @pytest.mark.slow
 def test_nowhere_density_disconnected_mode():

@@ -10,7 +10,7 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so eight more tests parse every module of
+No linter ships with the project, so nine more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
 one on a module-level private helper that nothing in `src/blab` uses, one
 on a module-level public function or class that nothing in `src/blab` reads
@@ -23,8 +23,10 @@ that nothing in `src/blab` reads, one unless scipy's
 transform routine every distance read goes through, one on a matrix
 product in `kernel.py` outside its one finite-rank evaluator and two test
 entry points, so that `kernel_error` cannot grow a second evaluation path,
-and one on any call of `np.meshgrid`, which builds two float arrays of a
-whole grid.
+one on a BLAS `zherk` call outside `basis.gram_matrix`, so that every Gram
+comes from its aligned blocks, and one on any call of `np.meshgrid`, which
+builds two float arrays of a whole grid.  One more checks that the Gram's
+block is a whole number of zherk panels.
 
 The README's quick start is run as written, so the documented API cannot
 drift from the package unseen.
@@ -285,6 +287,29 @@ def test_one_distance_transform_call_site():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "distance_transform_edt"]
     assert len(sites) == 1, sites
+
+
+def _calls(tree, name):
+    """The number of calls of a function or method `name` under tree."""
+    return sum(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None))
+               == name for node in ast.walk(tree))
+
+
+def test_one_hermitian_update_call_site():
+    # every zherk in src/blab is a block of gram_matrix's aligned sum, so
+    # every Gram equals one whole Hermitian update at any block size
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    gram = next(fn for fn in ast.walk(ast.parse(
+        (SRC / "basis.py").read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef) and fn.name == "gram_matrix")
+    assert _calls(gram, "zherk") == 1
+    assert sum(_calls(tree, "zherk") for tree in trees) == 1
+
+
+def test_gram_block_is_whole_zherk_panels():
+    assert basis.GRAM_BLOCK % basis.GRAM_ALIGN == 0 < basis.GRAM_BLOCK
 
 
 # where kernel.py may take a matrix product: the one finite-rank evaluator,
