@@ -14,9 +14,11 @@ weights over its true cells.
 Whole-grid steps hold at most the grid's own result array plus one slab of
 SLAB_CELLS cells of temporaries: `make_domain` rasterizes a row slab at a
 time by broadcasting a column of x centers against the row of y centers,
-`GridDomain.centers_of` fills its nodes a row slab at a time, and
+`GridDomain.centers_of` fills its nodes a row slab at a time,
 `GridDomain.center_blocks` reads consecutive node blocks (the Gram's) from
-the rows that hold them.
+the rows that hold them, and `GridDomain.boundary` finds its cells a row
+slab at a time.  Component labels take one byte a cell below 256
+components (`GridDomain.component_labels`).
 
 Distance-to-complement fields come from one exact transform, `_edt`, run
 on a window of a domain's array; it keeps only scipy's int32 feature
@@ -35,12 +37,15 @@ functions).  rho1 is sensitive to slits and punctures; rho2 tolerates thin
 tails.  rho2 takes its sup term on the symmetric difference alone, by the
 lattice identity sup |d_U - d_V| = max(max over U \\ V of d_U, max over
 V \\ U of d_V), so it reads a domain's cached field only where that domain
-sticks out of the other, through a window around that part: a domain
-nested in the other is never transformed for rho2.  rho1 measures
-each directed term with nearest-cell queries against the other domain's
-boundary cells, in a kd-tree each domain builds once (`GridDomain.boundary`);
-large query sets are first cut to the tiles that can hold the maximum.
-Neither metric runs a transform of its own.
+sticks out of the other, through the mask of that part in the domain's own
+array, or through a window around it: a domain nested in the other is
+never transformed for rho2.  rho1 measures each directed term with
+nearest-cell queries against the other domain's boundary cells, in a
+kd-tree each domain builds once (`GridDomain.boundary`); large query sets
+are first cut to the tiles that can hold the maximum, and a closures term
+builds its tiles from the outside mask one row slab at a time, with no
+index array over the whole set.  Neither metric runs a transform of its
+own.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 SUBSAMPLES = 32     # per axis, for the area fraction of a cut cell
 TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
+                    # (1, 2, 4 or 8: a tile's row is read as one unsigned int)
 PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
 PAD_CELLS = 2       # cells of array margin around a rasterized shape
 WINDOW_PAD = 4      # first pad, in cells, of a windowed distance read
@@ -194,9 +200,15 @@ class GridDomain:
     @cached_property
     def boundary(self) -> BoundaryCells:
         """The domain's boundary cells and their kd-tree, built on first
-        use."""
-        cells = np.argwhere(boundary_mask(
-            self.mask, _radial_axes(self.kind, self.origin, self.h)))
+        use.  The cells are found one row slab at a time, each with the
+        rows on either side of it (`boundary_mask`)."""
+        axes = _radial_axes(self.kind, self.origin, self.h)
+        parts = []
+        for r0, r1 in _row_slabs(self.nx, self.ny):
+            lo, hi = max(r0 - 1, 0), min(r1 + 1, self.nx)
+            rows = boundary_mask(self.mask[lo:hi], axes)[r0 - lo:r1 - lo]
+            parts.append(np.argwhere(rows) + (r0, 0))
+        cells = np.concatenate(parts)
         return BoundaryCells(cells=cells, tree=cKDTree(cells))
 
     @property
@@ -228,9 +240,18 @@ class GridDomain:
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """4-connected component label per cell (0 outside the domain)."""
-        labels, _ = ndimage.label(self.mask, structure=FOUR_CONN)
-        return labels
+        """4-connected component label per cell (0 outside the domain), in
+        the smallest unsigned type that holds the component count: one
+        byte a cell below 256 components.  scipy labels straight into the
+        type it is given while its provisional labels fit, one opened at
+        each cell that `_label_openings` counts, and otherwise labels in
+        int32 first; so the labels are made in the smallest type that holds
+        the openings and narrowed when the count allows.  Every label
+        equals scipy's int32 one."""
+        # scipy keeps its largest value free: 254 labels fit in uint8
+        dtype = np.min_scalar_type(_label_openings(self.mask) + 1)
+        labels, n = ndimage.label(self.mask, structure=FOUR_CONN, output=dtype)
+        return labels.astype(np.min_scalar_type(n), copy=False)
 
     @cached_property
     def n_components(self) -> int:
@@ -457,11 +478,28 @@ def _area_fractions(spec: dict, mask: np.ndarray, cx: np.ndarray,
     return frac
 
 
-def _row_slabs(nrows: int, ncols: int):
-    """Consecutive row ranges (r0, r1) of about SLAB_CELLS cells each (one
-    row at least) covering an array of nrows rows of ncols cells."""
-    step = max(1, SLAB_CELLS // max(ncols, 1))
+def _row_slabs(nrows: int, ncols: int, unit: int = 1):
+    """Consecutive row ranges (r0, r1) of about SLAB_CELLS cells each, a
+    whole multiple of `unit` rows (one unit at least) but for the last,
+    covering an array of nrows rows of ncols cells."""
+    step = max(1, SLAB_CELLS // max(ncols, 1) // unit) * unit
     return ((r, min(r + step, nrows)) for r in range(0, nrows, step))
+
+
+def _label_openings(mask: np.ndarray) -> int:
+    """The number of true cells whose neighbors at j - 1 and at i - 1 are
+    false or off the array, counted one row slab at a time.  These are the
+    cells at which a 4-connected labeling that scans rows in order opens a
+    provisional label, so they bound the component count."""
+    count = 0
+    for r0, r1 in _row_slabs(*mask.shape):
+        start = mask[r0:r1].copy()
+        # a > b is a & ~b on booleans
+        np.greater(start[:, 1:], mask[r0:r1, :-1], out=start[:, 1:])
+        lo = max(r0, 1)
+        np.greater(start[lo - r0:], mask[lo - 1:r1 - 1], out=start[lo - r0:])
+        count += int(np.count_nonzero(start))
+    return count
 
 
 def make_domain(spec: dict, h: float) -> GridDomain:
@@ -699,11 +737,15 @@ def boundary_mask(mask: np.ndarray,
     edge every cell is false, except beyond a low side on a radial axis
     (axes, from `_radial_axes`): the quarter-plane has no cells there, so
     none is outside the domain, as in `_edt`."""
-    m = np.pad(mask, 1, mode="constant", constant_values=False)
-    m[0, :] |= axes[0]
+    m = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    m[1:-1, 1:-1] = mask
+    m[0, :] = axes[0]
     m[:, 0] |= axes[1]
-    interior = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
-    return mask & ~interior
+    inner = m[:-2, 1:-1] & m[2:, 1:-1]
+    inner &= m[1:-1, :-2]
+    inner &= m[1:-1, 2:]
+    # a & ~b is a > b on booleans
+    return np.greater(mask, inner, out=inner)
 
 
 def extract_sets(U: GridDomain) -> PointSet:
@@ -718,23 +760,25 @@ def extract_sets(U: GridDomain) -> PointSet:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _outside(A: GridDomain, B: GridDomain, at: tuple[int, int]) -> np.ndarray:
-    """The cells of A not in B, as a mask of A's shape; A's cell (i, j) is
-    B's cell (i, j) + `at`.  Only the overlap of the two arrays is read."""
-    out = A.mask.copy()
-    lo = [max(0, -at[k]) for k in (0, 1)]
-    hi = [min(A.mask.shape[k], B.mask.shape[k] - at[k]) for k in (0, 1)]
+def _outside(A: GridDomain, B: GridDomain, at: tuple[int, int], r0: int = 0,
+             r1: int | None = None, unit: int = 1) -> np.ndarray:
+    """The cells of A not in B, as a mask of A's rows r0 .. r1 - 1 (by
+    default all of them), padded with false cells to a whole multiple of
+    `unit` cells on each axis; A's cell (i, j) is B's cell (i, j) + `at`.
+    Only the overlap of the two arrays is read, and no other array is
+    made."""
+    r1 = A.nx if r1 is None else r1
+    out = np.zeros((-(-(r1 - r0) // unit) * unit, -(-A.ny // unit) * unit),
+                   dtype=bool)
+    out[:r1 - r0, :A.ny] = A.mask[r0:r1]
+    lo = (max(r0, -at[0]), max(0, -at[1]))
+    hi = (min(r1, B.nx - at[0]), min(A.ny, B.ny - at[1]))
     if lo[0] < hi[0] and lo[1] < hi[1]:
-        out[lo[0]:hi[0], lo[1]:hi[1]] &= ~B.mask[lo[0] + at[0]:hi[0] + at[0],
-                                                 lo[1] + at[1]:hi[1] + at[1]]
+        mine = out[lo[0] - r0:hi[0] - r0, lo[1]:hi[1]]
+        # a & ~b is a > b on booleans
+        np.greater(mine, B.mask[lo[0] + at[0]:hi[0] + at[0],
+                                lo[1] + at[1]:hi[1] + at[1]], out=mine)
     return out
-
-
-def _outside_cells(A: GridDomain, B: GridDomain,
-                   at: tuple[int, int]) -> np.ndarray:
-    """Cells of A not in B, as (n, 2) indices in B's array (A's index plus
-    `at`), in row-major order."""
-    return np.argwhere(_outside(A, B, at)) + at
 
 
 def _boundary_outside(A: GridDomain, B: GridDomain,
@@ -751,27 +795,22 @@ def _boundary_outside(A: GridDomain, B: GridDomain,
     return cells[~(on_array & (theirs[k] == flat))]
 
 
-def _tile_pruned(cells: np.ndarray, tree: cKDTree) -> np.ndarray:
-    """The cells of the TILE x TILE tiles that can hold the largest distance
-    to the tree's points.
+def _keep_far_tiles(occupied: np.ndarray, corner, tree: cKDTree) -> None:
+    """Clear, in a grid of TILE x TILE tiles whose tile (0, 0) starts at
+    cell `corner` of the tree's array, every occupied tile that cannot hold
+    the largest distance to the tree's points.
 
     Every cell of a tile lies within r = (TILE - 1)/sqrt(2) of the tile's
     center, and the distance to a point set is 1-Lipschitz, so max(dc) - r
     over the occupied tiles' center distances dc bounds the sup from below
     and every cell of a tile with dc < max(dc) - 2r is strictly closer than
-    the sup.  Dropping such tiles keeps every cell the sup's integer squared
-    distance is reached at.  The 1e-9 of slack (in cells) covers the
-    rounding of dc."""
-    tile = cells // TILE
-    t0 = tile.min(axis=0)
-    tile -= t0
-    occupied = np.zeros(tuple(tile.max(axis=0) + 1), dtype=bool)
-    occupied[tile[:, 0], tile[:, 1]] = True
+    the sup.  Clearing such tiles keeps every cell the sup's integer
+    squared distance is reached at, wherever the tiles start.  The 1e-9 of
+    slack (in cells) covers the rounding of dc."""
     tiles = np.argwhere(occupied)
-    dc, _ = tree.query((tiles + t0) * TILE + (TILE - 1) / 2, workers=1)
+    dc, _ = tree.query(tiles * TILE + corner + (TILE - 1) / 2, workers=1)
     r = (TILE - 1) / math.sqrt(2)
     occupied[tiles[:, 0], tiles[:, 1]] = dc >= dc.max() - 2 * r - 1e-9
-    return cells[occupied[tile[:, 0], tile[:, 1]]]
 
 
 def _nearest_distance(cells: np.ndarray, B: GridDomain, h: float) -> np.ndarray:
@@ -784,13 +823,60 @@ def _nearest_distance(cells: np.ndarray, B: GridDomain, h: float) -> np.ndarray:
     return np.sqrt(di * di + dj * dj)
 
 
+def _sup_outside(A: GridDomain, B: GridDomain, at: tuple[int, int],
+                 h: float) -> float:
+    """Max over the cells of A not in B of the distance to the nearest
+    boundary cell of B (A's cell (i, j) is B's cell (i, j) + `at`); 0.0
+    for no cells.
+
+    A first pass marks the TILE x TILE tiles of A's array that hold such a
+    cell, from `_outside` one row slab of whole tiles at a time.  A set of
+    more than PRUNE_MIN cells keeps only the tiles that can hold the
+    maximum (`_keep_far_tiles`).  A second pass gathers the cells of the
+    kept tiles, slab by slab, and queries them.  No index array over the
+    whole set is made."""
+    slabs = list(_row_slabs(A.nx, A.ny, TILE))
+    m = -(-A.ny // TILE)
+    occupied = np.zeros((-(-A.nx // TILE), m), dtype=bool)
+    count = 0
+    for r0, r1 in slabs:
+        part = _outside(A, B, at, r0, r1, TILE)
+        n = int(np.count_nonzero(part))
+        if n:
+            # each unsigned int of TILE bytes packs one row of a tile
+            occupied[r0 // TILE:-(-r1 // TILE)] = part.view(
+                f"u{TILE}").reshape(-1, TILE, m).any(axis=1)
+            count += n
+    if count == 0:
+        return 0.0
+    if count > PRUNE_MIN:
+        _keep_far_tiles(occupied, at, B.boundary.tree)
+    kept = []
+    for r0, r1 in slabs:
+        keep = occupied[r0 // TILE:-(-r1 // TILE)]
+        if not keep.any():
+            continue
+        part = _outside(A, B, at, r0, r1, TILE)
+        tiles = part.reshape(-1, TILE, m, TILE)
+        tiles &= keep[:, None, :, None]
+        kept.append(np.argwhere(part) + (r0 + at[0], at[1]))
+    return float(_nearest_distance(np.concatenate(kept), B, h).max())
+
+
 def _sup_to_boundary(cells: np.ndarray, B: GridDomain, h: float) -> float:
     """Max over cells (indices in B's array) of the distance to the nearest
-    boundary cell of B; 0.0 for no cells."""
+    boundary cell of B; 0.0 for no cells.  A set of more than PRUNE_MIN
+    cells is first cut to the tiles that can hold the maximum
+    (`_keep_far_tiles`), tiled from its lowest indices."""
     if len(cells) == 0:
         return 0.0
     if len(cells) > PRUNE_MIN:
-        cells = _tile_pruned(cells, B.boundary.tree)
+        lo = cells.min(axis=0)
+        tile = (cells - lo) // TILE
+        occupied = np.zeros(tuple(tile.max(axis=0) + 1), dtype=bool)
+        occupied[tile[:, 0], tile[:, 1]] = True
+        _keep_far_tiles(occupied, lo, B.boundary.tree)
+        cells = cells[occupied[tile[:, 0], tile[:, 1]]]
     return float(_nearest_distance(cells, B, h).max())
 
 
@@ -803,15 +889,18 @@ def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     boundary is V's boundary, so all four terms query the two domains'
     cached boundary trees (`GridDomain.boundary`).  A query cell is moved
     into the tree owner's array by the integer frame offset, which leaves
-    distances and nearest-cell picks as in one common array.  Query sets of
-    more than PRUNE_MIN cells are first cut to the tiles that can hold the
-    maximum (`_tile_pruned`); the result is the same to the bit."""
+    distances and nearest-cell picks as in one common array.  A closures
+    term takes its cells from the outside mask, by TILE x TILE tiles
+    (`_sup_outside`); a boundaries term takes the cached boundary cells
+    (`_boundary_outside`).  Query sets of more than PRUNE_MIN cells are
+    first cut to the tiles that can hold the maximum.  The same cells meet
+    the same tree with the same arithmetic, and a max does not depend on
+    order, so the result is the same to the bit as querying every cell."""
     _, _, iU, iV = _frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
     vu = (-uv[0], -uv[1])
     h = U.h
-    closures = max(_sup_to_boundary(_outside_cells(U, V, uv), V, h),
-                   _sup_to_boundary(_outside_cells(V, U, vu), U, h))
+    closures = max(_sup_outside(U, V, uv, h), _sup_outside(V, U, vu, h))
     boundaries = max(_sup_to_boundary(_boundary_outside(U, V, uv), V, h),
                      _sup_to_boundary(_boundary_outside(V, U, vu), U, h))
     return closures, boundaries
@@ -833,16 +922,17 @@ def _cell_volumes(mask: np.ndarray, origin: tuple[float, float], h: float,
     return (2 * np.pi) ** 2 * cx[ii] * cy[jj] * h * h
 
 
-def _max_on(A: GridDomain, cells: np.ndarray, at: tuple[int, int]) -> float:
-    """Max of A's field over the true cells of a common-frame mask that all
-    lie in A (A's array sits at offset `at`), read through a window around
-    them, or from A's whole field where that is cached (`DistanceReader`);
-    0.0 for no cells, in which case the field is not read."""
-    sub = cells[at[0]:at[0] + A.nx, at[1]:at[1] + A.ny]
-    if not sub.any():
+def _max_on(A: GridDomain, cells: np.ndarray) -> float:
+    """Max of A's field over the true cells of a mask of A's shape: read
+    from A's whole field through the mask where that is cached, or else
+    at the cells' indices (`np.nonzero`) through a window around them
+    (`DistanceReader`); 0.0 for no cells, in which case the field is not
+    read."""
+    if not cells.any():
         return 0.0
-    i, j = np.divmod(np.flatnonzero(sub), A.ny)
-    return float(DistanceReader(A).read(i, j).max())
+    if "distance" in vars(A):       # the whole field is cached
+        return float(A.distance.max(where=cells, initial=0.0))
+    return float(DistanceReader(A).read(*np.nonzero(cells)).max())
 
 
 def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
@@ -855,17 +945,30 @@ def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     then d_U(x) <= |x - c| = d_V(x); otherwise c lies in U \\ V and
     d_U(x) <= d_V(x) + d_U(c).  By symmetry |d_U - d_V| on U n V never
     exceeds the two maxima.  A domain's field is read only on its own part
-    of the symmetric difference, through a window around that part
-    (`_max_on`), so a domain nested in the other is never transformed
-    here.  The result is the exact lattice sup, with no cancellation from
-    d_U - d_V."""
+    of the symmetric difference, taken in its own array (`_outside`), one
+    part at a time (`_max_on`), so a domain nested in the other is never
+    transformed here.  The result is the exact lattice sup, with no
+    cancellation from d_U - d_V.
+
+    A planar volume depends on the cell count alone; a reinhardt one is
+    summed over the symmetric difference in the common frame's row-major
+    order, built in one frame-sized mask."""
     origin, shape, iU, iV = _frame(U, V)
-    mU, mV = _embed(U.mask, shape, iU), _embed(V.mask, shape, iV)
-    sym = mU ^ mV
-    if not sym.any():
+    uv = (iU[0] - iV[0], iU[1] - iV[1])
+    count, sup = 0, 0.0
+    for A, B, at in ((U, V, uv), (V, U, (-uv[0], -uv[1]))):
+        part = _outside(A, B, at)
+        count += int(np.count_nonzero(part))
+        sup = max(sup, _max_on(A, part))
+        del part            # one part at a time
+    if count == 0:
         return 0.0, 0.0
-    vol = float(_cell_volumes(sym, origin, U.h, U.kind).sum())
-    return vol, max(_max_on(U, sym & mU, iU), _max_on(V, sym & mV, iV))
+    if U.kind == PLANAR:
+        return float(np.full(count, U.h * U.h).sum()), sup
+    sym = _embed(U.mask, shape, iU)
+    mine = sym[iV[0]:iV[0] + V.nx, iV[1]:iV[1] + V.ny]
+    np.logical_xor(mine, V.mask, out=mine)
+    return float(_cell_volumes(sym, origin, U.h, U.kind).sum()), sup
 
 
 def rho2(U: GridDomain, V: GridDomain) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,8 @@ from blab.geom import (
     union,
     volume,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_edt(mask, h):
@@ -233,6 +236,61 @@ def test_labels_at_matches_the_point_rules():
         assert lab == (U.component_labels[i, j] if on else 0)
         assert U.cell_of(p) == ((i, j) if on else None)
     assert U.labels_at(5 + 5j) == 0 and U.cell_of(5 + 5j) is None
+
+
+def _strip(kind, n_cells):
+    """One row of n_cells cells at the origin, every second one true: a
+    domain of n_cells / 2 components."""
+    mask = np.zeros((n_cells, 1), dtype=bool)
+    mask[::2] = True
+    return geom.GridDomain(origin=(0.0, 0.0), h=0.01, mask=mask, kind=kind)
+
+
+def test_labels_past_one_byte_widen_and_keep_every_value():
+    # 400 components do not fit in uint8: the labels widen to uint16 and
+    # equal scipy's int32 labels value for value
+    from types import SimpleNamespace
+
+    from blab import kernel as kn
+
+    S, P = _strip(geom.PLANAR, 800), _strip(geom.REINHARDT, 800)
+    for U in (S, P):
+        want, n = ndimage.label(U.mask, structure=geom.FOUR_CONN)
+        assert want.dtype == np.int32 and n == 400
+        assert U.component_labels.dtype == np.uint16
+        assert (U.component_labels == want).all()
+        assert U.n_components == 400
+        centers = U.centers_of(np.ones_like(U.mask))
+        assert (U.labels_at(centers) == want.ravel()).all()
+    # the slice's cells at x = (i + 1/2) h, y = h/2 lie, at radius
+    # (|c|, |z2|), in the profile's cell (i, 0), so slice component k maps
+    # to profile component k, as scipy's int32 labels of both give
+    slice_kernel = kn.ReinhardtSliceKernel(model=SimpleNamespace(profile=P),
+                                           z2=0.005j, domain=S)
+    assert slice_kernel._profile_labels.tolist() == list(range(401))
+
+
+def test_shipped_runs_label_in_one_byte(monkeypatch):
+    # every domain a shipped config labels, targets, members, lobes and
+    # results alike, keeps one byte a cell
+    from functools import cached_property
+
+    from blab import lab
+
+    made = []
+    real = geom.GridDomain.component_labels.func
+
+    def spy(self):
+        out = real(self)
+        made.append(out.itemsize)
+        return out
+
+    labels = cached_property(spy)
+    labels.__set_name__(geom.GridDomain, "component_labels")
+    monkeypatch.setattr(geom.GridDomain, "component_labels", labels)
+    for path in sorted(CONFIGS.glob("*.json")):
+        lab.run_experiment(lab.load_config(path))
+    assert len(made) >= 10 and set(made) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +798,9 @@ def test_directed_sup_is_zero_on_a_subset():
     U = make_domain(disc(0, 1), h=0.05)
     V = make_domain(disc(0, 0.5), h=0.05)
     _, _, iU, iV = geom._frame(U, V)
-    outside = geom._outside_cells(V, U, (iV[0] - iU[0], iV[1] - iU[1]))
-    assert len(outside) == 0
-    assert geom._sup_to_boundary(outside, U, U.h) == 0.0
+    vu = (iV[0] - iU[0], iV[1] - iU[1])
+    assert not geom._outside(V, U, vu).any()
+    assert geom._sup_outside(V, U, vu, U.h) == 0.0
     mU, mV, _ = geom._aligned_masks(U, V)
     assert geom.rho1_parts(U, V)[0] == edt_directed_sup(mU, mV, U.h)
 
@@ -848,38 +906,74 @@ def test_rho1_parts_bits_equal_common_array_oracle(pair, prune_min):
         assert_rho1_bits_equal(*pair)
 
 
+def queried_cells(call):
+    """The cells call() queries against a boundary tree, as (n, 2) indices
+    in the tree owner's array, each query's in turn."""
+    calls = []
+    real = geom._nearest_distance
+
+    def spy(cells, B, h):
+        calls.append(np.array(cells))
+        return real(cells, B, h)
+
+    with mock.patch.object(geom, "_nearest_distance", spy):
+        call()
+    return calls
+
+
 @settings(max_examples=100, deadline=None)
-@given(pair=lattice_pairs())
-def test_query_sets_equal_common_array_masks(pair):
+@given(pair=lattice_pairs(), slab=st.sampled_from([1, 7, geom.SLAB_CELLS]))
+def test_query_sets_equal_common_array_masks(pair, slab):
+    # unpruned, a closures term queries each cell of the outside mask once,
+    # gathered from its row slabs of whole tiles; a boundaries term queries
+    # the boundary cells that are not the other's
     U, V = pair
     mU, mV, origin = geom._aligned_masks(U, V)
     axes = geom._radial_axes(U.kind, origin, U.h)
     _, _, iU, iV = geom._frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
+    with mock.patch.object(geom, "SLAB_CELLS", slab), \
+            mock.patch.object(geom, "PRUNE_MIN", 2 ** 62):
+        closures = queried_cells(lambda: geom._sup_outside(U, V, uv, U.h))
+        whole = geom._outside(U, V, uv)
+    outside = mU & ~mV
+    assert whole.shape == U.mask.shape
+    # the frame cells of U's array, and none beyond it, can lie outside V
+    assert whole.sum() == outside.sum()
+    assert (whole == outside[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny]).all()
+    assert len(closures) == (1 if outside.any() else 0)
     for cells, expected in (
-            (geom._outside_cells(U, V, uv), mU & ~mV),
+            (np.concatenate(closures) if closures else np.empty((0, 2), int),
+             outside),
             (geom._boundary_outside(U, V, uv),
              geom.boundary_mask(mU, axes) & ~geom.boundary_mask(mV, axes))):
-        # back from V's array to the frame
-        frame = {(i + iV[0], j + iV[1]) for i, j in cells.tolist()}
-        assert frame == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+        # back from V's array to the frame; no cell is queried twice
+        frame = [(i + iV[0], j + iV[1]) for i, j in cells.tolist()]
+        assert len(set(frame)) == len(frame)
+        assert set(frame) == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
 
 
 @pytest.mark.parametrize("cells", [[(-1, 8), (-8, -4)], [(-9, 8), (3, -12)],
                                    [(-9, -9), (11, -7)]])
 def test_tile_pruning_keeps_the_maximum_near_its_bound(cells):
-    # one boundary cell at the origin; the farthest cell's tile center is
-    # 2.86-3.55 nearer to it than the other tile's center: more than the
-    # 2 sqrt(2) of a 3 x 3 tile, less than the 2r = 4.24 of a 4 x 4 one
+    # one boundary cell at the origin, and A's array starting on the tile
+    # grid through it; the farthest cell's tile center is 2.86-3.55 nearer
+    # to it than the other tile's center: more than the 2 sqrt(2) of a
+    # 3 x 3 tile, less than the 2r = 4.24 of a 4 x 4 one
     B = geom.GridDomain(origin=(0.0, 0.0), h=1.0, mask=np.ones((1, 1), dtype=bool))
     cells = np.array(cells)
-    lo = cells.min(axis=0)
+    lo = cells.min(axis=0) // geom.TILE * geom.TILE
     mask = np.zeros(tuple(cells.max(axis=0) - lo + 1), dtype=bool)
     mask[tuple((cells - lo).T)] = True
     A = geom.GridDomain(origin=(float(lo[0]), float(lo[1])), h=1.0, mask=mask)
+    dist = np.sqrt((cells ** 2).sum(axis=1))
+    centers = cells // geom.TILE * geom.TILE + (geom.TILE - 1) / 2
+    dc = np.sqrt((centers ** 2).sum(axis=1))
+    assert 2 * math.sqrt(2) < dc.max() - dc[dist.argmax()] < 2 * 3 / math.sqrt(2)
     with mock.patch.object(geom, "PRUNE_MIN", 0):
         assert_rho1_bits_equal(A, B)
-        assert geom.rho1_parts(A, B)[0] == np.sqrt((cells ** 2).sum(axis=1)).max()
+        assert geom._sup_outside(A, B, (int(lo[0]), int(lo[1])), 1.0) == dist.max()
+        assert geom.rho1_parts(A, B)[0] == dist.max()
 
 
 def _single_cell(i, j):
@@ -891,6 +985,20 @@ def _single_cell(i, j):
 def _nested_pairs():
     G = make_domain(union(disc(0, 0.8), rectangle((0, -0.3), (1.5, 0.3))), 0.02)
     return [(m, G) for m in interior_exhaustion(G, [0.3, 0.1, 0.05]).members]
+
+
+def _tile_residue_pairs():
+    """A holed ellipse against copies of itself moved by offsets that take
+    every residue mod TILE on each axis, negative and positive, so that the
+    tiles of one array start at every phase of the other's lattice."""
+    i, j = np.ogrid[:70, :90]
+    mask = ((i - 35) / 33) ** 2 + ((j - 45) / 42) ** 2 < 1
+    mask &= np.random.default_rng(11).random(mask.shape) > 0.05
+    h = 0.05
+    U = geom.GridDomain(origin=(0.0, 0.0), h=h, mask=mask)
+    return [(U, geom.GridDomain(origin=(s * (13 + k) * h, -s * (18 + k) * h),
+                                h=h, mask=mask))
+            for k in range(geom.TILE) for s in (-1, 1)]
 
 
 RHO1_CASES = {
@@ -907,6 +1015,7 @@ RHO1_CASES = {
     # the large disc's cells sit at negative indices of the small one's array
     "negative-indices": lambda: [(make_domain(disc(0, 1), 0.02),
                                   make_domain(disc(0.9 + 0.3j, 0.3), 0.02))],
+    "tile-residues": _tile_residue_pairs,
 }
 
 
@@ -917,13 +1026,41 @@ def test_rho1_parts_bits_equal_oracle_on_named_cases(case):
 
 
 def test_named_cases_reach_the_tile_pruning():
+    # the negative-indices case queries cells at negative indices and
+    # prunes; the tile-residues case prunes at every frame offset residue
     U, V = RHO1_CASES["negative-indices"]()[0]
     _, _, iU, iV = geom._frame(U, V)
-    cells = geom._outside_cells(U, V, (iU[0] - iV[0], iU[1] - iV[1]))
-    assert len(cells) > geom.PRUNE_MIN
-    assert (cells < 0).any()
-    kept = geom._tile_pruned(cells, V.boundary.tree)
-    assert 0 < len(kept) < len(cells)
+    uv = (iU[0] - iV[0], iU[1] - iV[1])
+    outside = int(geom._outside(U, V, uv).sum())
+    assert outside > geom.PRUNE_MIN
+    kept = queried_cells(lambda: geom._sup_outside(U, V, uv, U.h))
+    assert len(kept) == 1 and (kept[0] < 0).any()
+    assert 0 < len(kept[0]) < outside
+    residues = set()
+    for U, V in RHO1_CASES["tile-residues"]():
+        _, _, iU, iV = geom._frame(U, V)
+        for A, B, at in ((U, V, (iU[0] - iV[0], iU[1] - iV[1])),
+                         (V, U, (iV[0] - iU[0], iV[1] - iU[1]))):
+            outside = int(geom._outside(A, B, at).sum())
+            assert outside > geom.PRUNE_MIN
+            kept = queried_cells(lambda: geom._sup_outside(A, B, at, A.h))
+            assert 0 < len(kept[0]) < outside
+            residues.update((k, at[k] % geom.TILE, at[k] < 0) for k in (0, 1))
+    assert residues == {(k, r, neg) for k in (0, 1)
+                        for r in range(geom.TILE) for neg in (False, True)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(U=st.sampled_from([geom.PLANAR, geom.REINHARDT]).flatmap(lattice_domains),
+       slab=st.sampled_from([1, 7, 64, geom.SLAB_CELLS]))
+def test_boundary_cells_by_slabs_equal_the_whole_mask_rule(U, slab):
+    # each row slab reads the rows on either side of it, so the cached
+    # cells are the whole-array rule's, radial axes included, in order
+    with mock.patch.object(geom, "SLAB_CELLS", slab):
+        cells = U.boundary.cells
+    want = np.argwhere(geom.boundary_mask(
+        U.mask, geom._radial_axes(U.kind, U.origin, U.h)))
+    assert cells.dtype == want.dtype and cells.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1525,3 +1662,37 @@ def test_whole_edt_holds_the_feature_transform_and_the_result(traced_peak):
     U = make_domain(disc(0.1, 1), 0.002)
     peak = traced_peak(lambda: geom._edt(U.mask, U.h, U.kind, U.origin))
     assert peak < 20 * U.mask.size
+
+
+@pytest.fixture(scope="module")
+def exhaustion_pair():
+    """The disc exhaustion's first pair, as the probe-eval benchmark makes
+    it (h 0.007, depth 0.2), with both boundary trees and the target's
+    field built, and the count of its band cells."""
+    G = make_domain(disc(0, 1), 0.007)
+    M = interior_exhaustion(G, [0.2]).members[0]
+    G.boundary, M.boundary
+    return M, G, int(geom.shell_mask(G, M).sum())
+
+
+@pytest.mark.parametrize("metric", [rho1, rho2])
+def test_metrics_hold_no_index_array_of_the_band(traced_peak, exhaustion_pair,
+                                                 metric):
+    # int64 (i, j) indices of the band alone are 16 bytes a band cell; the
+    # metrics built them, and more, at 38-39 bytes
+    M, G, band = exhaustion_pair
+    assert band > 20000
+    for U, V in ((M, G), (G, M)):
+        assert traced_peak(lambda: metric(U, V)) < 20 * band
+
+
+@pytest.mark.parametrize("h, most", [(0.007, 1.1), (0.002, 3.1)])
+def test_labels_never_pass_through_int32(traced_peak, h, most):
+    # at h 0.007 the labeling opens 84 provisional labels and writes one
+    # byte a cell; at h 0.002 it opens 293 and writes two, narrowed to one.
+    # scipy's own fallback would add an int32 array and a boolean one; the
+    # count of openings holds a slab or two of temporaries
+    U = make_domain(disc(0, 1), h)
+    peak = traced_peak(lambda: U.component_labels)
+    assert U.component_labels.itemsize == 1
+    assert peak < most * U.mask.size + 2 * geom.SLAB_CELLS

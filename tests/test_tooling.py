@@ -10,7 +10,7 @@ traced benchmark run.  Another builds every input of
 that a signature change cannot silently break the benchmark's inputs.  The
 benchmark files are imported, never changed.
 
-No linter ships with the project, so nine more tests parse every module of
+No linter ships with the project, so ten more tests parse every module of
 `src/blab` with `ast`: one fails on an imported name the module never reads,
 one on a module-level private helper that nothing in `src/blab` uses, one
 on a module-level public function or class that nothing in `src/blab` reads
@@ -20,7 +20,9 @@ name (these two also fail on an allow-listed test-only name that
 `src/blab` reads again), one on a module-level UPPERCASE constant
 that nothing in `src/blab` reads, one unless scipy's
 `distance_transform_edt` is called from exactly one place, the single
-transform routine every distance read goes through, one on a matrix
+transform routine every distance read goes through, one unless scipy's
+`label` is called from exactly one place, the one rule that picks each
+label array's type, one on a matrix
 product in `kernel.py` outside its one finite-rank evaluator and two test
 entry points, so that `kernel_error` cannot grow a second evaluation path,
 one on a BLAS `zherk` call outside `basis.gram_matrix`, so that every Gram
@@ -287,6 +289,22 @@ def test_one_distance_transform_call_site():
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "distance_transform_edt"]
     assert len(sites) == 1, sites
+
+
+def test_one_labeling_call_site():
+    # every component label array comes from `GridDomain.component_labels`,
+    # so every one is held in the smallest type that fits its count (a
+    # basis term's `label()` method names the term and is no such call)
+    def labeling(func):
+        return (isinstance(func, ast.Name) and func.id == "label"
+                or isinstance(func, ast.Attribute) and func.attr == "label"
+                and getattr(func.value, "id", None) == "ndimage")
+
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and labeling(node.func)]
+    assert len(sites) == 1 and sites[0].startswith("geom.py:"), sites
 
 
 def _calls(tree, name):
