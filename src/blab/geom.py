@@ -781,20 +781,6 @@ def _outside(A: GridDomain, B: GridDomain, at: tuple[int, int], r0: int = 0,
     return out
 
 
-def _boundary_outside(A: GridDomain, B: GridDomain,
-                      at: tuple[int, int]) -> np.ndarray:
-    """Boundary cells of A not on B's boundary, as indices in B's array.
-    Both are the domains' cached `GridDomain.boundary` cells; A's are
-    searched by flat index among B's, which their row-major order sorts."""
-    cells = A.boundary.cells + at
-    shape = B.mask.shape
-    flat = np.ravel_multi_index(cells.T, shape, mode="clip")
-    theirs = np.ravel_multi_index(B.boundary.cells.T, shape)
-    k = np.minimum(np.searchsorted(theirs, flat), theirs.size - 1)
-    on_array = ((cells >= 0) & (cells < shape)).all(axis=1)
-    return cells[~(on_array & (theirs[k] == flat))]
-
-
 def _keep_far_tiles(occupied: np.ndarray, corner, tree: cKDTree) -> None:
     """Clear, in a grid of TILE x TILE tiles whose tile (0, 0) starts at
     cell `corner` of the tree's array, every occupied tile that cannot hold
@@ -891,8 +877,9 @@ def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     into the tree owner's array by the integer frame offset, which leaves
     distances and nearest-cell picks as in one common array.  A closures
     term takes its cells from the outside mask, by TILE x TILE tiles
-    (`_sup_outside`); a boundaries term takes the cached boundary cells
-    (`_boundary_outside`).  Query sets of more than PRUNE_MIN cells are
+    (`_sup_outside`); a boundaries term queries every cached boundary cell,
+    since a cell on the other's boundary lies at distance 0.0 and cannot
+    raise the max.  Query sets of more than PRUNE_MIN cells are
     first cut to the tiles that can hold the maximum.  The same cells meet
     the same tree with the same arithmetic, and a max does not depend on
     order, so the result is the same to the bit as querying every cell."""
@@ -901,8 +888,8 @@ def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     vu = (-uv[0], -uv[1])
     h = U.h
     closures = max(_sup_outside(U, V, uv, h), _sup_outside(V, U, vu, h))
-    boundaries = max(_sup_to_boundary(_boundary_outside(U, V, uv), V, h),
-                     _sup_to_boundary(_boundary_outside(V, U, vu), U, h))
+    boundaries = max(_sup_to_boundary(U.boundary.cells + uv, V, h),
+                     _sup_to_boundary(V.boundary.cells + vu, U, h))
     return closures, boundaries
 
 

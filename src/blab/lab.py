@@ -9,8 +9,9 @@ fixed seeds, deterministic reductions).
 The four experiments:
   exhaustion      interior approximants of a target; kernel convergence.
   barbell         two lobes joined by shrinking necks; zero persistence.
-  nowhere-density the end-to-end construction: exhaust, place a small
-                  annulus, optionally join, certify a kernel zero, and
+  nowhere-density the end-to-end construction: place a small annulus
+                  beside the input, join it to the input itself by a
+                  neck or a disjoint union, certify a kernel zero, and
                   check the result stays rho1-close to the input.
   metric-demo     the slit/tail table contrasting rho1 and rho2.
 """
@@ -536,54 +537,49 @@ def _nearest_boundary_point(U: GridDomain, to: complex) -> complex:
     return complex(bd[int(np.argmin(np.abs(bd - to)))])
 
 
-def _exhausted_start(config: ExperimentConfig,
-                     **mode) -> tuple[ExperimentReport, GridDomain, GridDomain]:
-    """The report of a nowhere-density run, the target G and its first
-    stage, an interior exhaustion member within delta/4 of G.  Corners of
-    the level set move by eps * sqrt(2), so the depth budget uses delta/10
-    rather than delta/8."""
+def _target_report(config: ExperimentConfig,
+                   **mode) -> tuple[ExperimentReport, GridDomain]:
+    """The report of a nowhere-density run and its target G."""
     spec = config.shapes["target"]
-    h, delta = config.h, float(config.delta)
-    G = make_domain(spec, h)
+    G = make_domain(spec, config.h)
     report = ExperimentReport(
         experiment="nowhere-density",
-        metadata={"h": h, "seed": config.seed,
+        metadata={"h": config.h, "seed": config.seed,
                   "basis_window": list(config.basis_window), "target": spec,
-                  "delta": delta, **mode},
+                  "delta": float(config.delta), **mode},
         columns=["stage", "step", "rho1_to_target", "rho2_to_target", "detail"])
-    eps = max(delta / 10 - 2 * h, 1.5 * h)
-    member = interior_exhaustion(G, [eps]).members[0]
-    r1 = rho1(member, G)
-    report.add_row(stage=0, step="exhaust", rho1_to_target=r1,
-                   rho2_to_target=rho2(member, G), detail=f"depth {eps:.6g}")
-    report.check("exhaustion_within_quarter_delta", r1 < delta / 4,
-                 f"rho1 {r1:.6g} vs {delta / 4:.6g}")
-    return report, G, member
+    return report, G
 
 
 def _placement(delta: float, h: float) -> tuple[float, float]:
-    """Outer radius R_d = 0.99 delta/8 and gap delta/16 of the piece a
-    nowhere-density run places: an annulus, or the annulus factor of a C^2
-    product, of diameter below delta/4 and within delta/4 of the target.
-    Its ring, of width R_d/2, must span at least 6 cells."""
+    """Outer radius R_d = 0.99 delta/8 and gap delta/8 of the piece a
+    nowhere-density run places beside the target: an annulus, or the
+    annulus factor of a C^2 product, of diameter below delta/4 and within
+    delta/4 of the target.  The gap also sets the neck's length; at
+    delta/16 a few connected runs failed to certify.  Its ring, of width
+    R_d/2, must span at least 6 cells."""
     R_d = 0.99 * delta / 8
     if R_d / 2 < 6 * h:
         raise ConfigError(
             f"delta {delta} leaves the placed annulus under-resolved at h={h}: "
             f"ring width {R_d / 2:.4g} needs at least {6 * h:.4g}")
-    return R_d, delta / 16
+    return R_d, delta / 8
 
 
 def _planar_join(config: ExperimentConfig) -> tuple:
-    """Stages 0-2 of a planar nowhere-density run: the report with their
-    rows and checks, the exhaustion member, the placed annulus lobe, the
-    joined result and rho1(result, target).  The target's last reader is
-    the join row's rho2; it is not returned, so the target, its mask, its
-    cached distance field and its boundary tree are freed before the fit."""
-    report, G, member = _exhausted_start(config, connected=config.connected)
+    """Stages 0-1 of a planar nowhere-density run: the report with their
+    rows and checks, the polynomial center q, the placed annulus lobe, the
+    joined result and rho1(result, target).  In one variable every domain
+    is a domain of holomorphy, so the target G itself takes the join.  q is
+    G's centroid, formed from the row and column counts of G's mask.  G's
+    last reader is the join row's rho2, which reads only the result's part
+    outside G, so G's whole distance field is never computed; G is not
+    returned, so G, its mask and its boundary tree are freed before the
+    fit."""
+    report, G = _target_report(config, connected=config.connected)
     h, delta = config.h, float(config.delta)
 
-    # stage 2: place a small annulus of diameter < delta/4 within delta/4
+    # stage 0: place a small annulus of diameter < delta/4 within delta/4
     R_d, gap = _placement(delta, h)
     rho_d = R_d / 2
     anchor = _rightmost_boundary_point(G)
@@ -591,57 +587,62 @@ def _planar_join(config: ExperimentConfig) -> tuple:
     d_spec = annulus(c_d, rho_d, R_d)
     D = make_domain(d_spec, h)
     placement = float(np.min(np.abs(extract_sets(D).closure - anchor)))
-    report.add_row(stage=1, step="place", rho1_to_target=None,
+    report.add_row(stage=0, step="place", rho1_to_target=None,
                    rho2_to_target=None,
                    detail=f"annulus at {c_d:.6g}, gap {placement:.6g}")
     report.check("placement_within_quarter_delta", placement < delta / 4,
                  f"gap {placement:.6g} vs {delta / 4:.6g}")
 
-    # stage 3: join (or plain union in disconnected mode)
+    # stage 1: join (or plain union in disconnected mode)
     if config.connected:
-        a = _nearest_boundary_point(member, c_d)
+        a = _nearest_boundary_point(G, c_d)
         b = _nearest_boundary_point(D, a)
         width = max(3 * h, delta / 100)
-        result = barbell_sequence(member, D, (a, b), [width]).members[0]
+        result = barbell_sequence(G, D, (a, b), [width]).members[0]
         join_detail = f"neck width {width:.6g}"
     else:
-        result = domain_union(member, D)
+        result = domain_union(G, D)
         join_detail = "disjoint union"
     r1_result = rho1(result, G)
-    report.add_row(stage=2, step="join", rho1_to_target=r1_result,
+    report.add_row(stage=1, step="join", rho1_to_target=r1_result,
                    rho2_to_target=rho2(result, G), detail=join_detail)
     report.check("result_within_delta", r1_result < delta,
                  f"rho1(result, target) {r1_result:.6g} vs delta {delta:.6g}")
     if config.connected:
         report.check("result_connected", result.n_components == 1,
                      f"{result.n_components} components")
-    return report, member, D, result, r1_result
+    n = G.cell_count
+    q = complex(np.sum(G.centers_x * np.count_nonzero(G.mask, axis=1)) / n,
+                np.sum(G.centers_y * np.count_nonzero(G.mask, axis=0)) / n)
+    return report, q, D, result, r1_result
 
 
 def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
     """The end-to-end construction: arbitrarily rho1-close to the input
     domain, produce a domain whose kernel carries a certified zero.
 
-    The delta budget splits four ways: interior exhaustion within delta/4,
-    a small annulus of diameter below delta/4 placed within delta/4 of the
-    input, a neck (connected mode) inside the placement gap, and the
-    certificate.  Planar inputs run the full pipeline; a reinhardt-profile
-    input places an annulus x disc product (log-convexity validated) and
-    certifies on the annulus-factor slice.
+    The input G itself takes the join, with no interior approximant.  A
+    small annulus of diameter below delta/4 is placed a gap of delta/8
+    beyond G's rightmost boundary point and joined by a neck inside the
+    gap (connected mode) or by a disjoint union.  Every point of the
+    result lies within delta/8 + 2 R_d of G, and so does every boundary
+    point, so rho1(result, G) <= 2 (delta/8 + 2 R_d) < 0.75 delta.  Planar
+    inputs run the full pipeline; a reinhardt-profile input places an
+    annulus x disc product (log-convexity validated) and certifies on the
+    annulus-factor slice.
     """
     if config.shapes["target"]["shape"] == "reinhardt-profile":
         return _run_nowhere_density_c2(config)
-    report, member, D, result, r1_result = _planar_join(config)
+    report, q, D, result, r1_result = _planar_join(config)
     window = config.basis_window
     n_neg, n_pos = window
     c_d, R_d = complex(*D.spec["center"]), D.spec["R"]
 
-    # stage 4: certify a kernel zero on the annulus lobe.  The window basis
+    # stage 2: certify a kernel zero on the annulus lobe.  The window basis
     # alone cannot carry positive local frequencies on a lobe 16x smaller
-    # than the member; poles clustered just outside the lobe's outer circle
+    # than the target; poles clustered just outside the lobe's outer circle
     # do (lightning-solver style), on the side away from the neck: the lobe
     # lies right of the target's rightmost boundary point.
-    q = complex(member.centers_of(member.mask).mean())
     poles = (c_d + cmath.rect(LOBE_POLE_RADIUS * R_d, math.radians(t))
              for t in LOBE_POLE_ANGLES)
     basis = bs.merged(bs.monomials(q, n_pos), bs.principal_parts(c_d, n_neg),
@@ -668,18 +669,19 @@ def run_nowhere_density(config: ExperimentConfig) -> ExperimentReport:
             detail = (f"certification failed; floor {verdict.floor:.6g} at "
                       f"resolution {verdict.resolution:.6g} (basis window "
                       f"{window}, {health}, no automatic growth)")
-    report.add_row(stage=3, step="certify", rho1_to_target=r1_result,
+    report.add_row(stage=2, step="certify", rho1_to_target=r1_result,
                    rho2_to_target=None, detail=detail)
     report.check("zero_certified", certified, detail)
     return report
 
 
 def _c2_join(config: ExperimentConfig) -> tuple:
-    """Stages 0-2 of a reinhardt-profile nowhere-density run: the report
+    """Stages 0-1 of a reinhardt-profile nowhere-density run: the report
     with their rows and checks, the placed product's profile and
-    rho1(result, target).  As in `_planar_join`, the target's last reader
-    is the join row's rho2, and it is freed before the fit."""
-    report, G, member = _exhausted_start(config, mode="reinhardt")
+    rho1(result, target).  As in `_planar_join`, the target G itself takes
+    the join, its whole distance field is never computed, and it is freed
+    before the fit."""
+    report, G = _target_report(config, mode="reinhardt")
     h, delta = config.h, float(config.delta)
 
     # place an annulus x disc product beyond the profile in r1: its profile
@@ -692,16 +694,16 @@ def _c2_join(config: ExperimentConfig) -> tuple:
     factor_spec = reinhardt_profile(rectangle((r1_lo, 0.0),
                                               (r1_lo + ring, r2_hi)))
     Dprof = make_domain(factor_spec, h)
-    report.add_row(stage=1, step="place", rho1_to_target=None,
+    report.add_row(stage=0, step="place", rho1_to_target=None,
                    rho2_to_target=None,
                    detail=f"product profile r1 in ({r1_lo:.4g}, "
                           f"{r1_lo + ring:.4g}), r2 below {r2_hi:.4g}")
     report.check("placed_factor_logconvex", is_logconvex_profile(Dprof),
                  "annulus x disc profile is log-convex")
 
-    result = domain_union(member, Dprof)
+    result = domain_union(G, Dprof)
     r1_result = rho1(result, G)
-    report.add_row(stage=2, step="join", rho1_to_target=r1_result,
+    report.add_row(stage=1, step="join", rho1_to_target=r1_result,
                    rho2_to_target=rho2(result, G),
                    detail="disjoint union (not a domain); no neck is "
                           f"tried since {C2_NO_NECK}")
@@ -731,7 +733,7 @@ def _run_nowhere_density_c2(config: ExperimentConfig) -> ExperimentReport:
         detail = (f"slice z2 = {z2:.6g}: z* = {verdict.certificate.z_star:.6g}")
     else:
         detail = f"slice certification failed; floor {verdict.floor:.6g}"
-    report.add_row(stage=3, step="certify", rho1_to_target=r1_result,
+    report.add_row(stage=2, step="certify", rho1_to_target=r1_result,
                    rho2_to_target=None, detail=detail)
     report.check("zero_certified", verdict.certified, detail)
     return report

@@ -257,7 +257,7 @@ def test_criterion_6_nowhere_density():
         "shapes": {"target": disc(0, 1)},
         "basis_window": [8, 10], "delta": 0.5, "connected": True})
     report = lab.run_nowhere_density(cfg)
-    r1 = report.rows[2]["rho1_to_target"]
+    r1 = next(r for r in report.rows if r["step"] == "join")["rho1_to_target"]
     cert = report.certificates.get("final")
     ok = report.passed and r1 < 0.5 and cert is not None
     report_line(6, ok, f"rho1(result, disc) {r1:.4f} vs 0.5, "

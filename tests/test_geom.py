@@ -926,7 +926,7 @@ def queried_cells(call):
 def test_query_sets_equal_common_array_masks(pair, slab):
     # unpruned, a closures term queries each cell of the outside mask once,
     # gathered from its row slabs of whole tiles; a boundaries term queries
-    # the boundary cells that are not the other's
+    # each boundary cell once, on the other's boundary or not
     U, V = pair
     mU, mV, origin = geom._aligned_masks(U, V)
     axes = geom._radial_axes(U.kind, origin, U.h)
@@ -936,19 +936,23 @@ def test_query_sets_equal_common_array_masks(pair, slab):
             mock.patch.object(geom, "PRUNE_MIN", 2 ** 62):
         closures = queried_cells(lambda: geom._sup_outside(U, V, uv, U.h))
         whole = geom._outside(U, V, uv)
+        with mock.patch.object(geom, "_sup_outside", lambda *args: 0.0):
+            boundaries = queried_cells(lambda: geom.rho1_parts(U, V))
     outside = mU & ~mV
     assert whole.shape == U.mask.shape
     # the frame cells of U's array, and none beyond it, can lie outside V
     assert whole.sum() == outside.sum()
     assert (whole == outside[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny]).all()
     assert len(closures) == (1 if outside.any() else 0)
-    for cells, expected in (
+    assert len(boundaries) == 2
+    for cells, at, expected in (
             (np.concatenate(closures) if closures else np.empty((0, 2), int),
-             outside),
-            (geom._boundary_outside(U, V, uv),
-             geom.boundary_mask(mU, axes) & ~geom.boundary_mask(mV, axes))):
-        # back from V's array to the frame; no cell is queried twice
-        frame = [(i + iV[0], j + iV[1]) for i, j in cells.tolist()]
+             iV, outside),
+            (boundaries[0], iV, geom.boundary_mask(mU, axes)),
+            (boundaries[1], iU, geom.boundary_mask(mV, axes))):
+        # back from the tree owner's array to the frame; no cell is
+        # queried twice
+        frame = [(i + at[0], j + at[1]) for i, j in cells.tolist()]
         assert len(set(frame)) == len(frame)
         assert set(frame) == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
 
@@ -1279,11 +1283,12 @@ def test_barbell_run_transforms_the_right_lobe_and_each_member(edt_windows,
     assert all(windowed[k] > 0 for k in range(len(seq.members)))
 
 
-def test_nowhere_density_run_makes_three_transforms(edt_windows, lab_made):
-    # the target (exhaustion) and the placed lobe (probes) are transformed
-    # whole; the joined result is read through windows by rho2 (on the lobe
-    # and neck) and by the verdict (around its candidates); the exhaustion
-    # member lies in the target and is never transformed
+def test_nowhere_density_run_never_transforms_the_target(edt_windows,
+                                                         lab_made):
+    # the placed lobe (probes) is transformed whole; the joined result is
+    # read through windows by rho2 (on the lobe and neck) and by the
+    # verdict (around its candidates); the target lies in the result and
+    # takes the join itself, so no transform reads it
     from blab import lab
 
     cfg = lab.config_from_dict({
@@ -1293,19 +1298,19 @@ def test_nowhere_density_run_makes_three_transforms(edt_windows, lab_made):
     lab.run_nowhere_density(cfg)
     G, D = lab_made["make_domain"]
     domains = {"target": G, "lobe": D,
-               "member": lab_made["interior_exhaustion"][0].members[0],
                "result": lab_made["barbell_sequence"][0].members[0]}
-    windowed = assert_transformed_cells(edt_windows, domains,
-                                        {"target", "lobe"})
-    assert windowed["member"] == 0 and windowed["result"] > 0
+    windowed = assert_transformed_cells(edt_windows, domains, {"lobe"})
+    assert windowed["target"] == 0 and windowed["result"] > 0
+    assert "distance" not in vars(G)
+    assert "interior_exhaustion" not in lab_made
 
 
 def test_nowhere_density_c2_run_reads_the_result_through_windows(
         edt_windows, lab_made, monkeypatch):
-    # the target (exhaustion) and the placed profile (the slice's depth) are
-    # transformed whole; rho2 reads the joined result on the placed profile
-    # through a window at the r2 axis, and the verdict reads the planar
-    # slice around its candidates; the exhaustion member lies in the target
+    # the placed profile (the slice's depth) is transformed whole; rho2
+    # reads the joined result on the placed profile through a window at the
+    # r2 axis, and the verdict reads the planar slice around its
+    # candidates; the target lies in the result and is never transformed
     from blab import kernel, lab
 
     slices = []
@@ -1319,12 +1324,12 @@ def test_nowhere_density_c2_run_reads_the_result_through_windows(
     lab.run_nowhere_density(cfg)
     G, D = lab_made["make_domain"]
     (result,), (sl,) = lab_made["domain_union"], slices
-    domains = {"target": G, "placed": D, "result": result, "slice": sl,
-               "member": lab_made["interior_exhaustion"][0].members[0]}
-    windowed = assert_transformed_cells(edt_windows, domains,
-                                        {"target", "placed"})
-    assert windowed["member"] == 0
+    domains = {"target": G, "placed": D, "result": result, "slice": sl}
+    windowed = assert_transformed_cells(edt_windows, domains, {"placed"})
+    assert windowed["target"] == 0
     assert windowed["result"] > 0 and windowed["slice"] > 0
+    assert "distance" not in vars(G)
+    assert "interior_exhaustion" not in lab_made
 
 
 # ---------------------------------------------------------------------------
@@ -1383,19 +1388,18 @@ def test_windowed_values_bits_equal_the_whole_field(case):
 
 
 def lobe_and_neck():
-    """A nowhere-density result: a disc's exhaustion member joined by a
-    neck to a small annulus lobe beside the disc, and the disc."""
+    """A nowhere-density result: a disc joined by a neck to a small
+    annulus lobe beside it, and the disc."""
     from blab import lab
 
     h = 0.002
     G = make_domain(disc(0, 0.7), h)
-    member = interior_exhaustion(G, [0.05 - 2 * h]).members[0]
     R = 0.99 * 0.5 / 8
-    c = 0.7 + 0.5 / 16 + R
+    c = 0.7 + 0.5 / 8 + R
     D = make_domain(annulus(c, R / 2, R), h)
-    a = lab._nearest_boundary_point(member, c)
+    a = lab._nearest_boundary_point(G, c)
     b = lab._nearest_boundary_point(D, a)
-    return barbell_sequence(member, D, (a, b), [3 * h]).members[0], G, c, R
+    return barbell_sequence(G, D, (a, b), [3 * h]).members[0], G, c, R
 
 
 def barbell_ring():

@@ -17,7 +17,8 @@ import pytest
 from blab import basis as bs
 from blab import cli, lab
 from blab import kernel as kn
-from blab.geom import annulus, disc, make_domain, rectangle, reinhardt_profile
+from blab.geom import (annulus, disc, make_domain, rectangle,
+                       reinhardt_profile, union)
 from blab.zeros import ZeroCertificate
 
 
@@ -317,7 +318,7 @@ SEQUENCE_RUNS = {
         "experiment": "barbell", "h": 0.02,
         "shapes": {"left": disc(-2, 1), "right": annulus(2, 0.5, 1)},
         "basis_window": [8, 8], "widths": [0.4, 0.2]},
-    # the shipped connected run: one exhaustion member, one joined result
+    # the shipped connected run: the target and one joined result
     "nowhere-density": {
         "experiment": "nowhere-density", "h": 0.004,
         "shapes": {"target": disc(0, 1)},
@@ -358,15 +359,27 @@ def test_kernel_rows_report_terms_and_conditioning(monkeypatch, experiment):
                                         "nowhere-density"])
 def test_stage_members_cache_no_node_array(monkeypatch, experiment):
     # a member's quadrature nodes are built for its fit and then dropped;
-    # none stays cached on the member
+    # none stays cached on the member.  A nowhere-density target takes the
+    # join itself, and neither a node array nor its whole field is made
+    raw = SEQUENCE_RUNS[experiment]
     seqs = _sequences(monkeypatch)
-    lab.run_experiment(lab.config_from_dict(SEQUENCE_RUNS[experiment]))
-    members = [m for seq in seqs for m in seq.members]
+    targets = []
+
+    def make(spec, h, real=lab.make_domain):
+        U = real(spec, h)
+        if experiment == "nowhere-density" and spec is raw["shapes"]["target"]:
+            targets.append(U)
+        return U
+
+    monkeypatch.setattr(lab, "make_domain", make)
+    lab.run_experiment(lab.config_from_dict(raw))
+    members = [m for seq in seqs for m in seq.members] + targets
     assert len(members) == 2
     for member in members:
         assert not any(isinstance(v, np.ndarray) and v.dtype == complex
                        for v in vars(member).values())
         assert "quadrature" not in vars(member)
+    assert all("distance" not in vars(G) for G in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +423,10 @@ def test_barbell_requires_annulus_right():
 ], ids=["planar-connected", "planar-disconnected", "c2"])
 def test_nowhere_density_frees_the_target_before_the_fit(monkeypatch, target,
                                                           connected):
-    # the join row's rho2 is the target's last reader: when the fit starts,
-    # the target, its mask and its cached distance field are gone
-    refs, alive = [], []
+    # the join row's rho2 is the target's last reader, and it computes no
+    # whole field of the target: when the fit starts, the target and its
+    # mask are gone
+    refs, alive, fields = [], [], []
 
     def make(spec, h, real=lab.make_domain):
         U = real(spec, h)
@@ -420,24 +434,26 @@ def test_nowhere_density_frees_the_target_before_the_fit(monkeypatch, target,
             refs.extend((weakref.ref(U), weakref.ref(U.mask)))
         return U
 
-    def exhaust(G, depths, real=lab.interior_exhaustion):
-        seq = real(G, depths)
-        refs.append(weakref.ref(G.distance))
-        return seq
+    def metric(U, V, real=lab.rho2):
+        value = real(U, V)
+        if V is refs[0]():
+            fields.append("distance" in vars(V))
+        return value
 
     def fit(*args, real=kn.fit_kernel, **kw):
         alive.append([ref() is not None for ref in refs])
         return real(*args, **kw)
 
     monkeypatch.setattr(lab, "make_domain", make)
-    monkeypatch.setattr(lab, "interior_exhaustion", exhaust)
+    monkeypatch.setattr(lab, "rho2", metric)
     monkeypatch.setattr(lab.kn, "fit_kernel", fit)
     cfg = lab.config_from_dict({
         "experiment": "nowhere-density", "h": 0.005,
         "shapes": {"target": target}, "basis_window": [8, 8], "delta": 0.5,
         "connected": connected})
     lab.run_nowhere_density(cfg)
-    assert alive == [[False] * 3]
+    assert fields == [False]
+    assert alive == [[False] * 2]
 
 
 @pytest.mark.slow
@@ -448,7 +464,8 @@ def test_nowhere_density_disconnected_mode():
         "basis_window": [8, 10], "delta": 0.5, "connected": False})
     report = lab.run_nowhere_density(cfg)
     assert report.passed, report.assertions
-    assert report.rows[2]["rho1_to_target"] < 0.5
+    join = next(r for r in report.rows if r["step"] == "join")
+    assert join["rho1_to_target"] < 0.5
     cert = report.certificates["final"]
     cert.validate()
 
@@ -544,6 +561,43 @@ def test_fit_heavy_nowhere_density_inputs_certify(monkeypatch, seed):
         report = lab.run_nowhere_density(lab.config_from_dict(raw))
         assert report.passed, report.assertions
     assert len(conds) == len(configs) and max(conds) < 1e6
+
+
+# fit-heavy inputs (seed 56 nowhere_density-2, seed 130 nowhere_density-8)
+# that failed to certify with the placement gap at delta/16 and the target
+# joined without an interior exhaustion
+GAP_REGRESSIONS = [
+    (disc(complex(-0.03466758404396683, -0.03474671822915383),
+          0.673806542151385), 1225023868),
+    (disc(complex(0.017824676494372887, 0.034900129117381856),
+          0.6659703717100046), 582546133),
+]
+
+# targets that an interior exhaustion of depth delta/10 - 2h broke: a thin
+# channel left the member in two parts, and a thin tail left it far from
+# the target in rho1
+THIN_FEATURES = {
+    "channel": union(disc(-0.7, 0.4), disc(0.7, 0.4),
+                     rectangle((-0.7, -0.025), (0.7, 0.025))),
+    "tail": union(rectangle((-0.5, -0.5), (0.5, 0.5)),
+                  rectangle((0.5, -0.025), (1, 0.025))),
+}
+
+
+@pytest.mark.parametrize("target, seed", [
+    *GAP_REGRESSIONS, *((spec, 1729) for spec in THIN_FEATURES.values()),
+], ids=["gap-seed-56", "gap-seed-130", *THIN_FEATURES])
+def test_nowhere_density_joins_the_target_itself(target, seed):
+    # the target takes the join: the lobe lies delta/8 beyond it, the result
+    # stays connected and within delta in rho1, and a zero is certified
+    report = lab.run_nowhere_density(lab.config_from_dict({
+        "experiment": "nowhere-density", "h": 0.004,
+        "shapes": {"target": target}, "basis_window": [8, 10],
+        "delta": 0.5, "connected": True, "seed": seed}))
+    assert report.passed, report.assertions
+    assert [r["step"] for r in report.rows] == ["place", "join", "certify"]
+    assert report.rows[0]["detail"].endswith("gap 0.064")
+    report.certificates["final"].validate()
 
 
 def test_nowhere_density_under_resolved_delta():

@@ -30,11 +30,15 @@ comes from its aligned blocks, and one on any call of `np.meshgrid`, which
 builds two float arrays of a whole grid.  One more checks that the Gram's
 block is a whole number of zherk panels.
 
-The README's quick start is run as written, so the documented API cannot
-drift from the package unseen.
+The README's quick start is run as written, and every name the README
+gives in backticks as a `blab` module, a module's or a class's member, or
+an ALL_CAPS constant must exist, so the documented API cannot drift from
+the package unseen.
 """
 
 import ast
+import importlib
+import inspect
 import math
 import re
 import sys
@@ -369,3 +373,50 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+MODULES = ("basis", "cli", "geom", "kernel", "lab", "zeros")
+
+
+def _readme_names() -> list:
+    """The backticked names of README.md outside its code blocks that are
+    dotted (`blab.<module>...`, `<module>.<name>`, `<Class>.<member>`) or
+    ALL_CAPS; a dotted name led by anything else (`np.meshgrid`,
+    `report.csv`) names no part of the package and is left out."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                  flags=re.DOTALL)
+    spans = {" ".join(s.split()) for s in re.findall(r"`([^`]+)`", text)}
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+    caps = re.compile(r"[A-Z][A-Z0-9]*(_[A-Z0-9]+)*")
+    return sorted(s for s in spans if caps.fullmatch(s) or dotted.fullmatch(s)
+                  and (s.split(".")[0] in ("blab", *MODULES)
+                       or re.match(r"_?[A-Z]", s)))
+
+
+def test_readme_names_only_what_exists():
+    modules = {m: importlib.import_module(f"blab.{m}") for m in MODULES}
+    classes = {name: obj for mod in modules.values()
+               for name, obj in vars(mod).items()
+               if inspect.isclass(obj) and obj.__module__ == mod.__name__}
+    names = _readme_names()
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        if not rest:
+            # a constant: a module-level value that is no function or class
+            if not any(name in vars(mod) and not callable(vars(mod)[name])
+                       for mod in modules.values()):
+                missing.append(name)
+            continue
+        if head == "blab":
+            head, *rest = rest
+        owner = modules.get(head, classes.get(head))
+        try:
+            for attr in rest:
+                owner = getattr(owner, attr)
+        except AttributeError:
+            owner = None
+        if owner is None:
+            missing.append(name)
+    assert len(names) >= 30
+    assert not missing, missing
