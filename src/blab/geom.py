@@ -41,11 +41,11 @@ sticks out of the other, through the mask of that part in the domain's own
 array, or through a window around it: a domain nested in the other is
 never transformed for rho2.  rho1 measures each directed term with
 nearest-cell queries against the other domain's boundary cells, in a
-kd-tree each domain builds once (`GridDomain.boundary`); large query sets
-are first cut to the tiles that can hold the maximum, and a closures term
-builds its tiles from the outside mask one row slab at a time, with no
-index array over the whole set.  Neither metric runs a transform of its
-own.
+kd-tree each domain builds once (`GridDomain.boundary`): a boundaries term
+queries every cached boundary cell at once, and a closures term only the
+cells of the tiles that can hold its maximum, which it finds from the
+outside mask one row slab at a time, with no index array over the whole
+set.  Neither metric runs a transform of its own.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 SUBSAMPLES = 32     # per axis, for the area fraction of a cut cell
 TILE = 4            # side, in cells, of the tiles rho1 prunes its queries by
                     # (1, 2, 4 or 8: a tile's row is read as one unsigned int)
-PRUNE_MIN = 1024    # rho1 query sets above this many cells are tile-pruned
 PAD_CELLS = 2       # cells of array margin around a rasterized shape
 WINDOW_PAD = 4      # first pad, in cells, of a windowed distance read
 SLAB_CELLS = 2 ** 14    # cells of temporaries a whole-grid step holds at a time
@@ -564,23 +563,25 @@ def _frame(U: GridDomain, V: GridDomain):
     return (ox, oy), shape, iU, iV
 
 
-def _embed(a: np.ndarray, shape: tuple[int, int], at: tuple[int, int]) -> np.ndarray:
-    """a placed at offset `at` in a zero (false) array of the given shape."""
-    out = np.zeros(shape, dtype=a.dtype)
-    out[at[0]:at[0] + a.shape[0], at[1]:at[1] + a.shape[1]] = a
-    return out
-
-
-def _aligned_masks(U: GridDomain, V: GridDomain) -> tuple[np.ndarray, np.ndarray,
-                                                          tuple[float, float]]:
-    """Embed both masks in one array covering the union of the two arrays."""
+def _frame_mask(U: GridDomain, V: GridDomain,
+                op) -> tuple[np.ndarray, tuple[float, float]]:
+    """U's mask embedded in one array covering both domains' arrays, false
+    elsewhere, with the boolean ufunc `op` applied in place to V's window of
+    it and V's mask; and the array's origin.  No other frame-sized array is
+    made."""
     origin, shape, iU, iV = _frame(U, V)
-    return _embed(U.mask, shape, iU), _embed(V.mask, shape, iV), origin
+    out = np.zeros(shape, dtype=bool)
+    out[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny] = U.mask
+    mine = out[iV[0]:iV[0] + V.nx, iV[1]:iV[1] + V.ny]
+    op(mine, V.mask, out=mine)
+    return out, origin
 
 
 def domain_union(U: GridDomain, V: GridDomain) -> GridDomain:
-    mU, mV, origin = _aligned_masks(U, V)
-    return GridDomain(origin=origin, h=U.h, mask=mU | mV, kind=U.kind)
+    """The cells of U or V, as one array covering both domains' arrays,
+    built in place (`_frame_mask`)."""
+    mask, origin = _frame_mask(U, V, np.logical_or)
+    return GridDomain(origin=origin, h=U.h, mask=mask, kind=U.kind)
 
 
 def shell_mask(U: GridDomain, V: GridDomain) -> np.ndarray:
@@ -816,27 +817,21 @@ def _sup_outside(A: GridDomain, B: GridDomain, at: tuple[int, int],
     for no cells.
 
     A first pass marks the TILE x TILE tiles of A's array that hold such a
-    cell, from `_outside` one row slab of whole tiles at a time.  A set of
-    more than PRUNE_MIN cells keeps only the tiles that can hold the
-    maximum (`_keep_far_tiles`).  A second pass gathers the cells of the
-    kept tiles, slab by slab, and queries them.  No index array over the
-    whole set is made."""
+    cell, from `_outside` one row slab of whole tiles at a time, and keeps
+    only the tiles that can hold the maximum (`_keep_far_tiles`).  A second
+    pass gathers the cells of the kept tiles, slab by slab, and queries
+    them.  No index array over the whole set is made."""
     slabs = list(_row_slabs(A.nx, A.ny, TILE))
     m = -(-A.ny // TILE)
     occupied = np.zeros((-(-A.nx // TILE), m), dtype=bool)
-    count = 0
     for r0, r1 in slabs:
         part = _outside(A, B, at, r0, r1, TILE)
-        n = int(np.count_nonzero(part))
-        if n:
-            # each unsigned int of TILE bytes packs one row of a tile
-            occupied[r0 // TILE:-(-r1 // TILE)] = part.view(
-                f"u{TILE}").reshape(-1, TILE, m).any(axis=1)
-            count += n
-    if count == 0:
+        # each unsigned int of TILE bytes packs one row of a tile
+        occupied[r0 // TILE:-(-r1 // TILE)] = part.view(
+            f"u{TILE}").reshape(-1, TILE, m).any(axis=1)
+    if not occupied.any():
         return 0.0
-    if count > PRUNE_MIN:
-        _keep_far_tiles(occupied, at, B.boundary.tree)
+    _keep_far_tiles(occupied, at, B.boundary.tree)
     kept = []
     for r0, r1 in slabs:
         keep = occupied[r0 // TILE:-(-r1 // TILE)]
@@ -849,23 +844,6 @@ def _sup_outside(A: GridDomain, B: GridDomain, at: tuple[int, int],
     return float(_nearest_distance(np.concatenate(kept), B, h).max())
 
 
-def _sup_to_boundary(cells: np.ndarray, B: GridDomain, h: float) -> float:
-    """Max over cells (indices in B's array) of the distance to the nearest
-    boundary cell of B; 0.0 for no cells.  A set of more than PRUNE_MIN
-    cells is first cut to the tiles that can hold the maximum
-    (`_keep_far_tiles`), tiled from its lowest indices."""
-    if len(cells) == 0:
-        return 0.0
-    if len(cells) > PRUNE_MIN:
-        lo = cells.min(axis=0)
-        tile = (cells - lo) // TILE
-        occupied = np.zeros(tuple(tile.max(axis=0) + 1), dtype=bool)
-        occupied[tile[:, 0], tile[:, 1]] = True
-        _keep_far_tiles(occupied, lo, B.boundary.tree)
-        cells = cells[occupied[tile[:, 0], tile[:, 1]]]
-    return float(_nearest_distance(cells, B, h).max())
-
-
 def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     """The two Hausdorff terms of rho1: (closures, boundaries).
 
@@ -876,21 +854,21 @@ def rho1_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
     cached boundary trees (`GridDomain.boundary`).  A query cell is moved
     into the tree owner's array by the integer frame offset, which leaves
     distances and nearest-cell picks as in one common array.  A closures
-    term takes its cells from the outside mask, by TILE x TILE tiles
-    (`_sup_outside`); a boundaries term queries every cached boundary cell,
-    since a cell on the other's boundary lies at distance 0.0 and cannot
-    raise the max.  Query sets of more than PRUNE_MIN cells are
-    first cut to the tiles that can hold the maximum.  The same cells meet
-    the same tree with the same arithmetic, and a max does not depend on
-    order, so the result is the same to the bit as querying every cell."""
+    term takes its cells from the outside mask, by the TILE x TILE tiles
+    that can hold its maximum (`_sup_outside`); a boundaries term queries
+    every cached boundary cell at once, since a cell on the other's
+    boundary lies at distance 0.0 and cannot raise the max.  The cells at
+    the maximum meet the same tree with the same arithmetic, and a max
+    does not depend on order, so the result is the same to the bit as
+    querying every cell."""
     _, _, iU, iV = _frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
     vu = (-uv[0], -uv[1])
     h = U.h
     closures = max(_sup_outside(U, V, uv, h), _sup_outside(V, U, vu, h))
-    boundaries = max(_sup_to_boundary(U.boundary.cells + uv, V, h),
-                     _sup_to_boundary(V.boundary.cells + vu, U, h))
-    return closures, boundaries
+    boundaries = max(_nearest_distance(U.boundary.cells + uv, V, h).max(),
+                     _nearest_distance(V.boundary.cells + vu, U, h).max())
+    return closures, float(boundaries)
 
 
 def rho1(U: GridDomain, V: GridDomain) -> float:
@@ -939,8 +917,8 @@ def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
 
     A planar volume depends on the cell count alone; a reinhardt one is
     summed over the symmetric difference in the common frame's row-major
-    order, built in one frame-sized mask."""
-    origin, shape, iU, iV = _frame(U, V)
+    order, built in one frame-sized mask (`_frame_mask`)."""
+    _, _, iU, iV = _frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
     count, sup = 0, 0.0
     for A, B, at in ((U, V, uv), (V, U, (-uv[0], -uv[1]))):
@@ -952,9 +930,7 @@ def rho2_parts(U: GridDomain, V: GridDomain) -> tuple[float, float]:
         return 0.0, 0.0
     if U.kind == PLANAR:
         return float(np.full(count, U.h * U.h).sum()), sup
-    sym = _embed(U.mask, shape, iU)
-    mine = sym[iV[0]:iV[0] + V.nx, iV[1]:iV[1] + V.ny]
-    np.logical_xor(mine, V.mask, out=mine)
+    sym, origin = _frame_mask(U, V, np.logical_xor)
     return float(_cell_volumes(sym, origin, U.h, U.kind).sum()), sup
 
 
@@ -1021,18 +997,22 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
     with G u D outside the neck tube, and rho2(member, G u D) -> 0 as the
     widths shrink.
 
-    The lobe gap is the smallest distance from D's boundary cells to G's
-    boundary tree.  Segment distances are taken only in the window of cells
-    within max(widths)/2 + h of the segment's bounding box, which holds
-    every tube.
+    The target G u D is `domain_union(G, D)`, and each member starts from a
+    copy of its mask, so a one-width sequence holds two frame-sized masks
+    beside its member's labels.  The lobes overlap exactly when the union
+    has fewer cells than the two lobes together.  The lobe gap is the
+    smallest distance from D's boundary cells to G's boundary tree.
+    Segment distances are taken only in the window of cells within
+    max(widths)/2 + h of the segment's bounding box, which holds every
+    tube.
     """
     if G.kind != PLANAR or D.kind != PLANAR:
         raise GeomError("barbell construction requires planar domains")
-    origin, shape, iG, iD = _frame(G, D)
-    mG, mD = _embed(G.mask, shape, iG), _embed(D.mask, shape, iD)
-    h = G.h
-    if (mG & mD).any():
+    target = domain_union(G, D)
+    if target.cell_count != G.cell_count + D.cell_count:
         raise GeomError("barbell lobes overlap")
+    origin, shape, iG, iD = _frame(G, D)
+    h = G.h
     # the smallest distance from D to G is reached on the boundary of D
     into_G = (iD[0] - iG[0], iD[1] - iG[1])
     if float(_nearest_distance(D.boundary.cells + into_G, G, h).min()) <= 2 * h:
@@ -1053,14 +1033,12 @@ def barbell_sequence(G: GridDomain, D: GridDomain, segment: tuple[complex, compl
                    for c, p, q in ((cx, a.real, b.real), (cy, a.imag, b.imag)))
     seg_dist = _segment_distance(cx[window[0]][:, None], cy[window[1]][None, :],
                                  a, b)
-    base = mG | mD
-    target = GridDomain(origin=origin, h=h, mask=base, kind=PLANAR)
     members = []
     for w in widths:
         if w < 3 * h:
             raise GeomError(f"neck width {w} below the lattice minimum {3 * h}"
                             " (neck may disconnect)")
-        member_mask = base.copy()
+        member_mask = target.mask.copy()
         member_mask[window] |= seg_dist <= w / 2
         member = GridDomain(origin=origin, h=h, mask=member_mask, kind=PLANAR)
         if member.n_components != 1:

@@ -214,7 +214,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -81,6 +81,13 @@ def test_malformed_json_exits_3(tmp_path, capsys):
     assert main(["metric", str(path)]) == 3
 
 
+def test_non_utf8_config_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"experiment": "metric-demo", "h": 0.02\xff}')
+    assert main(["metric", str(path)]) == 3
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_connected_reinhardt_config_exits_3(tmp_path, capsys):
     # a neck on a C^2 target is a key the run could not honor
     cfg = write_cfg(tmp_path, {

@@ -75,6 +75,21 @@ def brute_force_hausdorff(A, B):
     return max(da, db)
 
 
+def embedded(mask, shape, at):
+    """Oracle: mask placed at index offset `at` in a false array of the
+    given shape."""
+    out = np.zeros(shape, dtype=bool)
+    out[at[0]:at[0] + mask.shape[0], at[1]:at[1] + mask.shape[1]] = mask
+    return out
+
+
+def aligned_masks(U, V):
+    """Oracle: both masks embedded in one array covering both domains'
+    arrays, each its own copy, and that array's origin."""
+    origin, shape, iU, iV = geom._frame(U, V)
+    return embedded(U.mask, shape, iU), embedded(V.mask, shape, iV), origin
+
+
 # ---------------------------------------------------------------------------
 # make_domain
 # ---------------------------------------------------------------------------
@@ -486,7 +501,7 @@ def test_exhaustion_of_disc_is_offset_disc():
     seq = interior_exhaustion(G, [0.1])
     member = seq.members[0]
     ref = make_domain(disc(0, 0.9), h=h)
-    mU, mV, origin = geom._aligned_masks(member, ref)
+    mU, mV, origin = aligned_masks(member, ref)
     sym_area = (mU ^ mV).sum() * h * h
     assert sym_area <= 0.05
 
@@ -537,7 +552,7 @@ def test_exhaustion_rho1_bound_and_nesting():
         assert rho1(member, G) <= 2 * eps + 4 * h
     # nested: smaller depth contains larger depth
     m_outer, m_inner = seq.members[2].mask, seq.members[0].mask
-    mo, mi, _ = geom._aligned_masks(seq.members[2], seq.members[0])
+    mo, mi, _ = aligned_masks(seq.members[2], seq.members[0])
     assert (mi & ~mo).sum() == 0
 
 
@@ -606,7 +621,7 @@ def test_barbell_coincides_outside_tube(barbell_parts):
     w = 0.2
     seq = barbell_sequence(G, D, seg, [w])
     member, base = seq.members[0], seq.target
-    mM, mB, origin = geom._aligned_masks(member, base)
+    mM, mB, origin = aligned_masks(member, base)
     h = member.h
     cx = origin[0] + h * (np.arange(mM.shape[0]) + 0.5)
     cy = origin[1] + h * (np.arange(mM.shape[1]) + 0.5)
@@ -715,7 +730,7 @@ def edt_directed_sup(mask_from, mask_to, h):
 
 
 def edt_rho1_parts(U, V):
-    mU, mV, origin = geom._aligned_masks(U, V)
+    mU, mV, origin = aligned_masks(U, V)
     axes = geom._radial_axes(U.kind, origin, U.h)
     bU, bV = geom.boundary_mask(mU, axes), geom.boundary_mask(mV, axes)
     return (max(edt_directed_sup(mU, mV, U.h), edt_directed_sup(mV, mU, U.h)),
@@ -726,7 +741,7 @@ def edt_rho2_sups(U, V):
     """Oracles of rho2's sup term, from both fields transformed afresh on
     the aligned masks: the max of each field over its own part of the
     symmetric difference, and the full-array max |dU - dV|."""
-    mU, mV, origin = geom._aligned_masks(U, V)
+    mU, mV, origin = aligned_masks(U, V)
     dU = geom._edt(mU, U.h, U.kind, origin)
     dV = geom._edt(mV, U.h, U.kind, origin)
     sym = max(dU[mU & ~mV].max(initial=0.0), dV[mV & ~mU].max(initial=0.0))
@@ -801,7 +816,7 @@ def test_directed_sup_is_zero_on_a_subset():
     vu = (iV[0] - iU[0], iV[1] - iU[1])
     assert not geom._outside(V, U, vu).any()
     assert geom._sup_outside(V, U, vu, U.h) == 0.0
-    mU, mV, _ = geom._aligned_masks(U, V)
+    mU, mV, _ = aligned_masks(U, V)
     assert geom.rho1_parts(U, V)[0] == edt_directed_sup(mU, mV, U.h)
 
 
@@ -832,7 +847,7 @@ def kd_rho1_parts(U, V):
     def hausdorff_masks(mA, mB, h):
         return max(directed(mA, mB, h), directed(mB, mA, h))
 
-    mU, mV, origin = geom._aligned_masks(U, V)
+    mU, mV, origin = aligned_masks(U, V)
     h = U.h
     axes = geom._radial_axes(U.kind, origin, h)
     if (mU == mV).all():
@@ -899,11 +914,10 @@ def test_rho2_sup_is_the_symmetric_difference_max(pair):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pair=lattice_pairs(), prune_min=st.sampled_from([geom.PRUNE_MIN, 0]))
-def test_rho1_parts_bits_equal_common_array_oracle(pair, prune_min):
-    # prune_min 0 tile-prunes every query set, however small
-    with mock.patch.object(geom, "PRUNE_MIN", prune_min):
-        assert_rho1_bits_equal(*pair)
+@given(pair=lattice_pairs())
+def test_rho1_parts_bits_equal_common_array_oracle(pair):
+    # every closures term is tile-pruned, however small its query set
+    assert_rho1_bits_equal(*pair)
 
 
 def queried_cells(call):
@@ -924,16 +938,16 @@ def queried_cells(call):
 @settings(max_examples=100, deadline=None)
 @given(pair=lattice_pairs(), slab=st.sampled_from([1, 7, geom.SLAB_CELLS]))
 def test_query_sets_equal_common_array_masks(pair, slab):
-    # unpruned, a closures term queries each cell of the outside mask once,
-    # gathered from its row slabs of whole tiles; a boundaries term queries
-    # each boundary cell once, on the other's boundary or not
+    # a closures term queries cells of the outside mask, gathered from its
+    # row slabs of whole tiles, and among them every cell at the maximum; a
+    # boundaries term queries each boundary cell, on the other's boundary
+    # or not; no cell is queried twice
     U, V = pair
-    mU, mV, origin = geom._aligned_masks(U, V)
+    mU, mV, origin = aligned_masks(U, V)
     axes = geom._radial_axes(U.kind, origin, U.h)
     _, _, iU, iV = geom._frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
-    with mock.patch.object(geom, "SLAB_CELLS", slab), \
-            mock.patch.object(geom, "PRUNE_MIN", 2 ** 62):
+    with mock.patch.object(geom, "SLAB_CELLS", slab):
         closures = queried_cells(lambda: geom._sup_outside(U, V, uv, U.h))
         whole = geom._outside(U, V, uv)
         with mock.patch.object(geom, "_sup_outside", lambda *args: 0.0):
@@ -945,16 +959,27 @@ def test_query_sets_equal_common_array_masks(pair, slab):
     assert (whole == outside[iU[0]:iU[0] + U.nx, iU[1]:iU[1] + U.ny]).all()
     assert len(closures) == (1 if outside.any() else 0)
     assert len(boundaries) == 2
-    for cells, at, expected in (
-            (np.concatenate(closures) if closures else np.empty((0, 2), int),
-             iV, outside),
-            (boundaries[0], iV, geom.boundary_mask(mU, axes)),
-            (boundaries[1], iU, geom.boundary_mask(mV, axes))):
-        # back from the tree owner's array to the frame; no cell is
-        # queried twice
+
+    def frame_cells(cells, at):
+        # back from the tree owner's array to the frame, each cell once
         frame = [(i + at[0], j + at[1]) for i, j in cells.tolist()]
         assert len(set(frame)) == len(frame)
-        assert set(frame) == set(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+        return set(frame)
+
+    def cells_of(mask):
+        return set(zip(*map(np.ndarray.tolist, np.nonzero(mask))))
+
+    assert frame_cells(boundaries[0], iV) == cells_of(geom.boundary_mask(mU, axes))
+    assert frame_cells(boundaries[1], iU) == cells_of(geom.boundary_mask(mV, axes))
+    if closures:
+        kept = frame_cells(closures[0], iV)
+        assert kept <= cells_of(outside)
+        # the integer squared distance of every outside cell to V's boundary
+        cells = np.argwhere(outside)
+        ends = np.argwhere(geom.boundary_mask(mV, axes))
+        _, k = cKDTree(ends).query(cells, workers=1)
+        d2 = ((cells - ends[k]) ** 2).sum(axis=1)
+        assert set(map(tuple, cells[d2 == d2.max()].tolist())) <= kept
 
 
 @pytest.mark.parametrize("cells", [[(-1, 8), (-8, -4)], [(-9, 8), (3, -12)],
@@ -974,10 +999,9 @@ def test_tile_pruning_keeps_the_maximum_near_its_bound(cells):
     centers = cells // geom.TILE * geom.TILE + (geom.TILE - 1) / 2
     dc = np.sqrt((centers ** 2).sum(axis=1))
     assert 2 * math.sqrt(2) < dc.max() - dc[dist.argmax()] < 2 * 3 / math.sqrt(2)
-    with mock.patch.object(geom, "PRUNE_MIN", 0):
-        assert_rho1_bits_equal(A, B)
-        assert geom._sup_outside(A, B, (int(lo[0]), int(lo[1])), 1.0) == dist.max()
-        assert geom.rho1_parts(A, B)[0] == dist.max()
+    assert_rho1_bits_equal(A, B)
+    assert geom._sup_outside(A, B, (int(lo[0]), int(lo[1])), 1.0) == dist.max()
+    assert geom.rho1_parts(A, B)[0] == dist.max()
 
 
 def _single_cell(i, j):
@@ -1036,7 +1060,6 @@ def test_named_cases_reach_the_tile_pruning():
     _, _, iU, iV = geom._frame(U, V)
     uv = (iU[0] - iV[0], iU[1] - iV[1])
     outside = int(geom._outside(U, V, uv).sum())
-    assert outside > geom.PRUNE_MIN
     kept = queried_cells(lambda: geom._sup_outside(U, V, uv, U.h))
     assert len(kept) == 1 and (kept[0] < 0).any()
     assert 0 < len(kept[0]) < outside
@@ -1046,7 +1069,6 @@ def test_named_cases_reach_the_tile_pruning():
         for A, B, at in ((U, V, (iU[0] - iV[0], iU[1] - iV[1])),
                          (V, U, (iV[0] - iU[0], iV[1] - iU[1]))):
             outside = int(geom._outside(A, B, at).sum())
-            assert outside > geom.PRUNE_MIN
             kept = queried_cells(lambda: geom._sup_outside(A, B, at, A.h))
             assert 0 < len(kept[0]) < outside
             residues.update((k, at[k] % geom.TILE, at[k] < 0) for k in (0, 1))
@@ -1108,7 +1130,7 @@ def test_exhaustion_run_builds_one_boundary_tree_per_domain(tree_builds, depths)
 def full_frame_neck_masks(G, D, segment, widths):
     """Oracle: every member mask with the segment distance taken on every
     cell of the common array."""
-    mG, mD, origin = geom._aligned_masks(G, D)
+    mG, mD, origin = aligned_masks(G, D)
     h = G.h
     cx = geom._axis_centers(origin[0], mG.shape[0], h)
     cy = geom._axis_centers(origin[1], mG.shape[1], h)
@@ -1436,7 +1458,7 @@ def test_windowed_reads_on_named_cases(case):
         U, D = barbell_ring()
         whole = whole_field(U)
         _, _, iU, iD = geom._frame(U, D)
-        lobe = geom._embed(D.mask, U.mask.shape, (iD[0] - iU[0], iD[1] - iU[1]))
+        lobe = embedded(D.mask, U.mask.shape, (iD[0] - iU[0], iD[1] - iU[1]))
     i, j = np.nonzero(lobe & U.mask)
     values = geom.DistanceReader(U).read(i, j)
     assert values.tobytes() == whole[i, j].tobytes()
@@ -1700,3 +1722,37 @@ def test_labels_never_pass_through_int32(traced_peak, h, most):
     peak = traced_peak(lambda: U.component_labels)
     assert U.component_labels.itemsize == 1
     assert peak < most * U.mask.size + 2 * geom.SLAB_CELLS
+
+
+@pytest.fixture(scope="module")
+def far_lobes():
+    """A disc and a small annulus a gap of 0.05 beyond it, at h 0.002, with
+    both boundary trees built."""
+    h = 0.002
+    G = make_domain(disc(0, 1), h)
+    D = make_domain(annulus(1.15, 0.05, 0.1), h)
+    G.boundary, D.boundary
+    return G, D
+
+
+def test_union_holds_one_frame_mask(traced_peak, far_lobes):
+    # the union is built in place in its own mask; both masks embedded in
+    # the frame, and their union, held three
+    G, D = far_lobes
+    frame = domain_union(G, D).mask.size
+    assert traced_peak(lambda: domain_union(G, D)) < 1.1 * frame
+
+
+def test_barbell_holds_two_frame_masks_and_the_labels(traced_peak, far_lobes):
+    # the target's mask, the member's, and the member's labeling; both lobes
+    # embedded in the frame held two more.  A tenth of a frame covers the
+    # frame's cell centers and the segment window
+    G, D = far_lobes
+    h = G.h
+    seg, widths = (1.0 + 0j, 1.05 + 0j), [10 * h]
+    member = barbell_sequence(G, D, seg, widths).members[0]
+    fresh = geom.GridDomain(origin=member.origin, h=h, mask=member.mask.copy())
+    labeling = traced_peak(lambda: fresh.component_labels)
+    frame = member.mask.size
+    peak = traced_peak(lambda: barbell_sequence(G, D, seg, widths))
+    assert peak < 2 * frame + labeling + frame / 10

@@ -28,7 +28,9 @@ entry points, so that `kernel_error` cannot grow a second evaluation path,
 one on a BLAS `zherk` call outside `basis.gram_matrix`, so that every Gram
 comes from its aligned blocks, and one on any call of `np.meshgrid`, which
 builds two float arrays of a whole grid.  One more checks that the Gram's
-block is a whole number of zherk panels.
+block is a whole number of zherk panels, and two fail unless
+`geom._keep_far_tiles` is called from `_sup_outside` alone and
+`geom._frame_mask` from `domain_union` and `rho2_parts` alone.
 
 The README's quick start is run as written, and every name the README
 gives in backticks as a `blab` module, a module's or a class's member, or
@@ -328,6 +330,30 @@ def test_one_hermitian_update_call_site():
         if isinstance(fn, ast.FunctionDef) and fn.name == "gram_matrix")
     assert _calls(gram, "zherk") == 1
     assert sum(_calls(tree, "zherk") for tree in trees) == 1
+
+
+def _callers(name) -> list:
+    """For each call of `name` in src/blab, the module-level function that
+    makes it ("" for a call outside them), sorted."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 for _ in range(_calls(fn, name))]
+        callers += named + [""] * (_calls(tree, name) - len(named))
+    return sorted(callers)
+
+
+def test_one_tile_pruning_call_site():
+    # only a closures term of rho1 prunes its query cells by tiles; a
+    # boundaries term queries every boundary cell
+    assert _callers("_keep_far_tiles") == ["_sup_outside"]
+
+
+def test_frame_masks_built_only_by_union_and_rho2():
+    # a frame-sized mask is made by one helper, for the union (which the
+    # barbell target is) and for a reinhardt rho2 volume alone
+    assert _callers("_frame_mask") == ["domain_union", "rho2_parts"]
 
 
 def test_gram_block_is_whole_zherk_panels():
